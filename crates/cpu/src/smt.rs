@@ -514,15 +514,6 @@ mod tests {
     }
 
     #[test]
-    fn one_thread_smt_matches_basic_shape() {
-        let cfg = SimConfig::default().rob_for_iq(64);
-        let mut smt = SmtPipeline::new(cfg, IdealIq::new(64), threads(1, Bench::Gcc));
-        let s = smt.run(3_000);
-        assert!(!s.hung);
-        assert!(s.ipc() > 0.1);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_panics() {
         let w: Vec<AddressSpace<SyntheticWorkload>> = vec![];

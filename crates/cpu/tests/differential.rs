@@ -1,12 +1,18 @@
-//! Whole-pipeline differential test: a full out-of-order core built
-//! around the segmented queue must behave identically whether the queue
-//! serves its read paths from the maintained indexes (production) or
-//! from naive full scans (the reference the indexes were derived from).
-//! Both modes share every write path, so any divergence is an indexing
-//! bug, not a modeling choice.
+//! Whole-pipeline differential tests.
+//!
+//! A full out-of-order core built around the segmented queue must behave
+//! identically whether the queue serves its read paths from the
+//! maintained indexes (production) or from naive full scans (the
+//! reference the indexes were derived from). Both modes share every
+//! write path, so any divergence is an indexing bug, not a modeling
+//! choice.
+//!
+//! A one-thread [`SmtPipeline`] must also run exactly the single-thread
+//! [`Pipeline`]: SMT is only more threads over the same machine (§7).
 
-use chainiq_core::{SegmentedIq, SegmentedIqConfig};
-use chainiq_cpu::{Pipeline, SimConfig};
+use chainiq_baseline::{IdealIq, PrescheduleConfig, PrescheduledIq};
+use chainiq_core::{IssueQueue, SegmentedIq, SegmentedIqConfig};
+use chainiq_cpu::{Pipeline, SimConfig, SimStats, SmtPipeline};
 use chainiq_workload::{Bench, SyntheticWorkload};
 
 /// Runs one benchmark profile twice — indexed and naive — through the
@@ -54,4 +60,80 @@ fn pipeline_matches_naive_reference_with_features_off() {
     qc.bypass = false;
     qc.two_chain_tracking = false;
     check_bench(Bench::Twolf, qc, 3_000, 23);
+}
+
+/// Runs `bench` through a one-thread [`SmtPipeline`] and a [`Pipeline`]
+/// built from the same machine, queue and workload, returning each
+/// run's statistics `Debug` render with `rob_mean_occupancy` zeroed (the
+/// SMT entry point never reports ROB occupancy), plus whatever `extra`
+/// reads from the finished queue.
+fn smt_vs_single<Q: IssueQueue>(
+    config: SimConfig,
+    make_iq: impl Fn() -> Q,
+    bench: Bench,
+    seed: u64,
+    extra: impl Fn(&Q) -> String,
+) -> [(String, String); 2] {
+    let workload = || SyntheticWorkload::from_profile(bench.profile(), seed);
+    let render = |mut s: SimStats| {
+        s.rob_mean_occupancy = 0.0;
+        format!("{s:?}")
+    };
+    let mut single = Pipeline::new(config, make_iq(), workload());
+    let single_stats = render(single.run(3_000));
+    let mut smt = SmtPipeline::new(config, make_iq(), vec![workload()]);
+    let smt_stats = render(smt.run(3_000));
+    [(single_stats, extra(single.iq())), (smt_stats, extra(smt.iq()))]
+}
+
+#[test]
+fn one_thread_smt_matches_pipeline() {
+    let mut seg_config = SimConfig::default().rob_for_iq(128).with_extra_dispatch_cycle();
+    seg_config.use_hmp = true;
+    seg_config.use_lrp = true;
+    let pc = PrescheduleConfig::paper(8);
+    let mut pre_config = SimConfig::default().rob_for_iq(pc.capacity()).with_extra_dispatch_cycle();
+    pre_config.use_hmp = true;
+    for (i, bench) in [Bench::Gcc, Bench::Swim, Bench::Equake, Bench::Twolf, Bench::Vortex]
+        .into_iter()
+        .enumerate()
+    {
+        let seed = 31 + i as u64;
+        let runs = [
+            (
+                "ideal",
+                smt_vs_single(
+                    SimConfig::default().rob_for_iq(64),
+                    || IdealIq::new(64),
+                    bench,
+                    seed,
+                    |_| String::new(),
+                ),
+            ),
+            (
+                "segmented",
+                smt_vs_single(
+                    seg_config,
+                    || SegmentedIq::new(SegmentedIqConfig::paper(128, Some(64))),
+                    bench,
+                    seed,
+                    |iq| format!("{:?}", iq.full_stats()),
+                ),
+            ),
+            (
+                "prescheduled",
+                smt_vs_single(
+                    pre_config,
+                    || PrescheduledIq::new(pc),
+                    bench,
+                    seed,
+                    |_| String::new(),
+                ),
+            ),
+        ];
+        for (queue, [single, smt]) in runs {
+            assert_eq!(single.0, smt.0, "{bench:?}/{queue}: machine statistics diverge");
+            assert_eq!(single.1, smt.1, "{bench:?}/{queue}: queue statistics diverge");
+        }
+    }
 }

@@ -25,6 +25,16 @@ cargo run -p chainiq-analyze --release --offline -- --check-tight --json "$ANALY
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== benchmark digest: full stats of every paper-grid spec and SMT mix at the default seed"
+# The benchmark package pins the complete SimStats + segmented-queue
+# statistics of all 275 F2+T2+F3 specs and all 9 SMT mixes; any change
+# to simulated behaviour shows up here as a byte difference. The build
+# goes under target/ so the step leaves benchmark/ exactly as it found it.
+CARGO_TARGET_DIR="$PWD/target/benchmark" \
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --print-digest \
+    | cmp - benchmark/digest/default-seed.txt \
+    || { echo "ci.sh: benchmark digest differs from benchmark/digest/default-seed.txt" >&2; exit 1; }
+
 echo "== perf gate smoke: --bin perf at a tiny sample into a scratch dir"
 PERF_DIR="$(mktemp -d)"
 trap 'rm -f "$ANALYZE_JSON"; rm -rf "$PERF_DIR"' EXIT
@@ -82,7 +92,7 @@ CHAINIQ_BENCH_DIR="$SERVE_DIR" ./target/release/chainiq-serve \
     --addr 127.0.0.1:0 --addr-file "$SERVE_DIR/addr" --workers 2 \
     2> "$SERVE_DIR/daemon.log" &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null; rm -f "$ANALYZE_JSON"; rm -rf "$PERF_DIR"' EXIT
+trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -f "$ANALYZE_JSON"; rm -rf "$PERF_DIR"' EXIT
 for _ in $(seq 1 100); do [ -s "$SERVE_DIR/addr" ] && break; sleep 0.1; done
 [ -s "$SERVE_DIR/addr" ] \
     || { echo "ci.sh: chainiq-serve never published its address" >&2; exit 1; }

@@ -1,7 +1,7 @@
 //! Centralized environment-knob parsing.
 //!
 //! Every `CHAINIQ_*` environment variable the harness reads goes through
-//! [`knob`], so a typo (`CHAINIQ_SAMPLE=300k`, `CHAINIQ_BENCH_SAMPLES=abc`)
+//! [`knob`], so a typo (`CHAINIQ_SAMPLE=300k`, `CHAINIQ_JOBS=abc`)
 //! produces a stderr warning naming the rejected value and the default
 //! that will be used instead — rather than silently running the wrong
 //! experiment.

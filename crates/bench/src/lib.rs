@@ -12,10 +12,8 @@ pub mod sweep;
 pub mod table;
 
 pub use knob::{jobs, knob};
-pub use runner::{results_dir, BenchRunner, Measurement};
-pub use sweep::{
-    sweep_map, sweep_map_with_sink, CkptTally, NullSink, ProgressSink, RunSpec, StderrSink, Sweep,
-};
+pub use runner::results_dir;
+pub use sweep::{sweep_map, CkptTally, RunSpec, Sweep};
 pub use table::TextTable;
 
 use chainiq::{Bench, IqKind, PrescheduleConfig, RunResult, SegmentedIqConfig};

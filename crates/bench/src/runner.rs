@@ -1,87 +1,15 @@
-//! A minimal wall-clock benchmark runner: the in-repo replacement for
-//! `criterion`.
+//! Where benchmark artifacts land.
 //!
-//! Each scenario is timed as *warmup runs + k measured samples*; the
-//! reported statistic is the **median** of the samples (robust against
-//! one-off scheduling noise, cheap to compute, and honest about what a
-//! handful of samples can support — no bootstrap theater). Results are
-//! printed as a text table and written as JSON into the repo's
-//! `results/` directory so runs can be diffed across commits.
-//!
-//! Environment knobs:
-//!
-//! * `CHAINIQ_BENCH_SAMPLES=k` — measured samples per scenario
-//!   (default 5).
-//! * `CHAINIQ_BENCH_WARMUP=n` — warmup runs per scenario (default 1).
-//! * `CHAINIQ_BENCH_DIR=path` — where the JSON lands (default
-//!   `results/` at the repo root).
+//! `CHAINIQ_BENCH_DIR=path` overrides the default, the `results/`
+//! directory at the repo root.
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::time::Instant;
 
-use crate::knob::knob;
-use crate::table::TextTable;
-
-/// Timing summary of one benchmark scenario (all times nanoseconds).
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Scenario name, unique within the suite.
-    pub name: String,
-    /// Median of the measured samples.
-    pub median_ns: u64,
-    /// Fastest sample.
-    pub min_ns: u64,
-    /// Slowest sample.
-    pub max_ns: u64,
-    /// Every measured sample, in run order.
-    pub samples_ns: Vec<u64>,
-    /// Elements processed per run (throughput scenarios), if declared.
-    pub elements: Option<u64>,
-}
-
-impl Measurement {
-    /// Elements per second at the median time, for scenarios that
-    /// declared a per-run element count.
-    #[must_use]
-    pub fn elems_per_sec(&self) -> Option<f64> {
-        let e = self.elements?;
-        (self.median_ns > 0).then(|| e as f64 * 1e9 / self.median_ns as f64)
-    }
-}
-
-/// Collects scenario timings for one suite, then renders and persists
-/// them on [`finish`](BenchRunner::finish).
-///
-/// # Examples
-///
-/// ```
-/// use chainiq_bench::BenchRunner;
-///
-/// let mut r = BenchRunner::new("doc_example");
-/// r.bench("sum", || (0..1000u64).sum::<u64>());
-/// let rendered = r.render();
-/// assert!(rendered.contains("sum"));
-/// ```
-#[derive(Debug)]
-pub struct BenchRunner {
-    suite: String,
-    warmup: u32,
-    samples: u32,
-    results: Vec<Measurement>,
-}
-
-/// Median of an already-sorted sample list. For even counts this is the
-/// mean of the two middle elements (rounded down to whole nanoseconds);
-/// taking `sorted[len / 2]` — the *upper* middle — would bias every
-/// even-k median upward.
-fn median_ns(sorted: &[u64]) -> u64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        ((u128::from(sorted[n / 2 - 1]) + u128::from(sorted[n / 2])) / 2) as u64
-    }
+/// The directory benchmark artifacts land in: `CHAINIQ_BENCH_DIR` when
+/// set, otherwise the runtime-discovered workspace `results/` directory.
+#[must_use]
+pub fn results_dir() -> PathBuf {
+    crate::knob::bench_dir().unwrap_or_else(default_results_dir)
 }
 
 /// The default results directory, resolved at **runtime**: walk up from
@@ -91,13 +19,6 @@ fn median_ns(sorted: &[u64]) -> u64 {
 /// Compile-time `env!("CARGO_MANIFEST_DIR")` would bake the build host's
 /// absolute path into the binary, which goes stale the moment the binary
 /// is copied to another machine.
-/// The directory benchmark artifacts land in: `CHAINIQ_BENCH_DIR` when
-/// set, otherwise the runtime-discovered workspace `results/` directory.
-#[must_use]
-pub fn results_dir() -> PathBuf {
-    crate::knob::bench_dir().unwrap_or_else(default_results_dir)
-}
-
 fn default_results_dir() -> PathBuf {
     let starts = [std::env::current_exe().ok(), std::env::current_dir().ok()];
     for start in starts.iter().flatten() {
@@ -113,231 +34,9 @@ fn default_results_dir() -> PathBuf {
     PathBuf::from("./results")
 }
 
-impl BenchRunner {
-    /// Creates a runner for `suite` (the JSON file stem), honoring the
-    /// `CHAINIQ_BENCH_*` environment knobs.
-    #[must_use]
-    pub fn new(suite: impl Into<String>) -> Self {
-        BenchRunner {
-            suite: suite.into(),
-            warmup: knob("CHAINIQ_BENCH_WARMUP", 1u32),
-            samples: knob("CHAINIQ_BENCH_SAMPLES", 5u32).max(1),
-            results: Vec::new(),
-        }
-    }
-
-    /// Times `f` (warmup + median-of-k) under `name` and records the
-    /// result. The closure's return value is passed through
-    /// [`std::hint::black_box`] so the work cannot be optimized away.
-    pub fn bench<R>(&mut self, name: impl Into<String>, f: impl FnMut() -> R) -> &Measurement {
-        self.run(name.into(), None, f)
-    }
-
-    /// Like [`bench`](BenchRunner::bench), for scenarios that process
-    /// `elements` items per run — the report adds elements/second.
-    pub fn bench_throughput<R>(
-        &mut self,
-        name: impl Into<String>,
-        elements: u64,
-        f: impl FnMut() -> R,
-    ) -> &Measurement {
-        self.run(name.into(), Some(elements), f)
-    }
-
-    fn run<R>(
-        &mut self,
-        name: String,
-        elements: Option<u64>,
-        mut f: impl FnMut() -> R,
-    ) -> &Measurement {
-        for _ in 0..self.warmup {
-            std::hint::black_box(f());
-        }
-        let mut samples_ns = Vec::with_capacity(self.samples as usize);
-        for _ in 0..self.samples {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            samples_ns.push(t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64);
-        }
-        let mut sorted = samples_ns.clone();
-        sorted.sort_unstable();
-        let m = Measurement {
-            name,
-            median_ns: median_ns(&sorted),
-            min_ns: sorted[0],
-            max_ns: *sorted.last().expect("samples >= 1"),
-            samples_ns,
-            elements,
-        };
-        eprintln!("  {:<40} {:>12}  (min {})", m.name, fmt_ns(m.median_ns), fmt_ns(m.min_ns));
-        self.results.push(m);
-        self.results.last().expect("just pushed")
-    }
-
-    /// The measurements recorded so far.
-    #[must_use]
-    pub fn results(&self) -> &[Measurement] {
-        &self.results
-    }
-
-    /// Renders the suite as an aligned text table.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut t = TextTable::new(&["scenario", "median", "min", "max", "throughput"]);
-        for m in &self.results {
-            t.row(&[
-                m.name.clone(),
-                fmt_ns(m.median_ns),
-                fmt_ns(m.min_ns),
-                fmt_ns(m.max_ns),
-                m.elems_per_sec()
-                    .map_or_else(|| "-".to_string(), |e| format!("{:.2} Melem/s", e / 1e6)),
-            ]);
-        }
-        t.render()
-    }
-
-    /// Serializes the suite as JSON (stable field order, no external
-    /// serializer).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"suite\": {},", json_str(&self.suite));
-        let _ = writeln!(s, "  \"warmup\": {},", self.warmup);
-        let _ = writeln!(s, "  \"samples_per_scenario\": {},", self.samples);
-        s.push_str("  \"scenarios\": [\n");
-        for (i, m) in self.results.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"name\": {}, \"median_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \
-                 \"elements\": {}, \"samples_ns\": {:?}}}",
-                json_str(&m.name),
-                m.median_ns,
-                m.min_ns,
-                m.max_ns,
-                m.elements.map_or_else(|| "null".to_string(), |e| e.to_string()),
-                m.samples_ns,
-            );
-            s.push_str(if i + 1 < self.results.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Prints the text table and writes `results/<suite>.json`. Returns
-    /// the JSON path on success; a write failure is reported on stderr,
-    /// not fatal (benches still succeed on read-only checkouts).
-    pub fn finish(self) -> Option<std::path::PathBuf> {
-        println!("\n{} ({} samples, warmup {}):", self.suite, self.samples, self.warmup);
-        println!("{}", self.render());
-        let dir = results_dir();
-        let path = dir.join(format!("{}.json", self.suite));
-        match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, self.to_json())) {
-            Ok(()) => {
-                println!("wrote {}", path.display());
-                Some(path)
-            }
-            Err(e) => {
-                eprintln!("warning: could not write {}: {e}", path.display());
-                None
-            }
-        }
-    }
-}
-
-fn fmt_ns(ns: u64) -> String {
-    match ns {
-        0..=9_999 => format!("{ns} ns"),
-        10_000..=9_999_999 => format!("{:.1} us", ns as f64 / 1e3),
-        10_000_000..=9_999_999_999 => format!("{:.1} ms", ns as f64 / 1e6),
-        _ => format!("{:.2} s", ns as f64 / 1e9),
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn quiet_runner(suite: &str) -> BenchRunner {
-        BenchRunner { suite: suite.into(), warmup: 0, samples: 3, results: Vec::new() }
-    }
-
-    #[test]
-    fn records_median_min_max() {
-        let mut r = quiet_runner("t");
-        let m = r.bench("busy", || std::hint::black_box((0..10_000u64).sum::<u64>()));
-        assert_eq!(m.samples_ns.len(), 3);
-        assert!(m.min_ns <= m.median_ns && m.median_ns <= m.max_ns);
-        let mut sorted = m.samples_ns.clone();
-        sorted.sort_unstable();
-        assert_eq!(m.median_ns, sorted[1]);
-    }
-
-    #[test]
-    fn throughput_is_derived_from_median() {
-        let mut r = quiet_runner("t");
-        let m = r.bench_throughput("tp", 1_000_000, || {
-            std::hint::black_box((0..100_000u64).sum::<u64>())
-        });
-        let eps = m.elems_per_sec().expect("elements declared");
-        assert!(eps > 0.0);
-        assert!((eps - 1_000_000.0 * 1e9 / m.median_ns as f64).abs() < 1.0);
-    }
-
-    #[test]
-    fn json_shape_and_escaping() {
-        let mut r = quiet_runner("suite \"x\"");
-        let _ = r.bench("a\\b", || 1u64);
-        let j = r.to_json();
-        assert!(j.contains(r#""suite": "suite \"x\"""#), "{j}");
-        assert!(j.contains(r#""name": "a\\b""#), "{j}");
-        assert!(j.contains("\"samples_ns\": ["), "{j}");
-        assert!(j.contains("\"elements\": null"), "{j}");
-    }
-
-    #[test]
-    fn render_lists_every_scenario() {
-        let mut r = quiet_runner("t");
-        let _ = r.bench("first", || 0u64);
-        let _ = r.bench_throughput("second", 10, || 0u64);
-        let s = r.render();
-        assert!(s.contains("first") && s.contains("second"));
-        assert!(s.contains("Melem/s"));
-    }
-
-    #[test]
-    fn even_sample_median_averages_the_middle_pair() {
-        // Regression: `sorted[len / 2]` reported 10 here — the upper
-        // middle — biasing every even-k median upward.
-        assert_eq!(median_ns(&[1, 2, 3, 10]), 2); // (2 + 3) / 2, floored
-        assert_eq!(median_ns(&[4, 10]), 7);
-        assert_eq!(median_ns(&[u64::MAX - 1, u64::MAX]), u64::MAX - 1); // no overflow
-    }
-
-    #[test]
-    fn odd_sample_median_is_the_middle_element() {
-        assert_eq!(median_ns(&[5]), 5);
-        assert_eq!(median_ns(&[1, 7, 100]), 7);
-    }
 
     #[test]
     fn default_results_dir_is_the_workspace_results() {
@@ -349,13 +48,5 @@ mod tests {
         let manifest =
             std::fs::read_to_string(root.join("Cargo.toml")).expect("workspace manifest");
         assert!(manifest.contains("[workspace]"));
-    }
-
-    #[test]
-    fn fmt_ns_picks_sane_units() {
-        assert_eq!(fmt_ns(5), "5 ns");
-        assert_eq!(fmt_ns(25_000), "25.0 us");
-        assert_eq!(fmt_ns(25_000_000), "25.0 ms");
-        assert_eq!(fmt_ns(25_000_000_000), "25.00 s");
     }
 }

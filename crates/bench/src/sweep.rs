@@ -17,37 +17,6 @@ use chainiq::{Bench, CkptOutcome, CkptPlan, IqKind, RunResult};
 
 use crate::{knob, pool, PredictorConfig, DEFAULT_SEED};
 
-/// Where sweep progress lines go.
-///
-/// The experiment binaries report progress on stderr ([`StderrSink`],
-/// the default), keeping stdout reserved for artifact tables. A host
-/// that runs many sweeps concurrently — the `chainiq-serve` daemon —
-/// injects its own sink instead, attaching each line to the owning
-/// job's progress stream rather than interleaving raw stderr across
-/// jobs.
-pub trait ProgressSink {
-    /// Delivers one complete progress line (no trailing newline).
-    fn line(&self, line: &str);
-}
-
-/// The default sink: one `eprintln!` per line.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StderrSink;
-
-impl ProgressSink for StderrSink {
-    fn line(&self, line: &str) {
-        eprintln!("{line}");
-    }
-}
-
-/// A sink that drops every line (quiet hosts, tests).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl ProgressSink for NullSink {
-    fn line(&self, _line: &str) {}
-}
-
 /// One point of an experiment grid: everything `chainiq::run_one` needs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunSpec {
@@ -196,32 +165,16 @@ impl Sweep {
     /// Executes the sweep with an explicit worker count and cache root
     /// (`None` disables the cache regardless of the environment),
     /// returning results in submission order plus the cache accounting.
-    /// Progress goes to stderr; hosts that need to own the progress
-    /// stream use [`Sweep::run_with_jobs_cached_sink`].
+    ///
+    /// When the cache is on and `CHAINIQ_CKPT_MAX_MB` sets a cap, the
+    /// cache directory is trimmed to the cap after the sweep
+    /// (least-recently-stored first; see `chainiq_ckpt::CacheDir`) and
+    /// the eviction count is reported on the `ckpt cache:` line.
     #[must_use]
     pub fn run_with_jobs_cached(
         self,
         jobs: usize,
         cache: Option<&Path>,
-    ) -> (Vec<RunResult>, CkptTally) {
-        self.run_with_jobs_cached_sink(jobs, cache, &StderrSink)
-    }
-
-    /// [`Sweep::run_with_jobs_cached`] with an injectable progress sink:
-    /// every per-run progress line, the sweep summary, and the
-    /// `ckpt cache:` accounting line go through `sink` instead of
-    /// straight to stderr.
-    ///
-    /// When the cache is on and `CHAINIQ_CKPT_MAX_MB` sets a cap, the
-    /// cache directory is trimmed to the cap after the sweep
-    /// (least-recently-stored first; see `chainiq_ckpt::CacheDir`) and
-    /// the eviction count is reported on the accounting line.
-    #[must_use]
-    pub fn run_with_jobs_cached_sink(
-        self,
-        jobs: usize,
-        cache: Option<&Path>,
-        sink: &dyn ProgressSink,
     ) -> (Vec<RunResult>, CkptTally) {
         let total = self.specs.len();
         let t0 = Instant::now();
@@ -232,19 +185,19 @@ impl Sweep {
             |_, spec| spec.execute_cached(cache),
             |i, _| {
                 done += 1;
-                sink.line(&format!(
+                eprintln!(
                     "  [{done:>3}/{total}] {:<36} ({:.1}s elapsed)",
                     self.specs[i].label(),
                     t0.elapsed().as_secs_f64()
-                ));
+                );
             },
         );
-        sink.line(&format!(
+        eprintln!(
             "sweep: {total} runs in {:.1}s on {} worker{}",
             t0.elapsed().as_secs_f64(),
             jobs.max(1),
             if jobs == 1 { "" } else { "s" }
-        ));
+        );
         let mut tally = CkptTally::default();
         let mut results = Vec::with_capacity(outcomes.len());
         for (result, outcome) in outcomes {
@@ -252,10 +205,9 @@ impl Sweep {
             results.push(result);
         }
         if let Some(dir) = cache {
-            let evicted = enforce_cache_cap(dir, knob::ckpt_max_mb(), sink);
-            match evicted {
-                0 => sink.line(&format!("ckpt cache: {tally} ({})", dir.display())),
-                n => sink.line(&format!("ckpt cache: {tally}, {n} evicted ({})", dir.display())),
+            match enforce_cache_cap(dir, knob::ckpt_max_mb()) {
+                0 => eprintln!("ckpt cache: {tally} ({})", dir.display()),
+                n => eprintln!("ckpt cache: {tally}, {n} evicted ({})", dir.display()),
             }
         }
         (results, tally)
@@ -263,9 +215,9 @@ impl Sweep {
 }
 
 /// Trims `dir` to `max_mb` mebibytes (no-op when uncapped), returning
-/// how many entries were evicted. Failures are reported through the
-/// sink and otherwise ignored: the cap is hygiene, not correctness.
-fn enforce_cache_cap(dir: &Path, max_mb: Option<u64>, sink: &dyn ProgressSink) -> u64 {
+/// how many entries were evicted. Failures are reported on stderr and
+/// otherwise ignored: the cap is hygiene, not correctness.
+fn enforce_cache_cap(dir: &Path, max_mb: Option<u64>) -> u64 {
     let Some(mb) = max_mb else {
         return 0;
     };
@@ -273,12 +225,12 @@ fn enforce_cache_cap(dir: &Path, max_mb: Option<u64>, sink: &dyn ProgressSink) -
         Ok(mut cache) => match cache.enforce_and_persist() {
             Ok(()) => cache.tally().evicted,
             Err(e) => {
-                sink.line(&format!("warning: ckpt cache cap enforcement failed: {e}"));
+                eprintln!("warning: ckpt cache cap enforcement failed: {e}");
                 cache.tally().evicted
             }
         },
         Err(e) => {
-            sink.line(&format!("warning: ckpt cache cap enforcement failed: {e}"));
+            eprintln!("warning: ckpt cache cap enforcement failed: {e}");
             0
         }
     }
@@ -346,22 +298,6 @@ where
     R: Send,
     F: Fn(&J) -> R + Sync,
 {
-    sweep_map_with_sink(what, items, f, &StderrSink)
-}
-
-/// [`sweep_map`] with an injectable progress sink (see [`ProgressSink`]).
-#[must_use]
-pub fn sweep_map_with_sink<J, R, F>(
-    what: &str,
-    items: &[J],
-    f: F,
-    sink: &dyn ProgressSink,
-) -> Vec<R>
-where
-    J: Sync,
-    R: Send,
-    F: Fn(&J) -> R + Sync,
-{
     let jobs = knob::jobs();
     let total = items.len();
     let t0 = Instant::now();
@@ -372,16 +308,10 @@ where
         |_, item| f(item),
         |_, _| {
             done += 1;
-            sink.line(&format!(
-                "  [{done:>3}/{total}] {what} ({:.1}s elapsed)",
-                t0.elapsed().as_secs_f64()
-            ));
+            eprintln!("  [{done:>3}/{total}] {what} ({:.1}s elapsed)", t0.elapsed().as_secs_f64());
         },
     );
-    sink.line(&format!(
-        "sweep: {total} {what} jobs in {:.1}s on {jobs} workers",
-        t0.elapsed().as_secs_f64()
-    ));
+    eprintln!("sweep: {total} {what} jobs in {:.1}s on {jobs} workers", t0.elapsed().as_secs_f64());
     results
 }
 
@@ -486,42 +416,6 @@ mod tests {
         );
         let entries = std::fs::read_dir(&scratch.0).unwrap().count();
         assert_eq!(entries, 4, "four distinct keys, four image files");
-    }
-
-    /// A sink that collects every line, for asserting progress routing.
-    #[derive(Default)]
-    struct CollectSink(std::sync::Mutex<Vec<String>>);
-
-    impl ProgressSink for CollectSink {
-        fn line(&self, line: &str) {
-            self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(line.to_string());
-        }
-    }
-
-    /// The injectable sink receives every progress line — the per-run
-    /// lines, the sweep summary, and the `ckpt cache:` accounting — so a
-    /// daemon host can own the stream instead of sharing stderr.
-    #[test]
-    fn progress_routes_through_the_injected_sink() {
-        let scratch = ScratchCache::new("sink");
-        let sink = CollectSink::default();
-        let (results, tally) = small_grid().run_with_jobs_cached_sink(1, Some(&scratch.0), &sink);
-        assert_eq!(results.len(), 3);
-        assert_eq!(tally.misses, 3);
-        let lines = sink.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        assert_eq!(lines.iter().filter(|l| l.contains("elapsed")).count(), 3);
-        assert!(lines.iter().any(|l| l.starts_with("sweep: 3 runs")), "{lines:?}");
-        assert!(lines.iter().any(|l| l.starts_with("ckpt cache: 0 hits, 3 misses")), "{lines:?}");
-    }
-
-    #[test]
-    fn sweep_map_routes_through_the_injected_sink() {
-        let sink = CollectSink::default();
-        let out = sweep_map_with_sink("doubling", &[1u64, 2, 3], |&x| x * 2, &sink);
-        assert_eq!(out, vec![2, 4, 6]);
-        let lines = sink.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        assert!(lines.iter().any(|l| l.contains("doubling")), "{lines:?}");
-        assert!(lines.last().is_some_and(|l| l.starts_with("sweep: 3 doubling jobs")), "{lines:?}");
     }
 
     /// Concurrent workers sharing one cache directory: the atomic-write

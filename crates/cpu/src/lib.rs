@@ -14,6 +14,12 @@
 //! dependence-chain queue, the ideal monolithic queue, and the
 //! prescheduling baseline — exactly the comparison the paper draws.
 //!
+//! There is one core, and it is thread-indexed: [`Pipeline::new`] builds
+//! the single-thread machine, and [`SmtPipeline`] runs several hardware
+//! threads, each with its own front end, rename map, ROB and LSQ, over
+//! one shared queue, function-unit pool, memory hierarchy and predictor
+//! set (§7). SMT runs report `rob_mean_occupancy` as 0.
+//!
 //! The timing model is trace-style: the workload supplies resolved
 //! dynamic instructions, branch predictors are trained on real outcomes,
 //! and a misprediction stalls fetch until the branch resolves (charging

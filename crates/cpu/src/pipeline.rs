@@ -1,5 +1,5 @@
 //! The cycle loop tying front end, queue, LSQ, memory and commit
-//! together.
+//! together, for one or more hardware threads.
 
 use std::collections::BTreeMap;
 
@@ -20,7 +20,7 @@ use crate::stats::SimStats;
 /// Event-wheel size: most completions land within the function-unit and
 /// L1/L2 latency window; longer waits (main memory) ride the wheel's
 /// far-future path at one compare per revolution.
-pub(crate) const EVENT_WHEEL_BUCKETS: usize = 512;
+const EVENT_WHEEL_BUCKETS: usize = 512;
 
 /// Deferred timing events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,36 +34,66 @@ enum Event {
     LoadFill(InstTag),
 }
 
+/// Per-thread machine state. Threads do not share memory; feed each one
+/// through [`chainiq_workload::AddressSpace`] to keep address spaces
+/// disjoint.
+#[derive(Debug)]
+struct ThreadCtx<W> {
+    workload: W,
+    frontend: Frontend,
+    rename: RenameState,
+    rob: Rob,
+    lsq: Lsq,
+    /// Branch the front end is stalled behind, once dispatched.
+    redirect_waiting: Option<InstTag>,
+    /// Out of dispatch for the rest of this cycle (ROB full or nothing
+    /// ready in the front end).
+    dispatch_blocked: bool,
+}
+
 /// The simulated processor: Table 1's core around a pluggable instruction
 /// queue.
+///
+/// The core is thread-indexed. Each hardware thread owns its workload,
+/// front end, rename map, reorder buffer and load/store queue; all
+/// threads share one instruction queue, function-unit pool, cache
+/// hierarchy, predictor set and event wheel. Instruction tags are
+/// allocated globally, so the queue's oldest-first policies arbitrate
+/// across threads by age. Fetch serves one thread per cycle round-robin;
+/// dispatch and commit bandwidth are shared round-robin. [`Pipeline::new`]
+/// builds the single-thread machine; [`SmtPipeline`](crate::SmtPipeline)
+/// builds several threads over one queue.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct Pipeline<Q, W> {
     config: SimConfig,
     iq: Q,
-    workload: W,
+    threads: Vec<ThreadCtx<W>>,
     now: Cycle,
-    frontend: Frontend,
-    rob: Rob,
-    lsq: Lsq,
     mem: Hierarchy,
     fus: FuPool,
     bp: HybridBranchPredictor,
     hmp: HitMissPredictor,
     lrp: LeftRightPredictor,
-    rename: RenameState,
     /// Deferred completions/misses/fills, bucketed by delivery cycle.
     events: Wheel<Event>,
     /// Scratch for draining `events` without a per-cycle allocation.
     events_scratch: Vec<Event>,
-    /// Scratch for the LSQ's per-cycle event report.
+    /// Scratch for each thread's per-cycle LSQ event report.
     lsq_events: Vec<LsqEvent>,
     completion_time: TagMap<Cycle>,
+    /// Owning thread of each in-flight tag. Kept only with more than one
+    /// thread; a single-thread machine never touches it.
+    thread_of: TagMap<u8>,
     next_tag: u64,
-    in_flight: usize,
-    /// Branch the front end is stalled behind, once dispatched.
-    redirect_waiting: Option<InstTag>,
+    /// Thread to fetch from next.
+    fetch_rr: usize,
+    /// Thread to offer the next dispatch slot to.
+    dispatch_rr: usize,
+    /// Commit bandwidth per thread per cycle: the commit width split
+    /// evenly, rounded up.
+    commit_share: usize,
     /// Store-data dependences: the IQ schedules only a store's
     /// address-generation (sim-outorder style), so the data operand is
     /// tracked here and gates the store's completion.
@@ -74,30 +104,64 @@ pub struct Pipeline<Q, W> {
     stats: SimStats,
 }
 
+/// The next round-robin position after `i` among `n` threads.
+fn next_rr(i: usize, n: usize) -> usize {
+    if i + 1 == n {
+        0
+    } else {
+        i + 1
+    }
+}
+
 impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
     /// Builds a processor around `iq`, fed by `workload`.
     #[must_use]
     pub fn new(config: SimConfig, iq: Q, workload: W) -> Self {
+        Self::with_threads(config, iq, vec![workload])
+    }
+
+    /// Builds a machine over `iq` with one hardware thread per workload.
+    /// The ROB capacity (`config.rob_size`) is partitioned statically and
+    /// equally among the threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workloads` is empty or has more than 255 entries.
+    pub(crate) fn with_threads(config: SimConfig, iq: Q, workloads: Vec<W>) -> Self {
+        assert!(!workloads.is_empty(), "at least one thread");
+        assert!(workloads.len() <= 255, "thread id fits a u8");
+        let n = workloads.len();
+        let per_thread_rob = (config.rob_size / n).max(1);
+        let threads = workloads
+            .into_iter()
+            .map(|workload| ThreadCtx {
+                workload,
+                frontend: Frontend::new(),
+                rename: RenameState::new(),
+                rob: Rob::new(per_thread_rob),
+                lsq: Lsq::new(config.read_ports, config.write_ports),
+                redirect_waiting: None,
+                dispatch_blocked: false,
+            })
+            .collect();
         Pipeline {
             iq,
-            workload,
+            threads,
             now: 0,
-            frontend: Frontend::new(),
-            rob: Rob::new(config.rob_size),
-            lsq: Lsq::new(config.read_ports, config.write_ports),
             mem: Hierarchy::new(config.mem),
             fus: FuPool::new(config.fus_per_kind, config.issue_width),
             bp: HybridBranchPredictor::new(config.branch),
             hmp: HitMissPredictor::default(),
             lrp: LeftRightPredictor::default(),
-            rename: RenameState::new(),
             events: Wheel::new(EVENT_WHEEL_BUCKETS),
             events_scratch: Vec::new(),
             lsq_events: Vec::new(),
             completion_time: TagMap::new(),
+            thread_of: TagMap::new(),
             next_tag: 0,
-            in_flight: 0,
-            redirect_waiting: None,
+            fetch_rr: 0,
+            dispatch_rr: 0,
+            commit_share: config.commit_width.div_ceil(n),
             store_value: BTreeMap::new(),
             waiting_stores: BTreeMap::new(),
             stats: SimStats::default(),
@@ -111,45 +175,29 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
         &self.iq
     }
 
-    /// The machine configuration.
-    #[must_use]
-    pub fn config(&self) -> &SimConfig {
-        &self.config
+    /// Instructions committed by thread `t`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is out of range.
+    pub(crate) fn committed_of(&self, t: usize) -> u64 {
+        self.threads[t].rob.committed()
     }
 
-    /// The hit/miss predictor (diagnostics).
-    #[doc(hidden)]
-    #[must_use]
-    pub fn hmp(&self) -> &HitMissPredictor {
-        &self.hmp
+    fn committed(&self) -> u64 {
+        self.threads.iter().map(|t| t.rob.committed()).sum()
     }
 
-    /// Debug description of the oldest in-flight instruction: its tag,
-    /// pipeline state and textual location. For diagnostics only.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn debug_head(&self) -> Option<String> {
-        self.rob.head().map(|e| {
-            format!(
-                "tag={} op={} state={:?} parked_store={} events={} in_flight={}",
-                e.tag.0,
-                e.inst.op,
-                e.state,
-                self.waiting_stores.values().flatten().any(|t| *t == e.tag),
-                self.events.len(),
-                self.in_flight,
-            )
-        })
-    }
-
-    /// Runs until `max_insts` instructions commit (or the cycle guard
-    /// trips) and returns the statistics.
+    /// Runs until `max_insts` instructions commit across all threads (or
+    /// the cycle guard trips) and returns the statistics.
     pub fn run(&mut self, max_insts: u64) -> SimStats {
-        let mut last_progress = (self.now, self.rob.committed());
-        while self.rob.committed() < max_insts && self.now < self.config.max_cycles {
+        let mut c = self.committed();
+        let mut last_progress = (self.now, c);
+        while c < max_insts && self.now < self.config.max_cycles {
             self.step();
-            if self.rob.committed() != last_progress.1 {
-                last_progress = (self.now, self.rob.committed());
+            c = self.committed();
+            if c != last_progress.1 {
+                last_progress = (self.now, c);
             } else if self.now - last_progress.0 > 500_000 {
                 self.stats.hung = true;
                 break;
@@ -158,26 +206,36 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
         self.snapshot_stats()
     }
 
-    /// A snapshot of the statistics so far.
+    /// A snapshot of the statistics so far, summed over threads.
     #[must_use]
     pub fn snapshot_stats(&self) -> SimStats {
         let mut s = self.stats.clone();
         s.cycles = self.now;
-        s.committed = self.rob.committed();
-        s.fetched = self.frontend.stats().fetched;
-        s.mispredict_stall_cycles = self.frontend.stats().mispredict_stall_cycles;
+        s.committed = self.committed();
+        s.fetched = self.threads.iter().map(|t| t.frontend.stats().fetched).sum();
+        s.mispredict_stall_cycles =
+            self.threads.iter().map(|t| t.frontend.stats().mispredict_stall_cycles).sum();
         s.branch_lookups = self.bp.stats().lookups;
         s.branch_correct = self.bp.stats().correct;
         s.hmp = *self.hmp.stats();
         s.lrp = self.lrp.stats();
         s.mem = *self.mem.stats();
         s.iq = self.iq.stats();
-        s.rob_mean_occupancy = self.rob.mean_occupancy();
-        let lsq = self.lsq.stats();
-        s.loads_issued = lsq.loads_issued;
-        s.stores_written = lsq.stores_written;
-        s.store_forwards = lsq.forwards;
+        s.rob_mean_occupancy = self.threads.iter().map(|t| t.rob.mean_occupancy()).sum();
+        s.loads_issued = self.threads.iter().map(|t| t.lsq.stats().loads_issued).sum();
+        s.stores_written = self.threads.iter().map(|t| t.lsq.stats().stores_written).sum();
+        s.store_forwards = self.threads.iter().map(|t| t.lsq.stats().forwards).sum();
         s
+    }
+
+    /// The thread that owns in-flight `tag`; with one thread there is no
+    /// map to consult.
+    fn thread_of(&self, tag: InstTag) -> Option<usize> {
+        if self.threads.len() == 1 {
+            Some(0)
+        } else {
+            self.thread_of.get(tag.0).map(usize::from)
+        }
     }
 
     fn schedule(&mut self, at: Cycle, ev: Event) {
@@ -188,7 +246,9 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
     /// any stores waiting on that value.
     fn announce(&mut self, tag: InstTag, ready_at: Cycle) {
         self.iq.announce_ready(tag, ready_at);
-        self.rename.announce(tag, ready_at);
+        if let Some(t) = self.thread_of(tag) {
+            self.threads[t].rename.announce(tag, ready_at);
+        }
         self.completion_time.insert(tag.0, ready_at);
         if !self.waiting_stores.is_empty() {
             if let Some(stores) = self.waiting_stores.remove(&tag) {
@@ -203,6 +263,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
     pub fn step(&mut self) {
         self.now += 1;
         let now = self.now;
+        let n = self.threads.len();
         self.fus.next_cycle();
 
         // 1. Deliver timing events due this cycle.
@@ -224,51 +285,57 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
         // the queue itself can make progress.
         let execution_idle = self.events.is_empty();
         self.iq.tick(now, execution_idle);
-        self.rob.sample_occupancy();
-
-        // 3. Memory scheduling.
-        let mut lsq_events = std::mem::take(&mut self.lsq_events);
-        self.lsq.cycle(now, &mut self.mem, &mut lsq_events);
-        for ev in lsq_events.drain(..) {
-            match ev {
-                LsqEvent::LoadResolved {
-                    tag,
-                    pc,
-                    predicted_hit,
-                    completes_at,
-                    l1_resolved_at,
-                    was_l1_hit,
-                    ..
-                } => {
-                    self.announce(tag, completes_at);
-                    self.hmp.update(pc, was_l1_hit);
-                    if self.config.use_hmp {
-                        self.hmp.record_outcome(predicted_hit, was_l1_hit);
-                    }
-                    if !was_l1_hit {
-                        self.schedule(l1_resolved_at, Event::LoadMiss(tag));
-                        // The fill (chain resume) must be delivered before
-                        // the same-cycle writeback releases the chain.
-                        self.schedule(completes_at, Event::LoadFill(tag));
-                    }
-                    self.schedule(completes_at, Event::Complete(tag));
-                }
-                LsqEvent::StoreWritten { .. } => {}
-            }
+        for t in &mut self.threads {
+            t.rob.sample_occupancy();
         }
-        self.lsq_events = lsq_events;
 
-        // 4. Issue.
+        // 3. Memory scheduling, per thread.
+        for t in 0..n {
+            let mut lsq_events = std::mem::take(&mut self.lsq_events);
+            self.threads[t].lsq.cycle(now, &mut self.mem, &mut lsq_events);
+            for ev in lsq_events.drain(..) {
+                match ev {
+                    LsqEvent::LoadResolved {
+                        tag,
+                        pc,
+                        predicted_hit,
+                        completes_at,
+                        l1_resolved_at,
+                        was_l1_hit,
+                        ..
+                    } => {
+                        self.announce(tag, completes_at);
+                        self.hmp.update(pc, was_l1_hit);
+                        if self.config.use_hmp {
+                            self.hmp.record_outcome(predicted_hit, was_l1_hit);
+                        }
+                        if !was_l1_hit {
+                            self.schedule(l1_resolved_at, Event::LoadMiss(tag));
+                            // The fill (chain resume) must be delivered
+                            // before the same-cycle writeback releases the
+                            // chain.
+                            self.schedule(completes_at, Event::LoadFill(tag));
+                        }
+                        self.schedule(completes_at, Event::Complete(tag));
+                    }
+                    LsqEvent::StoreWritten { .. } => {}
+                }
+            }
+            self.lsq_events = lsq_events;
+        }
+
+        // 4. Issue from the shared queue.
         for sel in self.iq.select_issue(now, &mut self.fus) {
-            self.rob.mark(sel.tag, RobState::Issued);
-            self.in_flight += 1;
+            let t = self.thread_of(sel.tag).unwrap_or(0);
+            let ctx = &mut self.threads[t];
+            ctx.rob.mark(sel.tag, RobState::Issued);
             match sel.op {
                 OpClass::Load | OpClass::Store => {
                     // EA available next cycle; the LSQ takes over. Loads
                     // complete when their access resolves; stores complete
                     // once both the EA is computed and the data value is
                     // produced.
-                    self.lsq.ea_computed(sel.tag, now + 1);
+                    ctx.lsq.ea_computed(sel.tag, now + 1);
                     if sel.op == OpClass::Store {
                         match self.store_value_ready_at(sel.tag) {
                             Ok(at) => self.schedule(at.max(now + 1), Event::Complete(sel.tag)),
@@ -279,11 +346,11 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
                     }
                 }
                 OpClass::Branch => {
-                    self.schedule(now + 1, Event::Complete(sel.tag));
-                    if self.redirect_waiting == Some(sel.tag) {
-                        self.redirect_waiting = None;
-                        self.frontend.resume(now + 1);
+                    if ctx.redirect_waiting == Some(sel.tag) {
+                        ctx.redirect_waiting = None;
+                        ctx.frontend.resume(now + 1);
                     }
+                    self.schedule(now + 1, Event::Complete(sel.tag));
                 }
                 op => {
                     let ready = now + u64::from(op.exec_latency());
@@ -293,19 +360,33 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
             }
         }
 
-        // 5. Dispatch (rename).
-        for _ in 0..self.config.dispatch_width {
-            if !self.rob.has_space() {
-                break;
+        // 5. Dispatch (rename): shared bandwidth, round-robin over the
+        // threads. A thread drops out for the cycle once its ROB is full
+        // or its front end has nothing ready; a full queue stops everyone.
+        for t in &mut self.threads {
+            t.dispatch_blocked = false;
+        }
+        let mut open = n;
+        let mut dispatched = 0;
+        while dispatched < self.config.dispatch_width && open > 0 {
+            let t = self.dispatch_rr;
+            self.dispatch_rr = next_rr(t, n);
+            let ctx = &mut self.threads[t];
+            if ctx.dispatch_blocked {
+                continue;
             }
-            let Some(fetched) = self.frontend.take_dispatchable(now) else {
-                break;
+            let fetched =
+                if ctx.rob.has_space() { ctx.frontend.take_dispatchable(now) } else { None };
+            let Some(fetched) = fetched else {
+                ctx.dispatch_blocked = true;
+                open -= 1;
+                continue;
             };
             let inst = fetched.inst;
             let tag = InstTag(self.next_tag);
             let regs = inst.srcs();
-            let src0 = regs.first().map(|&r| self.rename.src(r));
-            let mut src1 = regs.get(1).map(|&r| self.rename.src(r));
+            let src0 = regs.first().map(|&r| ctx.rename.src(r));
+            let mut src1 = regs.get(1).map(|&r| ctx.rename.src(r));
             // A store's IQ entry is its address generation (base operand
             // only); the data operand is tracked by the pipeline and
             // gates completion, not address issue.
@@ -333,27 +414,31 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
                 srcs: [src0, src1],
                 predicted_hit,
                 lrp_pick,
-                thread: 0,
+                thread: t as u8,
             };
             if self.iq.dispatch(now, info).is_err() {
-                self.frontend.undo_take(fetched);
+                ctx.frontend.undo_take(fetched);
                 break;
             }
             self.next_tag += 1;
+            dispatched += 1;
             self.stats.dispatched += 1;
+            if n > 1 {
+                self.thread_of.insert(tag.0, t as u8);
+            }
             if let Some(mem) = inst.mem {
-                self.lsq.push(tag, inst.pc, mem.addr, inst.is_store(), predicted_hit);
+                ctx.lsq.push(tag, inst.pc, mem.addr, inst.is_store(), predicted_hit);
             }
             if let Some(data) = store_data {
                 self.store_value.insert(tag, data);
             }
             if let Some(dest) = inst.dest {
-                self.rename.define(dest, tag);
+                ctx.rename.define(dest, tag);
             }
             if fetched.mispredicted {
-                self.redirect_waiting = Some(tag);
+                ctx.redirect_waiting = Some(tag);
             }
-            self.rob.push(RobEntry {
+            ctx.rob.push(RobEntry {
                 tag,
                 inst,
                 state: RobState::Dispatched,
@@ -361,19 +446,26 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
             });
         }
 
-        // 6. Commit.
-        for e in self.rob.commit(self.config.commit_width) {
-            self.rename.retire(e.inst.dest, e.tag);
-            self.lsq.on_commit(e.tag);
-            self.completion_time.remove(e.tag.0);
-            // Only stores ever park a data operand here.
-            if e.inst.is_store() {
-                self.store_value.remove(&e.tag);
+        // 6. Commit: shared bandwidth, split evenly over the threads.
+        for ctx in &mut self.threads {
+            for e in ctx.rob.commit(self.commit_share) {
+                ctx.rename.retire(e.inst.dest, e.tag);
+                ctx.lsq.on_commit(e.tag);
+                self.completion_time.remove(e.tag.0);
+                // Only stores ever park a data operand here.
+                if e.inst.is_store() {
+                    self.store_value.remove(&e.tag);
+                }
+                if n > 1 {
+                    self.thread_of.remove(e.tag.0);
+                }
             }
         }
 
-        // 7. Fetch.
-        self.frontend.fetch(now, &self.config, &mut self.workload, &mut self.bp, &mut self.mem);
+        // 7. Fetch: one thread per cycle, round-robin.
+        let ctx = &mut self.threads[self.fetch_rr];
+        self.fetch_rr = next_rr(self.fetch_rr, n);
+        ctx.frontend.fetch(now, &self.config, &mut ctx.workload, &mut self.bp, &mut self.mem);
     }
 
     /// When the data value of store `tag` is (or will be) available:
@@ -394,7 +486,8 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
             return Ok(t);
         }
         // Producer already committed (and pruned) => the value exists.
-        match self.rob.get(producer) {
+        let t = self.thread_of(producer).unwrap_or(0);
+        match self.threads[t].rob.get(producer) {
             None => Ok(self.now + 1),
             Some(e) if e.state == RobState::Completed => Ok(self.now + 1),
             _ => Err(producer),
@@ -405,13 +498,14 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
     /// trains the left/right predictor with the operand that actually
     /// arrived later.
     fn complete(&mut self, tag: InstTag) {
-        self.rob.mark(tag, RobState::Completed);
-        self.in_flight = self.in_flight.saturating_sub(1);
+        let Some(t) = self.thread_of(tag) else {
+            return;
+        };
+        let rob = &mut self.threads[t].rob;
+        rob.mark(tag, RobState::Completed);
         self.iq.on_writeback(tag);
         // LRP training: which of the two producers finished later?
-        if let Some((pc, [Some(a), Some(b)])) =
-            self.rob.get(tag).map(|e| (e.inst.pc, e.src_producers))
-        {
+        if let Some((pc, [Some(a), Some(b)])) = rob.get(tag).map(|e| (e.inst.pc, e.src_producers)) {
             let ta = self.completion_time.get(a.0).unwrap_or(0);
             let tb = self.completion_time.get(b.0).unwrap_or(0);
             let later = if tb > ta { Operand::Right } else { Operand::Left };
@@ -456,36 +550,42 @@ where
     W: Iterator<Item = Inst> + chainiq_ckpt::Snapshot,
 {
     const COMPONENT: &'static str = "cpu.pipeline";
-    const VERSION: u16 = 2;
+    const VERSION: u16 = 3;
 
     /// The machine configuration is not serialized (restore targets a
     /// pipeline already built from it); a fingerprint of its debug
-    /// rendering guards against restoring into a differently configured
-    /// machine. The queue, workload, memory hierarchy and predictors are
-    /// nested sections so each carries its own version and fingerprint.
+    /// rendering and the thread count guard against restoring into a
+    /// differently configured machine. The queue, workloads, memory
+    /// hierarchy and predictors are nested sections so each carries its
+    /// own version and fingerprint.
     fn save(&self, w: &mut chainiq_ckpt::Writer) {
         use chainiq_ckpt::Pack;
         chainiq_ckpt::fingerprint(format!("{:?}", self.config).as_bytes()).pack(w);
+        self.threads.len().pack(w);
         self.now.pack(w);
         chainiq_ckpt::save_section(w, &self.iq);
-        chainiq_ckpt::save_section(w, &self.workload);
         chainiq_ckpt::save_section(w, &self.mem);
         chainiq_ckpt::save_section(w, &self.bp);
         chainiq_ckpt::save_section(w, &self.hmp);
         chainiq_ckpt::save_section(w, &self.lrp);
-        self.frontend.pack(w);
-        self.rob.pack(w);
-        self.lsq.pack(w);
         self.fus.pack(w);
-        self.rename.pack(w);
-        // Canonical forms: the wheel dumps in drain order, the tag map in
+        for t in &self.threads {
+            chainiq_ckpt::save_section(w, &t.workload);
+            t.frontend.pack(w);
+            t.rename.pack(w);
+            t.rob.pack(w);
+            t.lsq.pack(w);
+            t.redirect_waiting.pack(w);
+        }
+        // Canonical forms: the wheel dumps in drain order, the tag maps in
         // ascending-key order, so the bytes are independent of how the
         // live structures were built.
         self.events.entries_sorted().pack(w);
         self.completion_time.to_sorted_vec().pack(w);
+        self.thread_of.to_sorted_vec().pack(w);
         self.next_tag.pack(w);
-        self.in_flight.pack(w);
-        self.redirect_waiting.pack(w);
+        self.fetch_rr.pack(w);
+        self.dispatch_rr.pack(w);
         self.store_value.pack(w);
         self.waiting_stores.pack(w);
         self.stats.pack(w);
@@ -494,37 +594,53 @@ where
     fn restore(&mut self, r: &mut chainiq_ckpt::Reader<'_>) -> Result<(), chainiq_ckpt::CkptError> {
         use chainiq_ckpt::Pack;
         let fp: u64 = Pack::unpack(r)?;
-        if fp != chainiq_ckpt::fingerprint(format!("{:?}", self.config).as_bytes()) {
+        let threads: usize = Pack::unpack(r)?;
+        if fp != chainiq_ckpt::fingerprint(format!("{:?}", self.config).as_bytes())
+            || threads != self.threads.len()
+        {
             return Err(chainiq_ckpt::CkptError::Corrupt {
                 context: "machine configuration differs from the running pipeline".to_string(),
             });
         }
         let now: Cycle = Pack::unpack(r)?;
         chainiq_ckpt::restore_section(r, &mut self.iq)?;
-        chainiq_ckpt::restore_section(r, &mut self.workload)?;
         chainiq_ckpt::restore_section(r, &mut self.mem)?;
         chainiq_ckpt::restore_section(r, &mut self.bp)?;
         chainiq_ckpt::restore_section(r, &mut self.hmp)?;
         chainiq_ckpt::restore_section(r, &mut self.lrp)?;
-        let frontend: Frontend = Pack::unpack(r)?;
-        let rob: Rob = Pack::unpack(r)?;
-        let lsq: Lsq = Pack::unpack(r)?;
         let fus: FuPool = Pack::unpack(r)?;
-        let rename: RenameState = Pack::unpack(r)?;
+        for t in &mut self.threads {
+            chainiq_ckpt::restore_section(r, &mut t.workload)?;
+            let frontend: Frontend = Pack::unpack(r)?;
+            let rename: RenameState = Pack::unpack(r)?;
+            let rob: Rob = Pack::unpack(r)?;
+            let lsq: Lsq = Pack::unpack(r)?;
+            let redirect_waiting: Option<InstTag> = Pack::unpack(r)?;
+            t.frontend = frontend;
+            t.rename = rename;
+            t.rob = rob;
+            t.lsq = lsq;
+            t.redirect_waiting = redirect_waiting;
+        }
         let events: Vec<(Cycle, Event)> = Pack::unpack(r)?;
         let completion_time: Vec<(u64, Cycle)> = Pack::unpack(r)?;
+        let thread_of: Vec<(u64, u8)> = Pack::unpack(r)?;
         let next_tag: u64 = Pack::unpack(r)?;
-        let in_flight: usize = Pack::unpack(r)?;
-        let redirect_waiting: Option<InstTag> = Pack::unpack(r)?;
+        let fetch_rr: usize = Pack::unpack(r)?;
+        let dispatch_rr: usize = Pack::unpack(r)?;
         let store_value: BTreeMap<InstTag, SrcOperand> = Pack::unpack(r)?;
         let waiting_stores: BTreeMap<InstTag, Vec<InstTag>> = Pack::unpack(r)?;
         let stats: SimStats = Pack::unpack(r)?;
+        if fetch_rr >= threads
+            || dispatch_rr >= threads
+            || thread_of.iter().any(|&(_, t)| usize::from(t) >= threads)
+        {
+            return Err(chainiq_ckpt::CkptError::Corrupt {
+                context: "pipeline thread index out of range".to_string(),
+            });
+        }
         self.now = now;
-        self.frontend = frontend;
-        self.rob = rob;
-        self.lsq = lsq;
         self.fus = fus;
-        self.rename = rename;
         // Pending events are all strictly in the future (delivery empties
         // a cycle's bucket before the snapshot boundary), so rebasing the
         // wheel at `now` and replaying in drain order reproduces the live
@@ -539,9 +655,13 @@ where
         for (k, v) in completion_time {
             self.completion_time.insert(k, v);
         }
+        self.thread_of.clear();
+        for (k, v) in thread_of {
+            self.thread_of.insert(k, v);
+        }
         self.next_tag = next_tag;
-        self.in_flight = in_flight;
-        self.redirect_waiting = redirect_waiting;
+        self.fetch_rr = fetch_rr;
+        self.dispatch_rr = dispatch_rr;
         self.store_value = store_value;
         self.waiting_stores = waiting_stores;
         self.stats = stats;

@@ -57,13 +57,6 @@ impl RenameState {
         }
         self.ready_time.remove(tag.0);
     }
-
-    /// Clears all in-flight state (pipeline flush).
-    #[allow(dead_code)]
-    pub(crate) fn reset(&mut self) {
-        self.map = [None; NUM_ARCH_REGS];
-        self.ready_time.clear();
-    }
 }
 
 impl chainiq_ckpt::Pack for RenameState {

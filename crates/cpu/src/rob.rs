@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use chainiq_core::InstTag;
-use chainiq_isa::{ArchReg, Inst};
+use chainiq_isa::Inst;
 
 /// Lifecycle of an in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,11 +52,6 @@ impl Rob {
         self.entries.len() < self.capacity
     }
 
-    #[allow(dead_code)] // kept for symmetry; useful in debugging sessions
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     pub(crate) fn committed(&self) -> u64 {
         self.committed
     }
@@ -100,20 +95,9 @@ impl Rob {
         out
     }
 
-    /// Destination register of the in-flight instruction `tag`.
-    #[allow(dead_code)]
-    pub(crate) fn dest_of(&self, tag: InstTag) -> Option<ArchReg> {
-        self.entries.iter().find(|e| e.tag == tag).and_then(|e| e.inst.dest)
-    }
-
     /// The in-flight entry for `tag`, if present.
     pub(crate) fn get(&self, tag: InstTag) -> Option<&RobEntry> {
         self.entries.iter().find(|e| e.tag == tag)
-    }
-
-    /// The oldest in-flight entry, if any.
-    pub(crate) fn head(&self) -> Option<&RobEntry> {
-        self.entries.front()
     }
 }
 

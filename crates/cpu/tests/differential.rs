@@ -26,7 +26,7 @@ fn check_bench(bench: Bench, qc: SegmentedIqConfig, max_insts: u64, seed: u64) {
         let mut iq = SegmentedIq::new(qc);
         iq.set_naive_kernel(naive);
         let workload = SyntheticWorkload::from_profile(bench.profile(), seed);
-        let mut sim = Pipeline::new(config.clone(), iq, workload);
+        let mut sim = Pipeline::new(config, iq, workload);
         let stats = sim.run(max_insts);
         (format!("{stats:?}"), format!("{:?}", sim.iq().full_stats()))
     };

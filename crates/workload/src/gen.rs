@@ -197,8 +197,7 @@ impl<W: Iterator<Item = Inst>> Iterator for AddressSpace<W> {
     }
 }
 
-/// Instruction-mix summary of a stream prefix, for calibration tests and
-/// the workload benches.
+/// Instruction-mix summary of a stream prefix, for calibration tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MixSummary {
     /// Total instructions summarized.

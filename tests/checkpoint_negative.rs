@@ -21,7 +21,7 @@ use chainiq::ckpt::{
     fingerprint, restore_section, save_section, CkptError, CkptHeader, ImageReader, ImageWriter,
     Reader, Snapshot, Writer, FORMAT_VERSION, MAGIC,
 };
-use chainiq::{Bench, IdealIq, Pipeline, SimConfig, SyntheticWorkload};
+use chainiq::{Bench, IdealIq, Pipeline, SimConfig, SmtPipeline, SyntheticWorkload};
 
 fn fixture_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/ckpt")
@@ -193,6 +193,17 @@ fn restore_into_differently_configured_machine_is_rejected() {
     match img.section(&mut sim) {
         Err(CkptError::Corrupt { .. }) => {}
         other => panic!("expected Corrupt on a config mismatch, got {other:?}"),
+    }
+
+    // Same configuration, two threads: the thread count must match too.
+    let vortex = || SyntheticWorkload::from_profile(Bench::Vortex.profile(), 5);
+    let threads = vec![vortex(), vortex()];
+    let mut smt = SmtPipeline::new(SimConfig::default().rob_for_iq(64), IdealIq::new(64), threads);
+    let mut img = ImageReader::parse(&bytes).unwrap();
+    img.expect_key(header).unwrap();
+    match img.section(&mut smt) {
+        Err(CkptError::Corrupt { .. }) => {}
+        other => panic!("expected Corrupt on a thread-count mismatch, got {other:?}"),
     }
 }
 

@@ -12,15 +12,16 @@
 //! `chainiq-workload`, `chainiq-predict`, `chainiq-mem`, `chainiq-core`,
 //! `chainiq-baseline`); this file exercises the public seams: the
 //! workload generator, the whole-image framing, every queue design under
-//! the full pipeline, and the end-to-end cached harness path.
+//! the full pipeline, a two-thread SMT machine, and the end-to-end cached
+//! harness path.
 
 use chainiq::ckpt::{
     restore_section, save_section, CkptHeader, ImageReader, ImageWriter, Reader, Snapshot, Writer,
 };
 use chainiq::{
     Bench, CkptOutcome, CkptPlan, DistanceConfig, DistanceIq, IdealIq, IqKind, Pipeline,
-    PrescheduleConfig, PrescheduledIq, SegmentedIq, SegmentedIqConfig, SimConfig,
-    SyntheticWorkload,
+    PrescheduleConfig, PrescheduledIq, SegmentedIq, SegmentedIqConfig, SimConfig, SimStats,
+    SmtPipeline, SyntheticWorkload,
 };
 use chainiq_core::IssueQueue;
 use chainiq_devtest::{prop_assert, prop_assert_eq, prop_check};
@@ -35,7 +36,34 @@ fn config_for(capacity: usize, extra_dispatch: bool, use_hmp: bool, use_lrp: boo
 }
 
 /// Runs one continuous simulation and one snapshot-at-`cut`-then-restore
-/// simulation of the same machine, returning both stat renderings.
+/// simulation of the machine `fresh` builds, returning both stat
+/// renderings.
+fn restore_digests<M: Snapshot>(
+    fresh: impl Fn() -> M,
+    run: impl Fn(&mut M, u64) -> SimStats,
+    cut: u64,
+    total: u64,
+) -> (String, String) {
+    let mut continuous = fresh();
+    let a = run(&mut continuous, total);
+
+    let mut donor = fresh();
+    let _ = run(&mut donor, cut);
+    let mut w = Writer::new();
+    save_section(&mut w, &donor);
+    drop(donor);
+    let bytes = w.into_bytes();
+
+    let mut restored = fresh();
+    let mut r = Reader::new(&bytes);
+    restore_section(&mut r, &mut restored)
+        .expect("a snapshot must restore into an identically configured machine");
+    let b = run(&mut restored, total);
+
+    (format!("{a:?}"), format!("{b:?}"))
+}
+
+/// [`restore_digests`] for a single-thread pipeline running `bench`.
 fn pipeline_digests<Q>(
     make_iq: &dyn Fn() -> Q,
     bench: Bench,
@@ -49,29 +77,29 @@ where
 {
     let fresh =
         || Pipeline::new(config, make_iq(), SyntheticWorkload::from_profile(bench.profile(), seed));
+    restore_digests(fresh, Pipeline::run, cut, total)
+}
 
-    let mut continuous = fresh();
-    let a = continuous.run(total);
-
-    let mut donor = fresh();
-    let _ = donor.run(cut);
-    let mut w = Writer::new();
-    save_section(&mut w, &donor);
-    drop(donor);
-    let bytes = w.into_bytes();
-
-    let mut restored = fresh();
-    let mut r = Reader::new(&bytes);
-    restore_section(&mut r, &mut restored)
-        .expect("a snapshot must restore into an identically configured machine");
-    let b = restored.run(total);
-
-    (format!("{a:?}"), format!("{b:?}"))
+/// [`restore_digests`] for the `smt` binary's swim+gcc mix: two threads
+/// over a segmented 512-entry queue with 128 chains.
+fn smt_digests(seed: u64, cut: u64, total: u64) -> (String, String) {
+    let config = config_for(512, true, true, true);
+    let mut qc = SegmentedIqConfig::paper(512, Some(128));
+    qc.two_chain_tracking = false;
+    let fresh = || {
+        let threads = vec![
+            SyntheticWorkload::from_profile(Bench::Swim.profile(), seed),
+            SyntheticWorkload::from_profile(Bench::Gcc.profile(), seed ^ 1),
+        ];
+        SmtPipeline::new(config, SegmentedIq::new(qc), threads)
+    };
+    restore_digests(fresh, SmtPipeline::run, cut, total)
 }
 
 prop_check! {
     /// Whole-pipeline differential over every queue design, with random
-    /// benchmark, seed, predictor hooks and cut point.
+    /// benchmark, seed, predictor hooks and cut point, plus a two-thread
+    /// SMT machine.
     fn pipeline_restore_equals_continuous(g, cases = 8) {
         let bench = Bench::ALL[g.pick(Bench::ALL.len())];
         let seed = g.any_u64();
@@ -79,7 +107,7 @@ prop_check! {
         let cut = g.u64(1..total);
         let use_hmp = g.bool();
         let use_lrp = g.bool();
-        let (a, b) = match g.pick(4) {
+        let (a, b) = match g.pick(5) {
             0 => {
                 let cap = [16usize, 64, 256][g.pick(3)];
                 let config = config_for(cap, false, use_hmp, use_lrp);
@@ -96,11 +124,12 @@ prop_check! {
                 let config = config_for(pc.capacity(), true, use_hmp, use_lrp);
                 pipeline_digests(&|| PrescheduledIq::new(pc), bench, seed, cut, total, config)
             }
-            _ => {
+            3 => {
                 let dc = DistanceConfig::paper_sized(8);
                 let config = config_for(dc.capacity(), true, use_hmp, use_lrp);
                 pipeline_digests(&|| DistanceIq::new(dc), bench, seed, cut, total, config)
             }
+            _ => smt_digests(seed, cut, total),
         };
         prop_assert_eq!(a, b);
     }

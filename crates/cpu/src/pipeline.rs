@@ -82,6 +82,8 @@ pub struct Pipeline<Q, W> {
     events_scratch: Vec<Event>,
     /// Scratch for each thread's per-cycle LSQ event report.
     lsq_events: Vec<LsqEvent>,
+    /// Scratch for the entries one thread commits in a cycle.
+    commit_scratch: Vec<RobEntry>,
     completion_time: TagMap<Cycle>,
     /// Owning thread of each in-flight tag. Kept only with more than one
     /// thread; a single-thread machine never touches it.
@@ -156,6 +158,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
             events: Wheel::new(EVENT_WHEEL_BUCKETS),
             events_scratch: Vec::new(),
             lsq_events: Vec::new(),
+            commit_scratch: Vec::new(),
             completion_time: TagMap::new(),
             thread_of: TagMap::new(),
             next_tag: 0,
@@ -448,7 +451,8 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
 
         // 6. Commit: shared bandwidth, split evenly over the threads.
         for ctx in &mut self.threads {
-            for e in ctx.rob.commit(self.commit_share) {
+            ctx.rob.commit(self.commit_share, &mut self.commit_scratch);
+            for e in self.commit_scratch.drain(..) {
                 ctx.rename.retire(e.inst.dest, e.tag);
                 ctx.lsq.on_commit(e.tag);
                 self.completion_time.remove(e.tag.0);

@@ -74,16 +74,23 @@ impl Rob {
         self.entries.push_back(entry);
     }
 
+    /// Position of `tag`: entries are pushed in dispatch order, so the
+    /// deque is sorted by tag.
+    fn find(&self, tag: InstTag) -> Option<usize> {
+        self.entries.binary_search_by_key(&tag.0, |e| e.tag.0).ok()
+    }
+
     pub(crate) fn mark(&mut self, tag: InstTag, state: RobState) {
-        if let Some(e) = self.entries.iter_mut().find(|e| e.tag == tag) {
-            e.state = state;
+        if let Some(i) = self.find(tag) {
+            self.entries[i].state = state;
         }
     }
 
-    /// Pops up to `width` completed entries from the head, in order.
-    pub(crate) fn commit(&mut self, width: usize) -> Vec<RobEntry> {
-        let mut out = Vec::new();
-        while out.len() < width {
+    /// Moves up to `width` completed entries from the head, in order, onto
+    /// the end of `out`.
+    pub(crate) fn commit(&mut self, width: usize, out: &mut Vec<RobEntry>) {
+        let start = out.len();
+        while out.len() - start < width {
             match self.entries.front() {
                 Some(e) if e.state == RobState::Completed => {
                     out.push(self.entries.pop_front().expect("front exists"));
@@ -91,13 +98,12 @@ impl Rob {
                 _ => break,
             }
         }
-        self.committed += out.len() as u64;
-        out
+        self.committed += (out.len() - start) as u64;
     }
 
     /// The in-flight entry for `tag`, if present.
     pub(crate) fn get(&self, tag: InstTag) -> Option<&RobEntry> {
-        self.entries.iter().find(|e| e.tag == tag)
+        self.find(tag).map(|i| &self.entries[i])
     }
 }
 
@@ -154,6 +160,11 @@ impl chainiq_ckpt::Pack for Rob {
                 context: "ROB occupancy exceeds its capacity".to_string(),
             });
         }
+        if entries.iter().zip(entries.iter().skip(1)).any(|(a, b)| a.tag.0 >= b.tag.0) {
+            return Err(chainiq_ckpt::CkptError::Corrupt {
+                context: "ROB entries out of tag order".to_string(),
+            });
+        }
         Ok(Rob {
             entries,
             capacity,
@@ -184,9 +195,11 @@ mod tests {
         rob.push(entry(0));
         rob.push(entry(1));
         rob.mark(InstTag(1), RobState::Completed);
-        assert!(rob.commit(8).is_empty(), "head not complete, nothing commits");
+        let mut c = Vec::new();
+        rob.commit(8, &mut c);
+        assert!(c.is_empty(), "head not complete, nothing commits");
         rob.mark(InstTag(0), RobState::Completed);
-        let c = rob.commit(8);
+        rob.commit(8, &mut c);
         assert_eq!(c.len(), 2);
         assert_eq!(c[0].tag, InstTag(0));
         assert_eq!(rob.committed(), 2);
@@ -199,8 +212,26 @@ mod tests {
             rob.push(entry(i));
             rob.mark(InstTag(i), RobState::Completed);
         }
-        assert_eq!(rob.commit(8).len(), 8);
-        assert_eq!(rob.commit(8).len(), 2);
+        let mut c = Vec::new();
+        rob.commit(8, &mut c);
+        assert_eq!(c.len(), 8);
+        c.clear();
+        rob.commit(8, &mut c);
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn lookup_by_tag_finds_present_entries_only() {
+        let mut rob = Rob::new(8);
+        for tag in [3, 5, 9] {
+            rob.push(entry(tag));
+        }
+        rob.mark(InstTag(5), RobState::Issued);
+        rob.mark(InstTag(4), RobState::Completed); // absent: no effect
+        assert_eq!(rob.get(InstTag(5)).map(|e| e.state), Some(RobState::Issued));
+        assert_eq!(rob.get(InstTag(9)).map(|e| e.state), Some(RobState::Dispatched));
+        assert!(rob.get(InstTag(4)).is_none());
+        assert!(rob.get(InstTag(10)).is_none());
     }
 
     #[test]

@@ -35,6 +35,14 @@ CARGO_TARGET_DIR="$PWD/target/benchmark" \
     | cmp - benchmark/digest/default-seed.txt \
     || { echo "ci.sh: benchmark digest differs from benchmark/digest/default-seed.txt" >&2; exit 1; }
 
+echo "== benchmark package tests: traced twins must write and restore identical images"
+# The traced twin of run_one_ckpt must write byte-identical checkpoint
+# images and restore them on the crossed hit path, so every checkpoint
+# encoding is exercised here. Like the digest step, it builds under
+# target/ and only reads benchmark/.
+CARGO_TARGET_DIR="$PWD/target/benchmark" \
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "== perf gate smoke: --bin perf at a tiny sample into a scratch dir"
 PERF_DIR="$(mktemp -d)"
 trap 'rm -f "$ANALYZE_JSON"; rm -rf "$PERF_DIR"' EXIT

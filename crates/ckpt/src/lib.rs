@@ -617,6 +617,70 @@ impl<T: Pack, const N: usize> Pack for [T; N] {
 }
 
 // ---------------------------------------------------------------------------
+// Sparse tables
+// ---------------------------------------------------------------------------
+
+/// Appends a fixed-length table sparsely: its length, then the number of
+/// entries that differ from `default`, then each such `(index, value)`
+/// pair in ascending index order. A table the run barely touched costs a
+/// few bytes however large its geometry.
+pub fn save_sparse<T: Pack + PartialEq>(w: &mut Writer, table: &[T], default: &T) {
+    w.put_u64(table.len() as u64);
+    let count_at = w.len();
+    w.put_u64(0);
+    let mut count = 0u64;
+    for (i, v) in table.iter().enumerate() {
+        if v != default {
+            w.put_u64(i as u64);
+            v.pack(w);
+            count += 1;
+        }
+    }
+    w.buf[count_at..count_at + 8].copy_from_slice(&count.to_le_bytes());
+}
+
+/// Restores a table written by [`save_sparse`] into `table`, which the
+/// owning component has already built to its geometry: every entry is
+/// reset to `default`, then the saved pairs are written in.
+///
+/// # Errors
+/// [`CkptError::Corrupt`] if the saved length differs from
+/// `table.len()` or an index is not strictly ascending and below the
+/// length; [`CkptError::Truncated`] if the pair count cannot fit in the
+/// remaining bytes; plus whatever unpacking a value reports.
+pub fn restore_sparse<T: Pack + Clone>(
+    r: &mut Reader<'_>,
+    table: &mut [T],
+    default: &T,
+    context: &'static str,
+) -> Result<(), CkptError> {
+    let len = r.take_u64(context)?;
+    if len != table.len() as u64 {
+        return Err(CkptError::Corrupt {
+            context: format!("{context}: {len} entries, this machine has {}", table.len()),
+        });
+    }
+    let count = r.take_u64(context)?;
+    // Every pair carries at least its 8-byte index.
+    if count > (r.remaining() / 8) as u64 {
+        return Err(CkptError::Truncated { context });
+    }
+    table.fill(default.clone());
+    let mut next = 0u64;
+    for _ in 0..count {
+        let i = r.take_u64(context)?;
+        if i < next || i >= len {
+            return Err(CkptError::Corrupt {
+                context: format!("{context}: index {i} out of order or past {len}"),
+            });
+        }
+        table[i as usize] = T::unpack(r)?;
+        next = i + 1;
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------------
 // Snapshot: component-level sections
 // ---------------------------------------------------------------------------
 
@@ -1019,6 +1083,99 @@ mod tests {
         b.write_str("a");
         b.write_str("bc");
         assert_ne!(a.finish(), b.finish());
+    }
+
+    const SPARSE_DEFAULT: u16 = 7;
+
+    fn sparse_bytes(table: &[u16]) -> Vec<u8> {
+        let mut w = Writer::new();
+        save_sparse(&mut w, table, &SPARSE_DEFAULT);
+        w.into_bytes()
+    }
+
+    fn restore_sparse_into(bytes: &[u8], len: usize) -> Result<Vec<u16>, CkptError> {
+        let mut table = vec![0xdead; len];
+        let mut r = Reader::new(bytes);
+        restore_sparse(&mut r, &mut table, &SPARSE_DEFAULT, "toy table")?;
+        assert!(r.is_exhausted(), "{} bytes left unread", r.remaining());
+        Ok(table)
+    }
+
+    /// A hand-built sparse encoding: declared length, declared count, pairs.
+    fn raw_sparse(len: u64, count: u64, pairs: &[(u64, u16)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u64(len);
+        w.put_u64(count);
+        for &(i, v) in pairs {
+            w.put_u64(i);
+            w.put_u16(v);
+        }
+        w.into_bytes()
+    }
+
+    chainiq_devtest::prop_check! {
+        /// Empty, sparse and full tables all restore exactly, and the
+        /// encoding carries only the entries that differ from the default.
+        fn sparse_table_round_trips(g, cases = 64) {
+            let len = g.usize(1..400);
+            let density = g.pick(3);
+            let table: Vec<u16> = (0..len)
+                .map(|_| {
+                    let touched = match density {
+                        0 => false,
+                        1 => g.u64(0..16) == 0,
+                        _ => true,
+                    };
+                    if touched { g.u64(8..u64::from(u16::MAX)) as u16 } else { SPARSE_DEFAULT }
+                })
+                .collect();
+            let touched = table.iter().filter(|&&v| v != SPARSE_DEFAULT).count();
+            let bytes = sparse_bytes(&table);
+            chainiq_devtest::prop_assert_eq!(bytes.len(), 16 + touched * 10);
+            let restored = restore_sparse_into(&bytes, len).map_err(|e| e.to_string())?;
+            chainiq_devtest::prop_assert_eq!(restored, table);
+            for cut in 0..bytes.len() {
+                chainiq_devtest::prop_assert!(
+                    restore_sparse_into(&bytes[..cut], len).is_err(),
+                    "truncation to {cut} bytes restored"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_length_other_than_geometry_is_corrupt() {
+        let bytes = sparse_bytes(&[1, 7, 3]);
+        assert!(matches!(restore_sparse_into(&bytes, 4), Err(CkptError::Corrupt { .. })));
+        assert!(matches!(restore_sparse_into(&bytes, 2), Err(CkptError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn sparse_index_past_length_is_corrupt() {
+        let bytes = raw_sparse(4, 1, &[(4, 1)]);
+        assert!(matches!(restore_sparse_into(&bytes, 4), Err(CkptError::Corrupt { .. })));
+        let bytes = raw_sparse(4, 1, &[(u64::MAX, 1)]);
+        assert!(matches!(restore_sparse_into(&bytes, 4), Err(CkptError::Corrupt { .. })));
+    }
+
+    #[test]
+    fn sparse_repeated_or_descending_index_is_corrupt() {
+        let repeated = raw_sparse(4, 2, &[(1, 1), (1, 2)]);
+        assert!(matches!(restore_sparse_into(&repeated, 4), Err(CkptError::Corrupt { .. })));
+        let descending = raw_sparse(4, 2, &[(2, 1), (0, 2)]);
+        assert!(matches!(restore_sparse_into(&descending, 4), Err(CkptError::Corrupt { .. })));
+        assert_eq!(
+            restore_sparse_into(&raw_sparse(4, 2, &[(0, 2), (2, 1)]), 4).unwrap(),
+            [2, 7, 1, 7]
+        );
+    }
+
+    #[test]
+    fn sparse_count_beyond_remaining_bytes_is_truncated() {
+        let bytes = raw_sparse(1 << 20, u64::MAX, &[(0, 1)]);
+        assert!(matches!(restore_sparse_into(&bytes, 1 << 20), Err(CkptError::Truncated { .. })));
+        let bytes = raw_sparse(8, 3, &[(0, 1), (1, 1)]);
+        assert!(matches!(restore_sparse_into(&bytes, 8), Err(CkptError::Truncated { .. })));
     }
 
     struct Toy {

@@ -39,7 +39,7 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Way {
     /// Line address (addr >> line_shift); `u64::MAX` when invalid.
     tag: u64,
@@ -47,6 +47,11 @@ struct Way {
     /// LRU timestamp: larger = more recently used.
     last_use: u64,
     valid: bool,
+}
+
+impl Way {
+    /// The state every way starts in.
+    const EMPTY: Way = Way { tag: u64::MAX, dirty: false, last_use: 0, valid: false };
 }
 
 /// Result of a tag lookup with fill-on-miss.
@@ -83,7 +88,8 @@ pub enum LookupOutcome {
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     config: CacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// Every way, set-major: way `w` of set `s` is `ways[s * assoc + w]`.
+    ways: Vec<Way>,
     line_shift: u32,
     set_mask: u64,
     use_clock: u64,
@@ -101,10 +107,9 @@ impl CacheArray {
     pub fn new(config: CacheConfig) -> Self {
         let num_sets = config.num_sets();
         assert!(num_sets.is_power_of_two(), "set count must be a power of two");
-        let way = Way { tag: u64::MAX, dirty: false, last_use: 0, valid: false };
         CacheArray {
             config,
-            sets: vec![vec![way; config.assoc]; num_sets],
+            ways: vec![Way::EMPTY; num_sets * config.assoc],
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: (num_sets - 1) as u64,
             use_clock: 0,
@@ -124,8 +129,10 @@ impl CacheArray {
         addr >> self.line_shift
     }
 
-    fn set_index(&self, line: u64) -> usize {
-        (line & self.set_mask) as usize
+    /// Where in `ways` the set `line` maps to lies.
+    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
+        let start = (line & self.set_mask) as usize * self.config.assoc;
+        start..start + self.config.assoc
     }
 
     /// Checks for presence without changing any state (no LRU update, no
@@ -133,7 +140,7 @@ impl CacheArray {
     #[must_use]
     pub fn probe(&self, addr: u64) -> bool {
         let line = self.line_addr(addr);
-        self.sets[self.set_index(line)].iter().any(|w| w.valid && w.tag == line)
+        self.ways[self.set_range(line)].iter().any(|w| w.valid && w.tag == line)
     }
 
     /// Accesses `addr`, filling the line on a miss (evicting LRU).
@@ -142,10 +149,10 @@ impl CacheArray {
     /// any dirty victim evicted by the fill.
     pub fn access(&mut self, addr: u64, is_write: bool) -> LookupOutcome {
         let line = self.line_addr(addr);
-        let set_idx = self.set_index(line);
+        let range = self.set_range(line);
         self.use_clock += 1;
         let clock = self.use_clock;
-        let set = &mut self.sets[set_idx];
+        let set = &mut self.ways[range];
 
         if let Some(way) = set.iter_mut().find(|w| w.valid && w.tag == line) {
             way.last_use = clock;
@@ -180,8 +187,8 @@ impl CacheArray {
     /// for any writeback).
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let line = self.line_addr(addr);
-        let set_idx = self.set_index(line);
-        for way in &mut self.sets[set_idx] {
+        let range = self.set_range(line);
+        for way in &mut self.ways[range] {
             if way.valid && way.tag == line {
                 way.valid = false;
                 return true;
@@ -199,7 +206,7 @@ impl CacheArray {
     /// Number of valid lines currently resident (O(capacity); for tests).
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().filter(|w| w.valid).count()
+        self.ways.iter().filter(|w| w.valid).count()
     }
 }
 
@@ -241,39 +248,27 @@ impl chainiq_ckpt::Pack for Way {
     }
 }
 
-impl chainiq_ckpt::Pack for CacheArray {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.config.pack(w);
-        self.sets.pack(w);
+impl CacheArray {
+    /// Packs the mutable state: the ways sparsely against their empty
+    /// state, then the LRU clock and the counters. The geometry is the
+    /// owner's to check.
+    pub(crate) fn save(&self, w: &mut chainiq_ckpt::Writer) {
+        use chainiq_ckpt::Pack;
+        chainiq_ckpt::save_sparse(w, &self.ways, &Way::EMPTY);
         self.use_clock.pack(w);
         self.stats.pack(w);
     }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
+
+    /// Overwrites the mutable state from what [`CacheArray::save`] wrote.
+    pub(crate) fn restore(
+        &mut self,
+        r: &mut chainiq_ckpt::Reader<'_>,
+    ) -> Result<(), chainiq_ckpt::CkptError> {
         use chainiq_ckpt::Pack;
-        let config = CacheConfig::unpack(r)?;
-        let sets: Vec<Vec<Way>> = Pack::unpack(r)?;
-        // Re-derive the geometry with explicit checks: `num_sets` panics
-        // on inconsistent input, which a corrupted image must never do.
-        let geometry_ok = config.line_bytes.is_power_of_two()
-            && config.assoc > 0
-            && config.size_bytes > 0
-            && config.size_bytes.is_multiple_of(config.assoc * config.line_bytes)
-            && sets.len() == config.size_bytes / (config.assoc * config.line_bytes)
-            && sets.len().is_power_of_two()
-            && sets.iter().all(|s| s.len() == config.assoc);
-        if !geometry_ok {
-            return Err(chainiq_ckpt::CkptError::Corrupt {
-                context: format!("cache geometry: {} sets for {config:?}", sets.len()),
-            });
-        }
-        Ok(CacheArray {
-            config,
-            sets,
-            line_shift: config.line_bytes.trailing_zeros(),
-            set_mask: (config.size_bytes / (config.assoc * config.line_bytes) - 1) as u64,
-            use_clock: Pack::unpack(r)?,
-            stats: Pack::unpack(r)?,
-        })
+        chainiq_ckpt::restore_sparse(r, &mut self.ways, &Way::EMPTY, "cache ways")?;
+        self.use_clock = Pack::unpack(r)?;
+        self.stats = Pack::unpack(r)?;
+        Ok(())
     }
 }
 

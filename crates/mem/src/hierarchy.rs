@@ -354,14 +354,14 @@ impl chainiq_ckpt::Pack for MemConfig {
 
 impl chainiq_ckpt::Snapshot for Hierarchy {
     const COMPONENT: &'static str = "mem.hierarchy";
-    const VERSION: u16 = 1;
+    const VERSION: u16 = 2;
 
     fn save(&self, w: &mut chainiq_ckpt::Writer) {
         use chainiq_ckpt::Pack;
         self.config.pack(w);
-        self.l1i.pack(w);
-        self.l1d.pack(w);
-        self.l2.pack(w);
+        self.l1i.save(w);
+        self.l1d.save(w);
+        self.l2.save(w);
         self.l1i_mshrs.pack(w);
         self.l1d_mshrs.pack(w);
         self.l2_mshrs.pack(w);
@@ -378,9 +378,9 @@ impl chainiq_ckpt::Snapshot for Hierarchy {
                 context: "memory hierarchy config differs from the running one".to_string(),
             });
         }
-        self.l1i = Pack::unpack(r)?;
-        self.l1d = Pack::unpack(r)?;
-        self.l2 = Pack::unpack(r)?;
+        self.l1i.restore(r)?;
+        self.l1d.restore(r)?;
+        self.l2.restore(r)?;
         self.l1i_mshrs = Pack::unpack(r)?;
         self.l1d_mshrs = Pack::unpack(r)?;
         self.l2_mshrs = Pack::unpack(r)?;

@@ -59,17 +59,24 @@ impl BranchPrediction {
 /// A tagged, set-associative branch target buffer.
 #[derive(Debug, Clone)]
 pub struct Btb {
-    sets: Vec<Vec<BtbEntry>>,
+    /// Every entry, set-major: way `w` of set `s` is `entries[s * assoc + w]`.
+    entries: Vec<BtbEntry>,
+    assoc: usize,
     set_mask: u64,
     use_clock: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct BtbEntry {
     pc: u64,
     target: u64,
     last_use: u64,
     valid: bool,
+}
+
+impl BtbEntry {
+    /// The state every entry starts in.
+    const EMPTY: BtbEntry = BtbEntry { pc: 0, target: 0, last_use: 0, valid: false };
 }
 
 impl Btb {
@@ -85,25 +92,26 @@ impl Btb {
         assert!(assoc > 0 && entries > 0 && entries.is_multiple_of(assoc), "bad BTB geometry");
         let num_sets = entries / assoc;
         assert!(num_sets.is_power_of_two(), "BTB set count must be a power of two");
-        let entry = BtbEntry { pc: 0, target: 0, last_use: 0, valid: false };
         Btb {
-            sets: vec![vec![entry; assoc]; num_sets],
+            entries: vec![BtbEntry::EMPTY; entries],
+            assoc,
             set_mask: (num_sets - 1) as u64,
             use_clock: 0,
         }
     }
 
-    fn set_index(&self, pc: u64) -> usize {
+    /// The ways of the set `pc` maps to.
+    fn set_mut(&mut self, pc: u64) -> &mut [BtbEntry] {
         // Instructions are 4-byte aligned; drop the offset bits.
-        ((pc >> 2) & self.set_mask) as usize
+        let start = ((pc >> 2) & self.set_mask) as usize * self.assoc;
+        &mut self.entries[start..start + self.assoc]
     }
 
     /// Looks up the target for `pc`, updating recency on a hit.
     pub fn lookup(&mut self, pc: u64) -> Option<u64> {
-        let idx = self.set_index(pc);
         self.use_clock += 1;
         let clock = self.use_clock;
-        self.sets[idx].iter_mut().find(|e| e.valid && e.pc == pc).map(|e| {
+        self.set_mut(pc).iter_mut().find(|e| e.valid && e.pc == pc).map(|e| {
             e.last_use = clock;
             e.target
         })
@@ -111,10 +119,9 @@ impl Btb {
 
     /// Installs or updates the target for `pc`, evicting LRU on conflict.
     pub fn install(&mut self, pc: u64, target: u64) {
-        let idx = self.set_index(pc);
         self.use_clock += 1;
         let clock = self.use_clock;
-        let set = &mut self.sets[idx];
+        let set = self.set_mut(pc);
         if let Some(e) = set.iter_mut().find(|e| e.valid && e.pc == pc) {
             e.target = target;
             e.last_use = clock;
@@ -194,6 +201,11 @@ impl Default for HybridBranchPredictor {
 }
 
 impl HybridBranchPredictor {
+    /// Initial global and choice counter: 2-bit, weakly not-taken.
+    const GLOBAL_INIT: SaturatingCounter = SaturatingCounter::new(2, 1);
+    /// Initial local counter: 3-bit, weakly not-taken.
+    const LOCAL_INIT: SaturatingCounter = SaturatingCounter::new(3, 3);
+
     /// Creates a predictor with all counters weakly not-taken and empty
     /// histories.
     ///
@@ -211,10 +223,10 @@ impl HybridBranchPredictor {
         HybridBranchPredictor {
             config,
             global_history: 0,
-            global_pht: vec![SaturatingCounter::new(2, 1); global_entries],
-            choice_pht: vec![SaturatingCounter::new(2, 1); global_entries],
+            global_pht: vec![Self::GLOBAL_INIT; global_entries],
+            choice_pht: vec![Self::GLOBAL_INIT; global_entries],
             local_histories: vec![0; config.local_histories],
-            local_pht: vec![SaturatingCounter::new(3, 3); local_entries],
+            local_pht: vec![Self::LOCAL_INIT; local_entries],
             btb: Btb::new(config.btb_entries, config.btb_assoc),
             stats: BranchStats::default(),
         }
@@ -349,72 +361,38 @@ impl chainiq_ckpt::Pack for BtbEntry {
     }
 }
 
-impl chainiq_ckpt::Pack for Btb {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.sets.pack(w);
-        self.set_mask.pack(w);
-        self.use_clock.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        let sets: Vec<Vec<BtbEntry>> = Pack::unpack(r)?;
-        let set_mask: u64 = Pack::unpack(r)?;
-        let use_clock: u64 = Pack::unpack(r)?;
-        if sets.is_empty() || !sets.len().is_power_of_two() || set_mask != (sets.len() - 1) as u64 {
-            return Err(chainiq_ckpt::CkptError::Corrupt {
-                context: format!("BTB geometry: {} sets, mask {set_mask:#x}", sets.len()),
-            });
-        }
-        Ok(Btb { sets, set_mask, use_clock })
-    }
-}
-
 impl chainiq_ckpt::Snapshot for HybridBranchPredictor {
     const COMPONENT: &'static str = "predict.branch";
-    const VERSION: u16 = 1;
+    const VERSION: u16 = 2;
 
     fn save(&self, w: &mut chainiq_ckpt::Writer) {
-        use chainiq_ckpt::Pack;
+        use chainiq_ckpt::{save_sparse, Pack};
         self.config.pack(w);
         self.global_history.pack(w);
-        self.global_pht.pack(w);
-        self.choice_pht.pack(w);
-        self.local_histories.pack(w);
-        self.local_pht.pack(w);
-        self.btb.pack(w);
+        save_sparse(w, &self.global_pht, &Self::GLOBAL_INIT);
+        save_sparse(w, &self.choice_pht, &Self::GLOBAL_INIT);
+        save_sparse(w, &self.local_histories, &0);
+        save_sparse(w, &self.local_pht, &Self::LOCAL_INIT);
+        save_sparse(w, &self.btb.entries, &BtbEntry::EMPTY);
+        self.btb.use_clock.pack(w);
         self.stats.pack(w);
     }
 
     fn restore(&mut self, r: &mut chainiq_ckpt::Reader<'_>) -> Result<(), chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
+        use chainiq_ckpt::{restore_sparse, Pack};
         let config = BranchPredictorConfig::unpack(r)?;
         if config != self.config {
             return Err(chainiq_ckpt::CkptError::Corrupt {
                 context: "branch predictor config differs from the running one".to_string(),
             });
         }
-        let global_history: u64 = Pack::unpack(r)?;
-        let global_pht: Vec<SaturatingCounter> = Pack::unpack(r)?;
-        let choice_pht: Vec<SaturatingCounter> = Pack::unpack(r)?;
-        let local_histories: Vec<u16> = Pack::unpack(r)?;
-        let local_pht: Vec<SaturatingCounter> = Pack::unpack(r)?;
-        let global_entries = 1usize << config.global_history_bits;
-        let local_entries = 1usize << config.local_history_bits;
-        if global_pht.len() != global_entries
-            || choice_pht.len() != global_entries
-            || local_histories.len() != config.local_histories
-            || local_pht.len() != local_entries
-        {
-            return Err(chainiq_ckpt::CkptError::Corrupt {
-                context: "branch predictor table sizes disagree with config".to_string(),
-            });
-        }
-        self.global_history = global_history;
-        self.global_pht = global_pht;
-        self.choice_pht = choice_pht;
-        self.local_histories = local_histories;
-        self.local_pht = local_pht;
-        self.btb = Pack::unpack(r)?;
+        self.global_history = Pack::unpack(r)?;
+        restore_sparse(r, &mut self.global_pht, &Self::GLOBAL_INIT, "global PHT")?;
+        restore_sparse(r, &mut self.choice_pht, &Self::GLOBAL_INIT, "choice PHT")?;
+        restore_sparse(r, &mut self.local_histories, &0, "local histories")?;
+        restore_sparse(r, &mut self.local_pht, &Self::LOCAL_INIT, "local PHT")?;
+        restore_sparse(r, &mut self.btb.entries, &BtbEntry::EMPTY, "BTB")?;
+        self.btb.use_clock = Pack::unpack(r)?;
         self.stats = Pack::unpack(r)?;
         Ok(())
     }

@@ -29,8 +29,8 @@ impl SaturatingCounter {
     /// Panics if `bits` is zero or greater than 7, or if `initial` does
     /// not fit in `bits` bits.
     #[must_use]
-    pub fn new(bits: u8, initial: u8) -> Self {
-        assert!((1..=7).contains(&bits), "counter width out of range");
+    pub const fn new(bits: u8, initial: u8) -> Self {
+        assert!(matches!(bits, 1..=7), "counter width out of range");
         let max = (1u8 << bits) - 1;
         assert!(initial <= max, "initial value does not fit");
         SaturatingCounter { value: initial, max }

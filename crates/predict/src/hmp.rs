@@ -74,6 +74,9 @@ impl Default for HitMissPredictor {
 }
 
 impl HitMissPredictor {
+    /// Initial counter: 4-bit, no confidence.
+    const INITIAL: SaturatingCounter = SaturatingCounter::new(4, 0);
+
     /// Creates a predictor with `entries` 4-bit counters and the given
     /// predict-hit threshold (`counter > threshold`).
     ///
@@ -85,7 +88,7 @@ impl HitMissPredictor {
         assert!(entries.is_power_of_two(), "table size must be a power of two");
         assert!(threshold < 15, "threshold must be below the 4-bit maximum");
         HitMissPredictor {
-            table: vec![SaturatingCounter::new(4, 0); entries],
+            table: vec![Self::INITIAL; entries],
             threshold,
             mask: entries - 1,
             stats: HmpStats::default(),
@@ -180,30 +183,25 @@ impl chainiq_ckpt::Pack for HmpStats {
 
 impl chainiq_ckpt::Snapshot for HitMissPredictor {
     const COMPONENT: &'static str = "predict.hmp";
-    const VERSION: u16 = 1;
+    const VERSION: u16 = 2;
 
     fn save(&self, w: &mut chainiq_ckpt::Writer) {
         use chainiq_ckpt::Pack;
-        self.table.pack(w);
+        chainiq_ckpt::save_sparse(w, &self.table, &Self::INITIAL);
         self.threshold.pack(w);
-        self.mask.pack(w);
         self.stats.pack(w);
         self.wrong_by_pc.pack(w);
     }
 
     fn restore(&mut self, r: &mut chainiq_ckpt::Reader<'_>) -> Result<(), chainiq_ckpt::CkptError> {
         use chainiq_ckpt::Pack;
-        let table: Vec<SaturatingCounter> = Pack::unpack(r)?;
+        chainiq_ckpt::restore_sparse(r, &mut self.table, &Self::INITIAL, "HMP table")?;
         let threshold: u8 = Pack::unpack(r)?;
-        let mask: usize = Pack::unpack(r)?;
-        if table.is_empty() || !table.len().is_power_of_two() || mask != table.len() - 1 {
+        if threshold != self.threshold {
             return Err(chainiq_ckpt::CkptError::Corrupt {
-                context: format!("HMP geometry: {} entries, mask {mask:#x}", table.len()),
+                context: format!("HMP threshold {threshold}, this machine uses {}", self.threshold),
             });
         }
-        self.table = table;
-        self.threshold = threshold;
-        self.mask = mask;
         self.stats = Pack::unpack(r)?;
         self.wrong_by_pc = Pack::unpack(r)?;
         Ok(())

@@ -83,6 +83,9 @@ impl Default for LeftRightPredictor {
 }
 
 impl LeftRightPredictor {
+    /// Initial counter: 2-bit, weakly left.
+    const INITIAL: SaturatingCounter = SaturatingCounter::new(2, 1);
+
     /// Creates a predictor with `entries` 2-bit counters.
     ///
     /// # Panics
@@ -92,7 +95,7 @@ impl LeftRightPredictor {
     pub fn new(entries: usize) -> Self {
         assert!(entries.is_power_of_two(), "table size must be a power of two");
         LeftRightPredictor {
-            table: vec![SaturatingCounter::new(2, 1); entries],
+            table: vec![Self::INITIAL; entries],
             mask: entries - 1,
             stats: LrpStats::default(),
         }
@@ -159,26 +162,17 @@ impl chainiq_ckpt::Pack for LrpStats {
 
 impl chainiq_ckpt::Snapshot for LeftRightPredictor {
     const COMPONENT: &'static str = "predict.lrp";
-    const VERSION: u16 = 1;
+    const VERSION: u16 = 2;
 
     fn save(&self, w: &mut chainiq_ckpt::Writer) {
         use chainiq_ckpt::Pack;
-        self.table.pack(w);
-        self.mask.pack(w);
+        chainiq_ckpt::save_sparse(w, &self.table, &Self::INITIAL);
         self.stats.pack(w);
     }
 
     fn restore(&mut self, r: &mut chainiq_ckpt::Reader<'_>) -> Result<(), chainiq_ckpt::CkptError> {
         use chainiq_ckpt::Pack;
-        let table: Vec<SaturatingCounter> = Pack::unpack(r)?;
-        let mask: usize = Pack::unpack(r)?;
-        if table.is_empty() || !table.len().is_power_of_two() || mask != table.len() - 1 {
-            return Err(chainiq_ckpt::CkptError::Corrupt {
-                context: format!("LRP geometry: {} entries, mask {mask:#x}", table.len()),
-            });
-        }
-        self.table = table;
-        self.mask = mask;
+        chainiq_ckpt::restore_sparse(r, &mut self.table, &Self::INITIAL, "LRP table")?;
         self.stats = Pack::unpack(r)?;
         Ok(())
     }

@@ -19,9 +19,10 @@ use chainiq::ckpt::{
     restore_section, save_section, CkptHeader, ImageReader, ImageWriter, Reader, Snapshot, Writer,
 };
 use chainiq::{
-    Bench, CkptOutcome, CkptPlan, DistanceConfig, DistanceIq, IdealIq, IqKind, Pipeline,
-    PrescheduleConfig, PrescheduledIq, SegmentedIq, SegmentedIqConfig, SimConfig, SimStats,
-    SmtPipeline, SyntheticWorkload,
+    Bench, CkptOutcome, CkptPlan, DistanceConfig, DistanceIq, Hierarchy, HitMissPredictor,
+    HybridBranchPredictor, IdealIq, IqKind, LeftRightPredictor, Pipeline, PrescheduleConfig,
+    PrescheduledIq, SegmentedIq, SegmentedIqConfig, SimConfig, SimStats, SmtPipeline,
+    SyntheticWorkload,
 };
 use chainiq_core::IssueQueue;
 use chainiq_devtest::{prop_assert, prop_assert_eq, prop_check};
@@ -244,4 +245,39 @@ fn cached_harness_matches_cold_for_every_kind() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Images carry only the state the run touched: the Table 1 caches,
+/// predictor tables and BTB are encoded sparsely, so their fixed
+/// geometry costs next to nothing until entries are written.
+#[test]
+fn image_size_follows_touched_state() {
+    let config = SimConfig::default();
+    let mut w = Writer::new();
+    save_section(&mut w, &Hierarchy::new(config.mem));
+    save_section(&mut w, &HybridBranchPredictor::new(config.branch));
+    save_section(&mut w, &HitMissPredictor::default());
+    save_section(&mut w, &LeftRightPredictor::default());
+    assert!(w.len() <= 4 << 10, "a never-run machine's tables take {} bytes", w.len());
+
+    // fig3's swim point at 512 entries, warmed for half a 5k-instruction run.
+    let dir = std::env::temp_dir().join(format!("chainiq-roundtrip-size-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = CkptPlan { dir: dir.clone(), warmup: 2_500 };
+    let kind = IqKind::Segmented(SegmentedIqConfig::paper(512, Some(128)));
+    let (_, outcome) = chainiq::run_one_ckpt(
+        Bench::Swim.profile(),
+        kind,
+        true,
+        true,
+        5_000,
+        20_020_525,
+        Some(&plan),
+    );
+    assert_eq!(outcome, CkptOutcome::MissSaved);
+    let images: Vec<u64> =
+        std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().metadata().unwrap().len()).collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(images.len(), 1);
+    assert!(images[0] <= 256 << 10, "swim seg512 image is {} bytes", images[0]);
 }

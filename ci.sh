@@ -7,6 +7,14 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+echo "== Cargo.lock: no registry or git package (H1)"
+# Every package of a path-only workspace is lockfile-listed without a
+# `source =` line; any registry or git dependency adds one.
+if grep -n '^source = ' Cargo.lock; then
+    echo "ci.sh: Cargo.lock names a non-path package; the workspace must stay hermetic" >&2
+    exit 1
+fi
+
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 
@@ -14,13 +22,23 @@ echo "== cargo test -q --offline"
 cargo test -q --offline --workspace
 
 echo "== cargo clippy --offline (-D warnings)"
+# clippy.toml and [workspace.lints] carry the determinism, unsafe and
+# panic rules (DESIGN.md §8); every exempt site is an #[expect], so a
+# site that stops needing its exemption fails here too.
 cargo clippy --offline --workspace -- -D warnings
 
-echo "== chainiq-analyze (project-specific invariants, tight ratchets)"
-ANALYZE_JSON="$(mktemp)"
-trap 'rm -f "$ANALYZE_JSON"' EXIT  # widened below once PERF_DIR exists
-cargo run -p chainiq-analyze --release --offline -- --check-tight --json "$ANALYZE_JSON"
-[ -s "$ANALYZE_JSON" ] || { echo "ci.sh: analyze --json artifact missing or empty" >&2; exit 1; }
+echo "== clippy.toml D1 proof: the lint fixture must fail on HashMap and HashSet"
+# No tree crate has a D1 exemption, so the fixture is the standing proof
+# that the ban fires. It is its own workspace and builds under target/.
+LINT_OUT="$(CARGO_TARGET_DIR="$PWD/target/lint-fixture" cargo clippy --offline --quiet \
+    --manifest-path tests/lint-fixture/Cargo.toml -- -D warnings 2>&1 || true)"
+for ty in HashMap HashSet; do
+    grep -q "disallowed type \`std::collections::$ty\`" <<<"$LINT_OUT" \
+        || { echo "ci.sh: clippy.toml no longer rejects $ty in tests/lint-fixture" >&2; exit 1; }
+done
+
+echo "== chainiq-analyze (call-graph invariants, tight ratchets)"
+cargo run -p chainiq-analyze --release --offline -- --check-tight
 
 echo "== cargo fmt --check"
 cargo fmt --check
@@ -45,7 +63,28 @@ CARGO_TARGET_DIR="$PWD/target/benchmark" \
 
 echo "== perf gate smoke: --bin perf at a tiny sample into a scratch dir"
 PERF_DIR="$(mktemp -d)"
-trap 'rm -f "$ANALYZE_JSON"; rm -rf "$PERF_DIR"' EXIT
+trap 'rm -rf "$PERF_DIR"' EXIT
+
+# check_artifacts SUITE EMITTED.json HISTORY.jsonl COMMITTED.json
+# perf and storm refuse to write a degenerate aggregate themselves; this
+# checks that the emitted artifact, the last history line and the
+# committed artifact name the same matrix, and that the history line
+# carries a revision label.
+check_artifacts() {
+    local suite="$1" emitted="$2" history="$3" committed="$4" points="$PERF_DIR/points"
+    grep -q "\"suite\": \"$suite\"" "$emitted" \
+        || { echo "ci.sh: $emitted is not a $suite artifact" >&2; exit 1; }
+    grep -o '"point": "[^"]*"' "$emitted" | sort > "$points.emitted"
+    tail -n 1 "$history" | grep -o '"point": "[^"]*"' | sort > "$points.history"
+    grep -o '"point": "[^"]*"' "$committed" | sort > "$points.committed"
+    [ -s "$points.emitted" ] || { echo "ci.sh: $emitted has no points" >&2; exit 1; }
+    cmp -s "$points.emitted" "$points.history" \
+        || { echo "ci.sh: last line of $history covers a different point set" >&2; exit 1; }
+    cmp -s "$points.emitted" "$points.committed" \
+        || { echo "ci.sh: $suite matrix drifted from $committed" >&2; exit 1; }
+    tail -n 1 "$history" | grep -q '"rev": "[^"]' \
+        || { echo "ci.sh: last line of $history lacks a revision label" >&2; exit 1; }
+}
 CHAINIQ_SAMPLE=1000 CHAINIQ_BENCH_DIR="$PERF_DIR" \
     CHAINIQ_GIT_REV="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)" \
     cargo run -p chainiq-bench --release --bin perf --offline >/dev/null
@@ -53,11 +92,7 @@ PERF_JSON="$PERF_DIR/BENCH_perf.json"
 PERF_HISTORY="$PERF_DIR/BENCH_perf_history.jsonl"
 [ -s "$PERF_JSON" ] || { echo "ci.sh: BENCH_perf.json missing or empty" >&2; exit 1; }
 [ -s "$PERF_HISTORY" ] || { echo "ci.sh: BENCH_perf_history.jsonl missing or empty" >&2; exit 1; }
-# Artifact consistency is checked hermetically in Rust (no python3 in
-# the toolchain anymore): suite/points/aggregate sanity, history point
-# set + rev label, and matrix identity with the committed artifact.
-cargo run -p chainiq-analyze --release --offline -- \
-    --check-perf "$PERF_JSON" "$PERF_HISTORY" results/BENCH_perf.json
+check_artifacts perf "$PERF_JSON" "$PERF_HISTORY" results/BENCH_perf.json
 
 echo "== sweep smoke: fig3 on 2 workers at a small sample"
 CHAINIQ_SAMPLE=2000 CHAINIQ_JOBS=2 \
@@ -100,7 +135,7 @@ CHAINIQ_BENCH_DIR="$SERVE_DIR" ./target/release/chainiq-serve \
     --addr 127.0.0.1:0 --addr-file "$SERVE_DIR/addr" --workers 2 \
     2> "$SERVE_DIR/daemon.log" &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -f "$ANALYZE_JSON"; rm -rf "$PERF_DIR"' EXIT
+trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$PERF_DIR"' EXIT
 for _ in $(seq 1 100); do [ -s "$SERVE_DIR/addr" ] && break; sleep 0.1; done
 [ -s "$SERVE_DIR/addr" ] \
     || { echo "ci.sh: chainiq-serve never published its address" >&2; exit 1; }
@@ -117,8 +152,7 @@ run_storm --expect-warm-all-hits >/dev/null \
 ./target/release/storm --addr "$SERVE_ADDR" --shutdown 2>/dev/null
 wait "$SERVE_PID" \
     || { echo "ci.sh: chainiq-serve exited uncleanly" >&2; cat "$SERVE_DIR/daemon.log" >&2; exit 1; }
-cargo run -p chainiq-analyze --release --offline -- \
-    --check-serve "$SERVE_DIR/BENCH_serve.json" "$SERVE_DIR/BENCH_serve_history.jsonl" \
+check_artifacts serve "$SERVE_DIR/BENCH_serve.json" "$SERVE_DIR/BENCH_serve_history.jsonl" \
     results/BENCH_serve.json
 
 echo "ci.sh: all checks passed"

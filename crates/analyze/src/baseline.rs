@@ -1,9 +1,8 @@
 //! The ratchet budgets and their on-disk format, `analyze-baseline.toml`.
 //!
-//! Three rule families carry pre-existing debt that should not block CI
+//! Two rule families carry pre-existing debt that should not block CI
 //! while still blocking any *new* debt:
 //!
-//! * `[panic-budget]` — **P1** panic sites per file;
 //! * `[hot-alloc-budget]` — **H2** hot-path-reachable allocation sites
 //!   per file;
 //! * `[taint-budget]` — **T1** tainted sinks per file.
@@ -21,25 +20,23 @@
 //!
 //! ```toml
 //! # generated by: cargo run -p chainiq-analyze -- --write-baseline
-//! [panic-budget]
-//! "crates/core/src/segmented.rs" = 3
+//! [hot-alloc-budget]
+//! "crates/core/src/segmented.rs" = 1
 //! ```
 
-use crate::rules::{Diagnostic, PanicCounts, RuleId};
+use crate::rules::{Diagnostic, RuleId, SiteCounts};
 use std::collections::BTreeMap;
 
 /// Name of the committed baseline file at the workspace root.
 pub const BASELINE_FILE: &str = "analyze-baseline.toml";
 
-/// All committed budgets, one [`PanicCounts`] map per ratcheted rule.
+/// All committed budgets, one [`SiteCounts`] map per ratcheted rule.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub struct Baseline {
-    /// `[panic-budget]` — P1.
-    pub panic: PanicCounts,
     /// `[hot-alloc-budget]` — H2.
-    pub hot_alloc: PanicCounts,
+    pub hot_alloc: SiteCounts,
     /// `[taint-budget]` — T1.
-    pub taint: PanicCounts,
+    pub taint: SiteCounts,
 }
 
 /// Parses a baseline file. Unknown sections and malformed lines are
@@ -47,7 +44,7 @@ pub struct Baseline {
 /// worth failing loudly on.
 pub fn parse(src: &str) -> Result<Baseline, String> {
     let mut out = Baseline::default();
-    let mut section: Option<&str> = None;
+    let mut section: Option<&mut SiteCounts> = None;
     for (idx, raw) in src.lines().enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
@@ -55,14 +52,13 @@ pub fn parse(src: &str) -> Result<Baseline, String> {
         }
         if line.starts_with('[') {
             section = match line {
-                "[panic-budget]" => Some("panic"),
-                "[hot-alloc-budget]" => Some("hot-alloc"),
-                "[taint-budget]" => Some("taint"),
+                "[hot-alloc-budget]" => Some(&mut out.hot_alloc),
+                "[taint-budget]" => Some(&mut out.taint),
                 _ => return Err(format!("{}: unknown section {line}", idx + 1)),
             };
             continue;
         }
-        let Some(sec) = section else {
+        let Some(counts) = section.as_deref_mut() else {
             return Err(format!("{}: entry outside a budget section: {line}", idx + 1));
         };
         let (key, val) = line
@@ -73,11 +69,6 @@ pub fn parse(src: &str) -> Result<Baseline, String> {
             .trim()
             .parse()
             .map_err(|_| format!("{}: count is not an integer: {line}", idx + 1))?;
-        let counts = match sec {
-            "panic" => &mut out.panic,
-            "hot-alloc" => &mut out.hot_alloc,
-            _ => &mut out.taint,
-        };
         if counts.insert(file.clone(), n).is_some() {
             return Err(format!("{}: duplicate entry for {file}", idx + 1));
         }
@@ -86,7 +77,7 @@ pub fn parse(src: &str) -> Result<Baseline, String> {
 }
 
 /// Renders fresh counts in the committed format. Zero-count files are
-/// omitted; keys come out sorted because [`PanicCounts`] is a `BTreeMap`.
+/// omitted; keys come out sorted because [`SiteCounts`] is a `BTreeMap`.
 #[must_use]
 pub fn render(b: &Baseline) -> String {
     let mut out = String::from(
@@ -94,21 +85,16 @@ pub fn render(b: &Baseline) -> String {
          # cleanup with:\n\
          #   cargo run -p chainiq-analyze --offline -- --write-baseline\n\
          \n\
-         # P1 panic sites per file (non-test unwrap/expect/panic!/unreachable!).\n\
-         [panic-budget]\n",
+         # H2 allocation sites reachable from hot-marked functions, per file.\n\
+         [hot-alloc-budget]\n",
     );
-    let push_counts = |out: &mut String, counts: &PanicCounts| {
+    let push_counts = |out: &mut String, counts: &SiteCounts| {
         for (file, n) in counts {
             if *n > 0 {
                 out.push_str(&format!("\"{file}\" = {n}\n"));
             }
         }
     };
-    push_counts(&mut out, &b.panic);
-    out.push_str(
-        "\n# H2 allocation sites reachable from hot-marked functions, per file.\n\
-         [hot-alloc-budget]\n",
-    );
     push_counts(&mut out, &b.hot_alloc);
     out.push_str(
         "\n# T1 determinism-tainted sinks per file.\n\
@@ -121,40 +107,11 @@ pub fn render(b: &Baseline) -> String {
 /// Outcome of comparing fresh counts against the committed baseline.
 #[derive(Debug, Default)]
 pub struct RatchetReport {
-    /// Failing findings: increases (P1/H2/T1) and stale entries (B1).
+    /// Failing findings: increases (H2/T1) and stale entries (B1).
     pub diags: Vec<Diagnostic>,
     /// Slack: files now under budget. Informational by default, failing
     /// under `--check-tight`.
     pub slack: Vec<String>,
-}
-
-/// Compares fresh P1 `counts` against the `[panic-budget]` section.
-/// `file_exists` answers whether a baseline key still names a real file
-/// (injected so tests can run against fixture trees).
-pub fn compare(
-    baseline: &PanicCounts,
-    fresh: &PanicCounts,
-    file_exists: impl Fn(&str) -> bool,
-) -> RatchetReport {
-    let mut report = RatchetReport::default();
-    for (file, &n) in fresh {
-        let budget = baseline.get(file).copied().unwrap_or(0);
-        if n > budget {
-            report.diags.push(Diagnostic {
-                file: file.clone(),
-                line: 0,
-                rule: RuleId::P1,
-                message: format!(
-                    "{n} panic site(s) in non-test code, baseline allows {budget}; remove the \
-                     new unwrap/expect/panic! or carry a `// chainiq-analyze: allow(P1, reason)`"
-                ),
-            });
-        } else if n < budget {
-            report.slack.push(slack_note(file, "panic site(s)", n, budget));
-        }
-    }
-    stale_and_drops(baseline, |f| fresh.contains_key(f), "panic site(s)", file_exists, &mut report);
-    report
 }
 
 /// Compares per-site flow diagnostics (H2/T1) against a budget section:
@@ -163,7 +120,7 @@ pub fn compare(
 /// under budget contributes slack.
 pub(crate) fn compare_sites(
     what: &str,
-    baseline: &PanicCounts,
+    baseline: &SiteCounts,
     sites: &BTreeMap<String, Vec<Diagnostic>>,
     file_exists: impl Fn(&str) -> bool,
 ) -> RatchetReport {
@@ -184,7 +141,7 @@ pub(crate) fn compare_sites(
 /// Shared tail of every comparison: baseline entries whose file vanished
 /// are B1 failures; entries whose file is clean now are slack.
 fn stale_and_drops(
-    baseline: &PanicCounts,
+    baseline: &SiteCounts,
     has_fresh: impl Fn(&str) -> bool,
     what: &str,
     file_exists: impl Fn(&str) -> bool,
@@ -215,15 +172,32 @@ fn slack_note(file: &str, what: &str, n: u32, budget: u32) -> String {
 mod tests {
     use super::*;
 
-    fn counts(entries: &[(&str, u32)]) -> PanicCounts {
+    fn counts(entries: &[(&str, u32)]) -> SiteCounts {
         entries.iter().map(|(f, n)| (f.to_string(), *n)).collect()
+    }
+
+    /// `n` H2 site diagnostics per file.
+    fn sites(entries: &[(&str, u32)]) -> BTreeMap<String, Vec<Diagnostic>> {
+        let diag = |file: &str, line: u32| Diagnostic {
+            file: file.to_string(),
+            line,
+            rule: RuleId::H2,
+            message: "alloc".to_string(),
+        };
+        entries
+            .iter()
+            .map(|(f, n)| (f.to_string(), (1..=*n).map(|l| diag(f, l)).collect()))
+            .collect()
+    }
+
+    fn compare(baseline: &SiteCounts, fresh: &[(&str, u32)], exists: bool) -> RatchetReport {
+        compare_sites("alloc site(s)", baseline, &sites(fresh), |_| exists)
     }
 
     #[test]
     fn render_parse_round_trip() {
         let b = Baseline {
-            panic: counts(&[("crates/core/src/a.rs", 3), ("crates/cpu/src/b.rs", 1)]),
-            hot_alloc: counts(&[("crates/core/src/seg.rs", 2)]),
+            hot_alloc: counts(&[("crates/core/src/seg.rs", 2), ("crates/cpu/src/b.rs", 1)]),
             taint: counts(&[("crates/mem/src/c.rs", 1)]),
         };
         let parsed = parse(&render(&b)).unwrap();
@@ -232,15 +206,15 @@ mod tests {
 
     #[test]
     fn parses_legacy_single_section_files() {
-        let b = parse("[panic-budget]\n\"crates/core/src/a.rs\" = 2\n").unwrap();
-        assert_eq!(b.panic, counts(&[("crates/core/src/a.rs", 2)]));
-        assert!(b.hot_alloc.is_empty() && b.taint.is_empty());
+        let b = parse("[hot-alloc-budget]\n\"crates/core/src/a.rs\" = 2\n").unwrap();
+        assert_eq!(b.hot_alloc, counts(&[("crates/core/src/a.rs", 2)]));
+        assert!(b.taint.is_empty());
     }
 
     #[test]
     fn render_omits_zero_counts() {
         let b = Baseline {
-            panic: counts(&[("crates/core/src/a.rs", 0), ("crates/cpu/src/b.rs", 2)]),
+            hot_alloc: counts(&[("crates/core/src/a.rs", 0), ("crates/cpu/src/b.rs", 2)]),
             ..Baseline::default()
         };
         let text = render(&b);
@@ -250,37 +224,35 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(parse("[panic-budget]\nnot a kv line\n").is_err());
+        assert!(parse("[hot-alloc-budget]\nnot a kv line\n").is_err());
         assert!(parse("[other-section]\n\"f\" = 1\n").is_err());
+        assert!(parse("[panic-budget]\n\"f\" = 1\n").is_err(), "retired section");
         assert!(parse("\"orphan\" = 1\n").is_err());
-        assert!(parse("[panic-budget]\n\"f\" = many\n").is_err());
-        assert!(parse("[panic-budget]\n\"f\" = 1\n\"f\" = 2\n").is_err());
+        assert!(parse("[taint-budget]\n\"f\" = many\n").is_err());
+        assert!(parse("[taint-budget]\n\"f\" = 1\n\"f\" = 2\n").is_err());
         assert!(parse("[hot-alloc-budget]\n\"f\" = 1\n[taint-budget]\n\"f\" = 1\n").is_ok());
     }
 
     #[test]
     fn increase_fails_decrease_is_slack() {
         let base = counts(&[("a.rs", 2), ("b.rs", 2)]);
-        let fresh = counts(&[("a.rs", 3), ("b.rs", 1)]);
-        let r = compare(&base, &fresh, |_| true);
-        assert_eq!(r.diags.len(), 1);
-        assert_eq!(r.diags[0].rule, RuleId::P1);
-        assert_eq!(r.diags[0].file, "a.rs");
+        let r = compare(&base, &[("a.rs", 3), ("b.rs", 1)], true);
+        assert_eq!(r.diags.len(), 3, "every site of the file over budget: {:?}", r.diags);
+        assert!(r.diags.iter().all(|d| d.file == "a.rs"));
         assert_eq!(r.slack.len(), 1);
         assert!(r.slack[0].contains("write-baseline"), "{:?}", r.slack);
     }
 
     #[test]
-    fn new_file_with_panics_fails_without_baseline_entry() {
-        let r = compare(&counts(&[]), &counts(&[("new.rs", 1)]), |_| true);
+    fn new_file_with_sites_fails_without_baseline_entry() {
+        let r = compare(&counts(&[]), &[("new.rs", 1)], true);
         assert_eq!(r.diags.len(), 1);
-        assert_eq!(r.diags[0].rule, RuleId::P1);
+        assert_eq!(r.diags[0].rule, RuleId::H2);
     }
 
     #[test]
     fn stale_entry_is_b1() {
-        let base = counts(&[("gone.rs", 4)]);
-        let r = compare(&base, &counts(&[]), |_| false);
+        let r = compare(&counts(&[("gone.rs", 4)]), &[], false);
         assert_eq!(r.diags.len(), 1);
         assert_eq!(r.diags[0].rule, RuleId::B1);
         assert!(r.diags[0].message.contains("stale"));
@@ -288,34 +260,24 @@ mod tests {
 
     #[test]
     fn existing_unscanned_file_is_slack_not_a_failure() {
-        let base = counts(&[("still-here.rs", 4)]);
-        let r = compare(&base, &counts(&[]), |_| true);
+        let r = compare(&counts(&[("still-here.rs", 4)]), &[], true);
         assert!(r.diags.is_empty(), "{:?}", r.diags);
         assert_eq!(r.slack.len(), 1);
     }
 
     #[test]
     fn equal_counts_are_silent() {
-        let base = counts(&[("a.rs", 2)]);
-        let r = compare(&base, &base.clone(), |_| true);
+        let r = compare(&counts(&[("a.rs", 2)]), &[("a.rs", 2)], true);
         assert!(r.diags.is_empty() && r.slack.is_empty());
     }
 
     #[test]
     fn compare_sites_over_budget_emits_every_site_diag() {
-        let diag = |line: u32| Diagnostic {
-            file: "a.rs".to_string(),
-            line,
-            rule: RuleId::H2,
-            message: "alloc".to_string(),
-        };
-        let mut sites = BTreeMap::new();
-        sites.insert("a.rs".to_string(), vec![diag(3), diag(9)]);
-        let over = compare_sites("alloc site(s)", &counts(&[("a.rs", 1)]), &sites, |_| true);
+        let over = compare(&counts(&[("a.rs", 1)]), &[("a.rs", 2)], true);
         assert_eq!(over.diags.len(), 2, "{:?}", over.diags);
-        let within = compare_sites("alloc site(s)", &counts(&[("a.rs", 2)]), &sites, |_| true);
+        let within = compare(&counts(&[("a.rs", 2)]), &[("a.rs", 2)], true);
         assert!(within.diags.is_empty() && within.slack.is_empty());
-        let slack = compare_sites("alloc site(s)", &counts(&[("a.rs", 3)]), &sites, |_| true);
+        let slack = compare(&counts(&[("a.rs", 3)]), &[("a.rs", 2)], true);
         assert_eq!(slack.slack.len(), 1);
     }
 }

@@ -71,9 +71,6 @@ pub(crate) fn build(files: Vec<FileItems>, deps: &BTreeMap<String, BTreeSet<Stri
     for fi in files {
         markers.insert(fi.file.clone(), fi.markers);
         for item in fi.fns {
-            if item.is_test {
-                continue;
-            }
             nodes.push(Node {
                 crate_name: fi.crate_name.clone(),
                 file: fi.file.clone(),

@@ -1,50 +1,35 @@
-//! Flow-based rules over the workspace call graph: **H2** (transitive
-//! hot-path purity), **T1** (determinism taint), and the **R1**
-//! panic-reachability report.
+//! Flow-based rules over the workspace call graph: **H2** (hot-path
+//! purity) and **T1** (determinism taint).
 //!
 //! * **H2** runs a forward multi-source BFS from every hot-marked
-//!   function; any allocation fact in a callee at depth ≥ 1 is flagged
-//!   with a witness call path (depth 0 — the hot body itself — is P2's
-//!   province, so the two rules never double-report a site).
+//!   function; any allocation fact in a reached function — the hot body
+//!   itself at depth 0 included — is flagged with a witness call path.
 //! * **T1** runs a *backward* multi-source BFS from every function
 //!   containing a nondeterminism source; any sink — a `Snapshot` impl
 //!   method, a `*Stats` impl method, or a public function of a sim
-//!   crate — reachable at depth ≥ 1 is flagged with the witness path
-//!   down to the source (direct uses at depth 0 are D1/D2/D3/S1's
-//!   province). Suppression is checked at the *source* fact: an
-//!   `allow(T1, …)` next to the offending read certifies the value never
-//!   corrupts determinism, killing every flow out of it.
-//! * **R1** never fails a run: it annotates every panic site with
-//!   whether a hot entry point can reach it, so the P1 ratchet cleanup
-//!   is ordered by blast radius.
+//!   crate — reached at any depth, the source's own body included, is
+//!   flagged with the witness path down to the source. Suppression is
+//!   checked at the *source* fact: an `allow(T1, …)` next to the
+//!   offending read certifies the value never corrupts determinism,
+//!   killing every flow out of it.
 //!
 //! All traversals use index-ordered queues over `BTreeSet` adjacency, so
 //! witness paths and diagnostic order are deterministic run to run.
 
 use crate::callgraph::Graph;
-use crate::rules::{Diagnostic, RuleId, SIM_CRATES};
+use crate::rules::{Diagnostic, RuleId};
 use std::collections::{BTreeMap, VecDeque};
 
-/// One row of the R1 panic-reachability report.
-#[derive(Debug, Clone)]
-pub struct PanicEntry {
-    /// Workspace-relative file of the panic site.
-    pub file: String,
-    /// 1-based line of the site.
-    pub line: u32,
-    /// The construct (`.unwrap()`, `panic!`, …).
-    pub what: String,
-    /// Name of the enclosing function.
-    pub function: String,
-    /// Whether a hot-marked entry point reaches the enclosing function.
-    pub hot_reachable: bool,
-    /// Witness call path from a hot root, when reachable.
-    pub witness: Option<String>,
-    /// Whether the site carries an `allow(R1, reason)` review marker.
-    pub justified: bool,
-}
+/// Crate directory names (under `crates/`) whose code is the simulation
+/// proper: their public functions are T1 determinism sinks. `analyze`
+/// itself is on the list, since its diagnostics must be deterministic
+/// too.
+const SIM_CRATES: &[&str] = &[
+    "analyze", "baseline", "chainiq", "circuit", "core", "cpu", "isa", "mem", "power", "predict",
+    "workload",
+];
 
-/// Shape of the call graph, surfaced in the summary and `--json`.
+/// Shape of the call graph, surfaced in the summary line.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GraphStats {
     /// Non-test functions in the graph.
@@ -62,13 +47,11 @@ pub(crate) struct FlowReport {
     pub(crate) h2: BTreeMap<String, Vec<Diagnostic>>,
     /// Unsuppressed T1 sink diagnostics, keyed by sink file.
     pub(crate) t1: BTreeMap<String, Vec<Diagnostic>>,
-    /// The R1 report, in path-sorted file order.
-    pub(crate) panic_report: Vec<PanicEntry>,
     /// Graph shape for the summary line.
     pub(crate) stats: GraphStats,
 }
 
-/// Runs all three flow analyses over the graph.
+/// Runs both flow analyses over the graph.
 pub(crate) fn analyze(g: &Graph) -> FlowReport {
     let mut report = FlowReport {
         stats: GraphStats {
@@ -79,24 +62,18 @@ pub(crate) fn analyze(g: &Graph) -> FlowReport {
         ..FlowReport::default()
     };
 
-    // ---- forward reachability from hot roots (H2 + R1) ----
+    // ---- forward reachability from hot roots (H2) ----
     let hot_roots: Vec<usize> = (0..g.nodes.len()).filter(|&i| g.nodes[i].item.is_hot).collect();
     let fwd = bfs(&g.edges, &hot_roots);
 
-    for (v, n) in g.nodes.iter().enumerate() {
-        let Some(depth) = fwd.depth[v] else {
-            continue;
-        };
-        if depth == 0 {
-            continue; // the hot body itself is P2's province
-        }
+    for (v, n) in g.nodes.iter().enumerate().filter(|&(v, _)| fwd[v].is_some()) {
         for alloc in &n.item.allocs {
             let suppressed =
                 g.markers.get(&n.file).is_some_and(|m| m.suppressed(RuleId::H2, alloc.line));
             if suppressed {
                 continue;
             }
-            let path = witness(g, &fwd, v, Direction::Forward);
+            let path = render(g, hops(&fwd, v).iter().rev());
             report.h2.entry(n.file.clone()).or_default().push(Diagnostic {
                 file: n.file.clone(),
                 line: alloc.line,
@@ -129,19 +106,15 @@ pub(crate) fn analyze(g: &Graph) -> FlowReport {
     }
     let bwd = bfs(&g.redges, &sources);
 
-    for (v, n) in g.nodes.iter().enumerate() {
-        let Some(depth) = bwd.depth[v] else {
-            continue;
-        };
-        if depth == 0 {
-            continue; // direct use: D1/D2/D3/S1 territory
-        }
+    for (v, n) in g.nodes.iter().enumerate().filter(|&(v, _)| bwd[v].is_some()) {
         let Some(sink_kind) = sink_kind(g, v) else {
             continue;
         };
-        let path = witness(g, &bwd, v, Direction::Backward);
-        // The witness ends at the seeding source node; name its fact.
-        let src = trace_end(&bwd, v);
+        // Backward BFS parents lead from the sink down to the seeding
+        // source, which is the order the witness prints in.
+        let hops = hops(&bwd, v);
+        let path = render(g, hops.iter());
+        let src = hops[hops.len() - 1];
         let (what, line) = &source_fact[&src];
         report.t1.entry(n.file.clone()).or_default().push(Diagnostic {
             file: n.file.clone(),
@@ -155,27 +128,6 @@ pub(crate) fn analyze(g: &Graph) -> FlowReport {
                 n.item.name, g.nodes[src].file
             ),
         });
-    }
-
-    // ---- R1: annotate every panic site with hot reachability ----
-    for (v, n) in g.nodes.iter().enumerate() {
-        if n.is_bin {
-            continue; // binaries may unwrap at the top level (as in P1)
-        }
-        for p in &n.item.panics {
-            let justified =
-                g.markers.get(&n.file).is_some_and(|m| m.suppressed(RuleId::R1, p.line));
-            let hot_reachable = fwd.depth[v].is_some();
-            report.panic_report.push(PanicEntry {
-                file: n.file.clone(),
-                line: p.line,
-                what: p.what.clone(),
-                function: n.item.name.clone(),
-                hot_reachable,
-                witness: hot_reachable.then(|| witness(g, &fwd, v, Direction::Forward)),
-                justified,
-            });
-        }
     }
 
     report
@@ -197,66 +149,42 @@ fn sink_kind(g: &Graph, v: usize) -> Option<&'static str> {
     None
 }
 
-/// Multi-source BFS state: depth and BFS-tree parent per node.
-struct Bfs {
-    depth: Vec<Option<u32>>,
-    parent: Vec<Option<usize>>,
-}
-
-fn bfs(adj: &[std::collections::BTreeSet<usize>], roots: &[usize]) -> Bfs {
-    let mut state = Bfs { depth: vec![None; adj.len()], parent: vec![None; adj.len()] };
+/// Multi-source BFS: per node, `None` if unreached, else `Some(parent)`
+/// with a root as its own parent.
+fn bfs(adj: &[std::collections::BTreeSet<usize>], roots: &[usize]) -> Vec<Option<usize>> {
+    let mut parent = vec![None; adj.len()];
     let mut q = VecDeque::new();
     for &r in roots {
-        if state.depth[r].is_none() {
-            state.depth[r] = Some(0);
+        if parent[r].is_none() {
+            parent[r] = Some(r);
             q.push_back(r);
         }
     }
     while let Some(u) = q.pop_front() {
-        let du = state.depth[u].unwrap_or(0);
         for &v in &adj[u] {
-            if state.depth[v].is_none() {
-                state.depth[v] = Some(du + 1);
-                state.parent[v] = Some(u);
+            if parent[v].is_none() {
+                parent[v] = Some(u);
                 q.push_back(v);
             }
         }
     }
-    state
+    parent
 }
 
-enum Direction {
-    /// The BFS ran over forward edges: the root is the path's head.
-    Forward,
-    /// The BFS ran over reverse edges: the root (a taint source) is the
-    /// path's tail — print from `v` down to it.
-    Backward,
-}
-
-/// The BFS-tree root reached by following parents up from `v`.
-fn trace_end(b: &Bfs, v: usize) -> usize {
+/// The BFS-tree path from `v` up to its root, `v` first (never empty).
+fn hops(parent: &[Option<usize>], v: usize) -> Vec<usize> {
+    let mut path = vec![v];
     let mut u = v;
-    while let Some(p) = b.parent[u] {
+    while let Some(p) = parent[u].filter(|&p| p != u) {
+        path.push(p);
         u = p;
     }
-    u
+    path
 }
 
-/// Renders the witness path for `v` as `a.rs:10 (f) → b.rs:42 (g) → …`.
-fn witness(g: &Graph, b: &Bfs, v: usize, dir: Direction) -> String {
-    let mut hops = vec![v];
-    let mut u = v;
-    while let Some(p) = b.parent[u] {
-        hops.push(p);
-        u = p;
-    }
-    // Forward BFS discovered v from the root, so parents lead *back* to
-    // the root: reverse to print root-first. Backward BFS parents lead
-    // to the source, which is exactly sink-first order already.
-    if matches!(dir, Direction::Forward) {
-        hops.reverse();
-    }
-    hops.iter().map(|&h| g.nodes[h].describe()).collect::<Vec<_>>().join(" → ")
+/// Renders a witness path as `a.rs:10 (f) → b.rs:42 (g) → …`.
+fn render<'a>(g: &Graph, path: impl Iterator<Item = &'a usize>) -> String {
+    path.map(|&h| g.nodes[h].describe()).collect::<Vec<_>>().join(" → ")
 }
 
 #[cfg(test)]
@@ -296,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn h2_skips_depth_zero_and_unreachable_allocs() {
+    fn h2_reports_depth_zero_and_skips_unreachable_allocs() {
         let r = flow_of(&[(
             "core",
             "crates/core/src/a.rs",
@@ -304,7 +232,10 @@ mod tests {
              pub fn tick() { let _v = Vec::new(); }\n\
              fn cold() { let _v = Vec::new(); }\n",
         )]);
-        assert!(r.h2.is_empty(), "depth-0 is P2's, cold is unreachable: {:?}", r.h2);
+        let diags = &r.h2["crates/core/src/a.rs"];
+        assert_eq!(diags.len(), 1, "the hot body counts, cold is unreachable: {diags:?}");
+        assert_eq!(diags[0].line, 2);
+        assert!(diags[0].message.contains("a.rs:2 (tick) → Vec::new"), "{}", diags[0].message);
     }
 
     #[test]
@@ -354,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn t1_skips_direct_use_and_private_fns() {
+    fn t1_flags_direct_use_and_skips_private_fns() {
         let r = flow_of(&[(
             "core",
             "crates/core/src/a.rs",
@@ -362,7 +293,9 @@ mod tests {
              fn private() { helper(); }\n\
              fn helper() { let _t = std::thread::current(); }\n",
         )]);
-        assert!(r.t1.is_empty(), "direct use is D-rules'; private fns are not sinks: {:?}", r.t1);
+        let diags = &r.t1["crates/core/src/a.rs"];
+        assert_eq!(diags.len(), 1, "private fns are not sinks: {diags:?}");
+        assert_eq!(diags[0].line, 1, "the sink is its own source");
     }
 
     #[test]
@@ -392,28 +325,6 @@ mod tests {
         assert_eq!(diags.len(), 2, "{diags:?}");
         assert!(diags[0].message.contains("Snapshot impl method"), "{}", diags[0].message);
         assert!(diags[1].message.contains("Stats method"), "{}", diags[1].message);
-    }
-
-    #[test]
-    fn r1_annotates_reachability_and_justification() {
-        let r = flow_of(&[(
-            "core",
-            "crates/core/src/a.rs",
-            "// chainiq-analyze: hot\n\
-             pub fn tick(o: Option<u8>) { step(o); }\n\
-             fn step(o: Option<u8>) { o.unwrap(); }\n\
-             fn cold(o: Option<u8>) {\n\
-             // chainiq-analyze: allow(R1, input validated at parse time)\n\
-             o.expect(\"validated\");\n\
-             }\n",
-        )]);
-        assert_eq!(r.panic_report.len(), 2, "{:?}", r.panic_report);
-        let hot = &r.panic_report[0];
-        assert!(hot.hot_reachable && !hot.justified);
-        assert!(hot.witness.as_deref().is_some_and(|w| w.contains("(tick)")), "{hot:?}");
-        let cold = &r.panic_report[1];
-        assert!(!cold.hot_reachable && cold.justified, "{cold:?}");
-        assert!(cold.witness.is_none());
     }
 
     #[test]

@@ -137,25 +137,27 @@ pub fn lex(src: &str) -> Vec<Token<'_>> {
                     out.push(Token { kind: TokKind::Char, text: &src[start..i], line: start_line });
                 }
             }
-            b'r' | b'b' | b'c' if raw_or_byte_prefix(b, i).is_some() => {
-                let (kind, literal_start) =
-                    raw_or_byte_prefix(b, i).expect("checked by the match guard");
-                let end = match kind {
-                    PrefixKind::Raw => raw_string_end(b, literal_start, &mut line),
-                    PrefixKind::CookedStr => cooked_string_end(b, literal_start, &mut line),
-                    PrefixKind::CharLit => char_literal_end(b, literal_start, &mut line),
-                };
-                i = end;
-                let tok_kind =
-                    if kind == PrefixKind::CharLit { TokKind::Char } else { TokKind::Str };
-                out.push(Token { kind: tok_kind, text: &src[start..i], line: start_line });
-            }
             _ if is_ident_start(c) => {
-                i += 1;
-                while i < b.len() && is_ident_continue(b[i]) {
+                // A raw/byte/C string or byte literal, else an identifier.
+                let kind = if let Some((prefix, literal_start)) = raw_or_byte_prefix(b, i) {
+                    i = match prefix {
+                        PrefixKind::Raw => raw_string_end(b, literal_start, &mut line),
+                        PrefixKind::CookedStr => cooked_string_end(b, literal_start, &mut line),
+                        PrefixKind::CharLit => char_literal_end(b, literal_start, &mut line),
+                    };
+                    if prefix == PrefixKind::CharLit {
+                        TokKind::Char
+                    } else {
+                        TokKind::Str
+                    }
+                } else {
                     i += 1;
-                }
-                out.push(Token { kind: TokKind::Ident, text: &src[start..i], line: start_line });
+                    while i < b.len() && is_ident_continue(b[i]) {
+                        i += 1;
+                    }
+                    TokKind::Ident
+                };
+                out.push(Token { kind, text: &src[start..i], line: start_line });
             }
             _ if c.is_ascii_digit() => {
                 i += 1;
@@ -367,7 +369,7 @@ mod tests {
     #[test]
     fn c_strings_are_strings_not_code() {
         // A HashMap inside a c-string must classify as Str, not scan as
-        // code (it would false-positive D1 otherwise).
+        // code (it would be a false T1 taint source otherwise).
         let toks = kinds(r##"let a = c"HashMap bytes\0"; let b = cr#"raw "c" HashMap"#;"##);
         assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Str).count(), 2, "{toks:?}");
         assert!(!toks.iter().any(|(k, t)| *k == TokKind::Ident && *t == "HashMap"));

@@ -1,42 +1,38 @@
-//! `chainiq-analyze` — in-repo static analysis enforcing the invariants
-//! chainiq's experiments rest on: determinism (no hash-order iteration,
-//! no wall clocks, no stray env reads in the model), hermeticity (no
-//! registry dependencies), and panic hygiene (a ratcheted unwrap budget).
+//! `chainiq-analyze` — the project invariants no compiler lint can check.
 //!
-//! `cargo clippy` cannot express these project-specific rules, so this
-//! crate carries its own hand-rolled lexer ([`lexer`]), a token-stream
-//! rule engine ([`rules`]), a manifest checker ([`manifest`]), and a
-//! committed-baseline ratchet ([`baseline`]). The whole tool is
-//! zero-dependency, like the rest of the workspace.
-//!
-//! On top of the per-file scan sits a whole-workspace pass: a
-//! hand-rolled item parser ([`parser`]) recovers `fn` items and call
-//! expressions, [`callgraph`] links them into a conservative name-based
-//! call graph, and [`flows`] runs the flow rules over it — H2
-//! (transitive hot-path purity), T1 (determinism taint with witness
-//! paths), and the R1 panic-reachability report.
+//! chainiq's experiments rest on bit-for-bit determinism and on
+//! allocation-free per-cycle kernels. The toolchain enforces the per-file
+//! half of that (`clippy.toml` and `[workspace.lints]`; DESIGN.md §8);
+//! this crate enforces the half that needs the whole workspace at once:
+//! a hand-rolled lexer ([`lexer`]) and item parser recover `fn` items and
+//! call expressions, a conservative name-based call graph links them, and
+//! the flow rules run over it — H2 (no allocation reachable from a hot
+//! kernel function) and T1 (no nondeterminism reaching a `Snapshot`,
+//! `*Stats` or sim-crate public function), both with witness paths. Per
+//! file it checks P3 and marker-comment hygiene ([`rules`]); per manifest,
+//! that every crate stays under the workspace lints ([`manifest`]).
+//! Residual H2/T1 debt is ratcheted against a committed baseline
+//! ([`baseline`]). The whole tool is zero-dependency, like the rest of
+//! the workspace.
 //!
 //! Entry point: [`analyze_workspace`] walks `crates/*/src/**/*.rs` plus
 //! every `Cargo.toml` and returns a [`Report`]; the `chainiq-analyze`
 //! binary turns that into `file:line: rule: message` diagnostics and an
-//! exit code. See `DESIGN.md` § Static analysis for the rule catalogue.
+//! exit code.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod baseline;
 mod callgraph;
 mod flows;
-pub mod json;
 pub mod lexer;
 pub mod manifest;
 mod parser;
-pub mod perfcheck;
 pub mod rules;
 
-pub use flows::{GraphStats, PanicEntry};
+pub use flows::GraphStats;
 
-use rules::{Diagnostic, PanicCounts};
+use rules::{Diagnostic, SiteCounts};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
@@ -48,21 +44,15 @@ pub struct Report {
     /// Failing findings across all rules, sorted by (file, line, rule).
     /// Non-empty → the run fails.
     pub diags: Vec<Diagnostic>,
-    /// Non-failing notes (e.g. the R1 reachability summary).
-    pub notes: Vec<String>,
     /// Ratchet slack: files under budget. Informational by default;
     /// `--check-tight` turns these into failures so cleanups are pinned.
     pub slack: Vec<String>,
-    /// Fresh per-file panic-site counts (what `--write-baseline` pins).
-    pub fresh_counts: PanicCounts,
     /// Fresh per-file H2 hot-path allocation-site counts.
-    pub hot_alloc_counts: PanicCounts,
+    pub hot_alloc_counts: SiteCounts,
     /// Fresh per-file T1 tainted-sink counts.
-    pub taint_counts: PanicCounts,
+    pub taint_counts: SiteCounts,
     /// Shape of the workspace call graph.
     pub callgraph: GraphStats,
-    /// The R1 panic-reachability report, path-sorted.
-    pub panic_report: Vec<PanicEntry>,
     /// Number of `.rs` files scanned, for the summary line.
     pub files_scanned: usize,
 }
@@ -84,26 +74,20 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     // Manifests: the workspace root first, then each crate, path-sorted.
     let root_manifest = root.join("Cargo.toml");
     if root_manifest.is_file() {
-        manifest::check_manifest(
-            "Cargo.toml",
-            &fs::read_to_string(&root_manifest)?,
-            &mut report.diags,
-        );
+        let src = fs::read_to_string(&root_manifest)?;
+        manifest::check_lints("Cargo.toml", &src, true, &mut report.diags);
     }
     for crate_dir in sorted_dirs(&root.join("crates"))? {
         let crate_name = file_name_string(&crate_dir);
         let manifest_path = crate_dir.join("Cargo.toml");
         if manifest_path.is_file() {
-            let manifest_src = fs::read_to_string(&manifest_path)?;
-            manifest::check_manifest(
-                &format!("crates/{crate_name}/Cargo.toml"),
-                &manifest_src,
-                &mut report.diags,
-            );
-            if let Some(pkg) = manifest::package_name(&manifest_src) {
+            let src = fs::read_to_string(&manifest_path)?;
+            let file = format!("crates/{crate_name}/Cargo.toml");
+            manifest::check_lints(&file, &src, false, &mut report.diags);
+            if let Some(pkg) = manifest::package_name(&src) {
                 pkg_to_dir.insert(pkg, crate_name.clone());
             }
-            direct_pkg_deps.insert(crate_name.clone(), manifest::runtime_dep_names(&manifest_src));
+            direct_pkg_deps.insert(crate_name.clone(), manifest::runtime_dep_names(&src));
         }
 
         // Sources: everything under src/, recursively, path-sorted.
@@ -112,21 +96,15 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
             continue;
         }
         for file in sorted_rs_files(&src_dir)? {
-            let rel = format!(
-                "crates/{crate_name}/src/{}",
-                file.strip_prefix(&src_dir)
-                    .expect("walked file lives under the src dir it came from")
-                    .display()
-            );
-            // Binary targets may unwrap at the top level; libraries may not.
+            let Ok(rel_in_src) = file.strip_prefix(&src_dir) else {
+                continue;
+            };
+            let rel = format!("crates/{crate_name}/src/{}", rel_in_src.display());
             let is_bin = rel.contains("/src/bin/") || rel.ends_with("/src/main.rs");
             let src = fs::read_to_string(&file)?;
-            let scanned = rules::scan_source(&crate_name, &rel, &src, !is_bin);
-            report.diags.extend(scanned.diags);
-            if scanned.panic_sites > 0 {
-                report.fresh_counts.insert(rel.clone(), scanned.panic_sites);
-            }
-            file_items.push(parser::parse_file(&crate_name, &rel, &src, is_bin));
+            let mut items = parser::parse_file(&crate_name, &rel, &src, is_bin);
+            report.diags.append(&mut items.diags);
+            file_items.push(items);
             report.files_scanned += 1;
         }
     }
@@ -143,21 +121,14 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     let graph = callgraph::build(file_items, &deps);
     let flow = flows::analyze(&graph);
     report.callgraph = flow.stats;
-    for (f, ds) in &flow.h2 {
-        report.hot_alloc_counts.insert(f.clone(), u32::try_from(ds.len()).unwrap_or(u32::MAX));
-    }
-    for (f, ds) in &flow.t1 {
-        report.taint_counts.insert(f.clone(), u32::try_from(ds.len()).unwrap_or(u32::MAX));
-    }
-    if !flow.panic_report.is_empty() {
-        let hot = flow.panic_report.iter().filter(|p| p.hot_reachable).count();
-        report.notes.push(format!(
-            "R1: {hot} of {} panic site(s) reachable from hot entry points (witness paths in \
-             --json panic_report)",
-            flow.panic_report.len()
-        ));
-    }
-    report.panic_report = flow.panic_report;
+    let count = |sites: &BTreeMap<String, Vec<Diagnostic>>| -> SiteCounts {
+        sites
+            .iter()
+            .map(|(f, ds)| (f.clone(), u32::try_from(ds.len()).unwrap_or(u32::MAX)))
+            .collect()
+    };
+    report.hot_alloc_counts = count(&flow.h2);
+    report.taint_counts = count(&flow.t1);
 
     // Ratchets: compare fresh counts against the committed budgets.
     let baseline_path = root.join(baseline::BASELINE_FILE);
@@ -173,7 +144,6 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     };
     let exists = |f: &str| root.join(f).is_file();
     for ratchet in [
-        baseline::compare(&committed.panic, &report.fresh_counts, exists),
         baseline::compare_sites(
             "hot-path allocation site(s)",
             &committed.hot_alloc,
@@ -194,21 +164,18 @@ pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
     Ok(report)
 }
 
-/// Regenerates `analyze-baseline.toml` from fresh counts (all three
-/// budget sections). Returns the path written. Rule diagnostics other
-/// than the ratcheted families still fail the run at the CLI level, so
-/// `--write-baseline` cannot be used to bless e.g. a new `HashMap`.
+/// Regenerates `analyze-baseline.toml` from fresh counts. Returns the
+/// path written. Findings of the non-ratcheted rules still fail the run
+/// at the CLI level, so `--write-baseline` cannot bless e.g. a tree map
+/// in a kernel file.
 ///
 /// # Errors
 /// Propagates I/O failures from the scan or the write.
 pub fn write_baseline(root: &Path) -> io::Result<PathBuf> {
     let report = analyze_workspace(root)?;
     let path = root.join(baseline::BASELINE_FILE);
-    let fresh = baseline::Baseline {
-        panic: report.fresh_counts,
-        hot_alloc: report.hot_alloc_counts,
-        taint: report.taint_counts,
-    };
+    let fresh =
+        baseline::Baseline { hot_alloc: report.hot_alloc_counts, taint: report.taint_counts };
     fs::write(&path, baseline::render(&fresh))?;
     Ok(path)
 }

@@ -1,59 +1,45 @@
 //! CLI for `chainiq-analyze`.
 //!
 //! ```text
-//! cargo run -p chainiq-analyze --offline               # check, exit 1 on findings
+//! cargo run -p chainiq-analyze --offline                  # check, exit 1 on findings
+//! cargo run -p chainiq-analyze --offline -- --check-tight # also fail on ratchet slack
 //! cargo run -p chainiq-analyze --offline -- --write-baseline
-//! cargo run -p chainiq-analyze --offline -- --check-tight --json report.json
-//! cargo run -p chainiq-analyze --offline -- --explain H2
-//! cargo run -p chainiq-analyze --offline -- --check-perf NEW.json HIST.jsonl OLD.json
 //! ```
 //!
 //! Exit codes: 0 clean, 1 diagnostics found, 2 usage or I/O error.
 
-#![forbid(unsafe_code)]
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
 
 use chainiq_analyze::rules::RuleId;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-chainiq-analyze: enforce chainiq's determinism, hermeticity and panic-hygiene invariants
+chainiq-analyze: enforce chainiq's call-graph invariants (DESIGN.md §8)
 
 USAGE:
-    chainiq-analyze [--root DIR] [--check-tight] [--json PATH]
-    chainiq-analyze --write-baseline
-    chainiq-analyze --explain RULE|all
-    chainiq-analyze --check-perf EMITTED.json HISTORY.jsonl COMMITTED.json
-    chainiq-analyze --check-serve EMITTED.json HISTORY.jsonl COMMITTED.json
+    chainiq-analyze [--root DIR] [--check-tight]
+    chainiq-analyze [--root DIR] --write-baseline
 
 OPTIONS:
     --root DIR         analyze the workspace at DIR (default: walk up from cwd)
-    --write-baseline   regenerate analyze-baseline.toml (panic/hot-alloc/taint budgets)
+    --write-baseline   regenerate analyze-baseline.toml (hot-alloc/taint budgets)
     --check-tight      also fail when a budget exceeds the actual count (ratchet slack)
-    --json PATH        additionally write the machine-readable report to PATH
-    --explain RULE     print one rule's rationale and suppression recipe (`all`: every rule)
-    --check-perf A B C perf-gate artifact consistency check (emitted, history, committed)
-    --check-serve A B C same gate for the serve-suite storm artifacts
     --help             print this help
 
 Diagnostics are `file:line: rule-id: message`. Suppress a finding inline with
 `// chainiq-analyze: allow(RULE, reason)` — the reason is mandatory. Mark a
-per-cycle kernel function with `// chainiq-analyze: hot` (opts into P2 and the
-transitive H2), a kernel file with `// chainiq-analyze: hot-path` (P3).
-Rules: D1 hash collections in sim crates; D2 wall clocks outside bench/devtest/serve;
-D3 env reads outside bench's knob.rs; H1 registry dependencies; H2 allocation
-reachable from hot functions (call-graph, ratcheted); P1 panic-site budget
-(ratcheted); P2 allocation in hot fn bodies; P3 tree maps in hot-path files;
-R1 panic-reachability report (informational); S1 wall-clock/env reads inside
-Snapshot impls; T1 determinism taint reaching Snapshot/Stats/sim-public sinks
-(ratcheted); U1 missing #![forbid(unsafe_code)]; A0 malformed suppression;
-B1 stale baseline entry. `--explain RULE` has the full story.";
+per-cycle kernel function with `// chainiq-analyze: hot` (an H2 root), a kernel
+file with `// chainiq-analyze: hot-path` (P3).
+Rules: H2 allocation reachable from a hot function, its own body included
+(ratcheted); T1 nondeterminism reaching a Snapshot/Stats/sim-public fn (ratcheted);
+P3 tree maps in hot-path files; L1 crate manifest not inheriting the workspace
+lints; A0 malformed marker comment; B1 stale baseline entry.";
 
 fn main() -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut write_baseline = false;
     let mut check_tight = false;
-    let mut json_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -63,27 +49,6 @@ fn main() -> ExitCode {
             }
             "--write-baseline" => write_baseline = true,
             "--check-tight" => check_tight = true,
-            "--json" => match args.next() {
-                Some(p) => json_path = Some(PathBuf::from(p)),
-                None => return usage_error("--json needs an output path argument"),
-            },
-            "--explain" => {
-                return match args.next() {
-                    Some(rule) => run_explain(&rule),
-                    None => usage_error("--explain needs a rule id (or `all`)"),
-                };
-            }
-            "--check-perf" | "--check-serve" => {
-                let (a, b, c) = match (args.next(), args.next(), args.next()) {
-                    (Some(a), Some(b), Some(c)) => (a, b, c),
-                    _ => {
-                        return usage_error(&format!(
-                            "{arg} needs three paths: emitted.json history.jsonl committed.json",
-                        ))
-                    }
-                };
-                return run_check_artifacts(arg == "--check-serve", &a, &b, &c);
-            }
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => return usage_error("--root needs a directory argument"),
@@ -99,11 +64,18 @@ fn main() -> ExitCode {
                 "no workspace root found walking up from the current directory; pass --root DIR",
             ),
         };
-
+    let report = match chainiq_analyze::analyze_workspace(&root) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("chainiq-analyze: error: {e}");
+            return ExitCode::from(2);
+        }
+    };
     if write_baseline {
-        return run_write_baseline(&root);
+        run_write_baseline(&root, &report)
+    } else {
+        run_check(&report, check_tight)
     }
-    run_check(&root, check_tight, json_path.as_deref())
 }
 
 fn discover_root() -> Option<PathBuf> {
@@ -111,27 +83,7 @@ fn discover_root() -> Option<PathBuf> {
     chainiq_analyze::find_workspace_root(&cwd)
 }
 
-fn run_check(
-    root: &std::path::Path,
-    check_tight: bool,
-    json_path: Option<&std::path::Path>,
-) -> ExitCode {
-    let report = match chainiq_analyze::analyze_workspace(root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chainiq-analyze: error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(path, chainiq_analyze::json::render_report(&report)) {
-            eprintln!("chainiq-analyze: error writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    for note in &report.notes {
-        println!("note: {note}");
-    }
+fn run_check(report: &chainiq_analyze::Report, check_tight: bool) -> ExitCode {
     let mut failures = report.diags.len();
     for d in &report.diags {
         println!("{d}");
@@ -148,10 +100,8 @@ fn run_check(
     }
     if failures == 0 {
         println!(
-            "chainiq-analyze: {} files clean ({} baselined panic sites; call graph: {} fns, {} \
-             edges, {} hot roots)",
+            "chainiq-analyze: {} files clean (call graph: {} fns, {} edges, {} hot roots)",
             report.files_scanned,
-            report.fresh_counts.values().sum::<u32>(),
             report.callgraph.functions,
             report.callgraph.edges,
             report.callgraph.hot_roots,
@@ -162,21 +112,13 @@ fn run_check(
     ExitCode::from(1)
 }
 
-fn run_write_baseline(root: &std::path::Path) -> ExitCode {
+fn run_write_baseline(root: &Path, report: &chainiq_analyze::Report) -> ExitCode {
     // Refuse to ratchet while non-ratcheted rules are failing:
-    // --write-baseline must not become a way to bless a new HashMap or
-    // registry dep.
-    let report = match chainiq_analyze::analyze_workspace(root) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chainiq-analyze: error: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    // --write-baseline must not become a way to bless a new finding.
     let blocking: Vec<_> = report
         .diags
         .iter()
-        .filter(|d| !matches!(d.rule, RuleId::P1 | RuleId::B1 | RuleId::H2 | RuleId::T1))
+        .filter(|d| !matches!(d.rule, RuleId::B1 | RuleId::H2 | RuleId::T1))
         .collect();
     if !blocking.is_empty() {
         for d in &blocking {
@@ -188,11 +130,8 @@ fn run_write_baseline(root: &std::path::Path) -> ExitCode {
     match chainiq_analyze::write_baseline(root) {
         Ok(path) => {
             println!(
-                "chainiq-analyze: wrote {} ({} panic sites across {} files; {} hot-alloc, {} \
-                 taint entries)",
+                "chainiq-analyze: wrote {} ({} hot-alloc, {} taint entries)",
                 path.display(),
-                report.fresh_counts.values().sum::<u32>(),
-                report.fresh_counts.len(),
                 report.hot_alloc_counts.len(),
                 report.taint_counts.len(),
             );
@@ -201,56 +140,6 @@ fn run_write_baseline(root: &std::path::Path) -> ExitCode {
         Err(e) => {
             eprintln!("chainiq-analyze: error: {e}");
             ExitCode::from(2)
-        }
-    }
-}
-
-fn run_explain(rule: &str) -> ExitCode {
-    if rule == "all" {
-        for (i, r) in RuleId::ALL.iter().enumerate() {
-            if i > 0 {
-                println!();
-            }
-            println!("{}", r.explain());
-        }
-        return ExitCode::SUCCESS;
-    }
-    match RuleId::parse(rule) {
-        Some(r) => {
-            println!("{}", r.explain());
-            ExitCode::SUCCESS
-        }
-        None => usage_error(&format!(
-            "unknown rule `{rule}`; known rules: {}",
-            RuleId::ALL.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
-        )),
-    }
-}
-
-fn run_check_artifacts(serve: bool, emitted: &str, history: &str, committed: &str) -> ExitCode {
-    let read = |p: &str| match std::fs::read_to_string(p) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("chainiq-analyze: error reading {p}: {e}");
-            None
-        }
-    };
-    let (Some(e), Some(h), Some(c)) = (read(emitted), read(history), read(committed)) else {
-        return ExitCode::from(2);
-    };
-    let checked = if serve {
-        chainiq_analyze::perfcheck::check_serve(&e, &h, &c)
-    } else {
-        chainiq_analyze::perfcheck::check_perf(&e, &h, &c)
-    };
-    match checked {
-        Ok(summary) => {
-            println!("chainiq-analyze: {summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("chainiq-analyze: perf gate inconsistency: {e}");
-            ExitCode::from(1)
         }
     }
 }

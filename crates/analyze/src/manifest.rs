@@ -1,92 +1,49 @@
-//! Rule **H1**: manifest hermeticity.
+//! Manifest facts: package names and runtime dependencies for the call
+//! graph, and rule **L1**, which keeps every crate under the workspace
+//! lints.
 //!
-//! Every dependency in every crate's `Cargo.toml` (and every entry in the
-//! root `[workspace.dependencies]`) must resolve inside the workspace —
-//! `path = "..."` or `workspace = true`. A bare version string (`foo =
-//! "1.0"`) or a `version =` / `git =` key means a registry or network
-//! fetch, which breaks the `--offline` hermetic build long after the PR
-//! that introduced it.
+//! The toolchain enforces most of the project's rules through
+//! `[workspace.lints]` and `clippy.toml`, but only for crates that opt
+//! in with `[lints] workspace = true`, and the `unsafe` ban only while
+//! the root keeps `unsafe_code = "forbid"`. A crate that forgets the
+//! opt-in would silently lose every lint, so L1 fails it.
 //!
-//! This is a purpose-built scan of the handful of TOML shapes Cargo
-//! accepts for dependency tables, not a general TOML parser:
-//!
-//! * `[dependencies]` / `[dev-dependencies]` / `[build-dependencies]` /
-//!   `[target.'cfg(..)'.dependencies]` / `[workspace.dependencies]`
-//!   sections with `name = <spec>` lines, where `<spec>` is a string or
-//!   an inline table;
-//! * `[dependencies.foo]` subsections whose keys spread over lines.
+//! This is a purpose-built scan of the few TOML shapes involved, not a
+//! general TOML parser.
 
 use crate::rules::{Diagnostic, RuleId};
 
-/// What a dependency section header introduces.
-#[derive(PartialEq)]
-enum Section {
-    /// Not a dependency section — ignore its lines.
-    Other,
-    /// A `[*dependencies]` table: each `name = spec` line is one dep.
-    DepTable,
-    /// A `[*dependencies.<name>]` subsection: the keys spread over lines.
-    DepEntry { name: String, seen_local: bool, line: u32 },
-}
-
-/// Scans one manifest; appends an H1 diagnostic per offending dependency.
-///
-/// `file` is the workspace-relative manifest path used in diagnostics.
-pub fn check_manifest(file: &str, src: &str, diags: &mut Vec<Diagnostic>) {
-    let mut section = Section::Other;
-    let flush = |section: &mut Section, diags: &mut Vec<Diagnostic>| {
-        if let Section::DepEntry { name, seen_local: false, line } = &section {
-            diags.push(violation(file, *line, name));
-        }
-        *section = Section::Other;
+/// Appends an L1 diagnostic unless the manifest keeps the workspace
+/// lints in force: a crate manifest must inherit them (`[lints]
+/// workspace = true`), and the root manifest (`is_root`) must forbid
+/// `unsafe_code` under `[workspace.lints.rust]`.
+pub fn check_lints(file: &str, src: &str, is_root: bool, diags: &mut Vec<Diagnostic>) {
+    let (table, key, value) = if is_root {
+        ("workspace.lints.rust", "unsafe_code", "\"forbid\"")
+    } else {
+        ("lints", "workspace", "true")
     };
-
-    for (idx, raw) in src.lines().enumerate() {
-        let line_no = (idx + 1) as u32;
+    let mut in_table = false;
+    for raw in src.lines() {
         let line = strip_toml_comment(raw).trim();
-        if line.is_empty() {
-            continue;
-        }
         if line.starts_with('[') {
-            flush(&mut section, diags);
-            let header = line.trim_start_matches('[').trim_end_matches(']').trim();
-            section = classify_header(header, line_no);
-            continue;
-        }
-        match &mut section {
-            Section::Other => {}
-            Section::DepTable => {
-                if let Some((name, spec)) = line.split_once('=') {
-                    let name = name.trim().trim_matches('"');
-                    // Dotted-key shorthand: `foo.workspace = true` and
-                    // `foo.path = "..."` are local; `foo.version = ...`
-                    // and the rest are not.
-                    let local = match name.rsplit_once('.') {
-                        Some((_, "workspace")) => spec.trim() == "true",
-                        Some((_, "path")) => true,
-                        Some(_) => false,
-                        None => spec_is_local(spec.trim()),
-                    };
-                    if !local {
-                        diags.push(violation(
-                            file,
-                            line_no,
-                            name.split('.').next().unwrap_or(name),
-                        ));
-                    }
-                }
-            }
-            Section::DepEntry { seen_local, .. } => {
-                if let Some((key, _)) = line.split_once('=') {
-                    let key = key.trim();
-                    if key == "path" || (key == "workspace" && line.contains("true")) {
-                        *seen_local = true;
-                    }
-                }
+            in_table = line.trim_start_matches('[').trim_end_matches(']').trim() == table;
+        } else if let Some((k, v)) = line.split_once('=').filter(|_| in_table) {
+            if k.trim() == key && v.trim() == value {
+                return;
             }
         }
     }
-    flush(&mut section, diags);
+    diags.push(Diagnostic {
+        file: file.to_string(),
+        line: 0,
+        rule: RuleId::L1,
+        message: format!(
+            "manifest lacks `{key} = {value}` under `[{table}]`; without it the workspace lints \
+             (unsafe_code, clippy.toml's disallowed types and methods, the panic lints) \
+             silently stop applying"
+        ),
+    });
 }
 
 /// The `[package] name = "…"` of a manifest, if any.
@@ -155,40 +112,8 @@ pub fn runtime_dep_names(src: &str) -> Vec<String> {
     out
 }
 
-fn classify_header(header: &str, line: u32) -> Section {
-    // `dependencies`, `dev-dependencies`, `workspace.dependencies`,
-    // `target.'cfg(unix)'.dependencies`, ... — and their `.name` subsections.
-    if header.ends_with("dependencies") {
-        return Section::DepTable;
-    }
-    if let Some((table, name)) = header.rsplit_once('.') {
-        if table.ends_with("dependencies") {
-            return Section::DepEntry {
-                name: name.trim().trim_matches('"').to_string(),
-                seen_local: false,
-                line,
-            };
-        }
-    }
-    Section::Other
-}
-
-/// Whether an inline dependency spec keeps resolution inside the
-/// workspace: `{ path = "..." }`, `{ workspace = true }`, or the
-/// shorthand `foo.workspace = true` (handled by the caller's key split
-/// leaving `true` here only for the `workspace` key — a bare string spec
-/// like `"1.0"` is never local).
-fn spec_is_local(spec: &str) -> bool {
-    if spec.starts_with('"') || spec.starts_with('\'') {
-        return false; // bare version string → registry
-    }
-    spec.contains("path") && spec.contains('=')
-        || spec.contains("workspace") && spec.contains("true")
-}
-
-/// TOML comments start at a `#` outside a string. The manifests this
-/// tool checks keep dependency specs `#`-free, so a conservative scan
-/// that respects double-quoted strings is sufficient.
+/// TOML comments start at a `#` outside a string; a conservative scan
+/// that respects double-quoted strings is enough for these manifests.
 fn strip_toml_comment(line: &str) -> &str {
     let mut in_str = false;
     for (i, c) in line.char_indices() {
@@ -201,74 +126,49 @@ fn strip_toml_comment(line: &str) -> &str {
     line
 }
 
-fn violation(file: &str, line: u32, name: &str) -> Diagnostic {
-    Diagnostic {
-        file: file.to_string(),
-        line,
-        rule: RuleId::H1,
-        message: format!(
-            "dependency `{name}` does not resolve inside the workspace (needs `path = ...` or \
-             `workspace = true`); registry/git deps break the hermetic --offline build"
-        ),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn check(src: &str) -> Vec<Diagnostic> {
+    fn check(src: &str, is_root: bool) -> Vec<Diagnostic> {
         let mut d = Vec::new();
-        check_manifest("crates/x/Cargo.toml", src, &mut d);
+        check_lints("Cargo.toml", src, is_root, &mut d);
         d
     }
 
     #[test]
-    fn workspace_and_path_deps_pass() {
-        let d = check(
-            "[package]\nname = \"x\"\n\n[dependencies]\n\
-             chainiq-core.workspace = true\n\
-             chainiq-rng = { workspace = true }\n\
-             chainiq-isa = { path = \"../isa\" }\n",
-        );
-        assert!(d.is_empty(), "{d:?}");
+    fn crate_without_workspace_lints_fails() {
+        let ok = check("[package]\nname = \"x\"\n\n[lints]\nworkspace = true\n", false);
+        assert!(ok.is_empty(), "{ok:?}");
+        for bad in [
+            "[package]\nname = \"x\"\n",
+            "[package]\nname = \"x\"\nworkspace = true\n",
+            "[lints]\nworkspace = false\n",
+            "[lints.rust]\nunsafe_code = \"allow\"\n",
+        ] {
+            let d = check(bad, false);
+            assert_eq!(d.len(), 1, "{bad}: {d:?}");
+            assert_eq!(d[0].rule, RuleId::L1);
+        }
     }
 
     #[test]
-    fn registry_version_string_fails() {
-        let d = check("[dependencies]\nserde = \"1.0\"\n");
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].rule, RuleId::H1);
-        assert_eq!(d[0].line, 2);
-        assert!(d[0].message.contains("serde"));
-    }
-
-    #[test]
-    fn inline_table_with_version_or_git_fails() {
-        let d = check(
-            "[dev-dependencies]\nrand = { version = \"0.8\", features = [\"std\"] }\n\
-             [build-dependencies]\ncc = { git = \"https://example.com/cc\" }\n",
-        );
-        assert_eq!(d.len(), 2, "{d:?}");
+    fn root_without_unsafe_forbid_fails() {
+        let ok = check("[workspace]\n\n[workspace.lints.rust]\nunsafe_code = \"forbid\"\n", true);
+        assert!(ok.is_empty(), "{ok:?}");
+        let weakened =
+            check("[workspace]\n\n[workspace.lints.rust]\nunsafe_code = \"deny\"\n", true);
+        assert_eq!(weakened.len(), 1, "{weakened:?}");
+        let missing = check("[workspace]\nmembers = [\"crates/*\"]\n", true);
+        assert_eq!(missing.len(), 1, "{missing:?}");
     }
 
     #[test]
     fn dotted_subsection_forms() {
-        let ok = check("[dependencies.chainiq-core]\nworkspace = true\n");
-        assert!(ok.is_empty(), "{ok:?}");
-        let ok2 = check("[dependencies.chainiq-core]\npath = \"../core\"\nfeatures = []\n");
-        assert!(ok2.is_empty(), "{ok2:?}");
-        let bad = check("[dependencies.serde]\nversion = \"1.0\"\n");
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].message.contains("serde"));
-    }
-
-    #[test]
-    fn workspace_dependencies_root_table_is_checked() {
-        let bad = check("[workspace.dependencies]\nserde = \"1.0\"\n");
-        assert_eq!(bad.len(), 1);
-        let ok = check("[workspace.dependencies]\nchainiq-core = { path = \"crates/core\" }\n");
-        assert!(ok.is_empty(), "{ok:?}");
+        let src = "[dependencies.chainiq-core]\nworkspace = true\n\n\
+                   [dependencies.\"chainiq-isa\"]\npath = \"../isa\"\nfeatures = []\n\n\
+                   [dev-dependencies.chainiq-devtest]\nworkspace = true\n";
+        assert_eq!(runtime_dep_names(src), vec!["chainiq-core", "chainiq-isa"]);
     }
 
     #[test]
@@ -289,11 +189,13 @@ mod tests {
 
     #[test]
     fn non_dep_sections_and_comments_ignored() {
-        let d = check(
-            "[package]\nversion = \"0.1.0\"\n\n[features]\ndefault = []\n\n\
-             [[bench]]\nname = \"b\"\nharness = false\n\n\
-             [dependencies]\n# serde = \"1.0\"\nchainiq-core.workspace = true # local\n",
-        );
-        assert!(d.is_empty(), "{d:?}");
+        let src = "[package]\nversion = \"0.1.0\"\n\n[features]\ndefault = []\n\n\
+                   [[bench]]\nname = \"b\"\nharness = false\n\n\
+                   # [lints]\n# workspace = true\n\n\
+                   [dependencies]\n# serde = \"1.0\"\nchainiq-core.workspace = true # local\n";
+        assert_eq!(runtime_dep_names(src), vec!["chainiq-core"]);
+        assert_eq!(check(src, false).len(), 1, "a commented-out opt-in does not count");
+        let opted_in = format!("{src}\n[lints] # inherited\nworkspace = true # see root\n");
+        assert!(check(&opted_in, false).is_empty());
     }
 }

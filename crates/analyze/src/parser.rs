@@ -10,19 +10,22 @@
 //!   (`helper(…)`), method calls (`x.step(…)`), and path-qualified calls
 //!   (`Type::assoc(…)`, turbofish included), with `use … as …` aliases
 //!   resolved back to their original names;
-//! * per-body **facts**: allocation sites (`.clone()`, `.collect()`,
-//!   `.to_vec()`, `.to_string()`, `Vec::new`, `Box::new`, `format!`),
-//!   determinism-taint sources (`std::time`/`Instant`/`SystemTime`,
-//!   `env::var*`, `HashMap`/`HashSet`, `thread::current`), and panic
-//!   sites (the P1 family).
+//! * per-body **facts**: allocation sites ([`ALLOC_METHODS`],
+//!   [`ALLOC_PATHS`], `vec!` and `format!`) and determinism-taint
+//!   sources (`std::time`/`Instant`/`SystemTime`, `env::var*`,
+//!   `HashMap`/`HashSet`, `thread::current`).
 //!
 //! Everything it cannot parse it skips without error: an unrecognized
 //! item contributes no functions and no edges, which keeps the analysis
-//! conservative-but-lossy rather than wrong. Comments and `#[cfg(test)]`
-//! items are excluded exactly as in the per-file rule engine.
+//! conservative-but-lossy rather than wrong. Comments are ignored, and
+//! items gated by `#[cfg(test)]` or `#[test]` are skipped whole: test
+//! code is exempt from every rule.
+//!
+//! The same walk yields the file's per-file findings: A0 for malformed
+//! marker comments and P3 for tree maps in a `hot-path` file.
 
 use crate::lexer::{lex, TokKind, Token};
-use crate::rules::{self, Markers};
+use crate::rules::{self, Diagnostic, Markers, RuleId};
 use std::collections::BTreeMap;
 
 /// Everything the parser recovered from one source file.
@@ -32,12 +35,14 @@ pub(crate) struct FileItems {
     pub(crate) crate_name: String,
     /// Workspace-relative path, as used in diagnostics.
     pub(crate) file: String,
-    /// Whether this is a binary target (exempt from the panic report).
+    /// Whether this is a binary target (never a T1 sink).
     pub(crate) is_bin: bool,
     /// Functions defined in the file, in source order.
     pub(crate) fns: Vec<FnItem>,
     /// The file's marker comments (suppressions, hot markers).
     pub(crate) markers: Markers,
+    /// Per-file findings: A0 and P3.
+    pub(crate) diags: Vec<Diagnostic>,
 }
 
 /// One `fn` definition.
@@ -55,8 +60,6 @@ pub(crate) struct FnItem {
     pub(crate) in_container: bool,
     /// Carries a `pub` (any form: `pub`, `pub(crate)`, …).
     pub(crate) is_pub: bool,
-    /// Inside a `#[cfg(test)]` / `#[test]` item — excluded from the graph.
-    pub(crate) is_test: bool,
     /// Carries the `hot` kernel marker comment.
     pub(crate) is_hot: bool,
     /// Call expressions in the body.
@@ -65,8 +68,6 @@ pub(crate) struct FnItem {
     pub(crate) allocs: Vec<Fact>,
     /// Determinism-taint source facts in the body (the T1 family).
     pub(crate) taints: Vec<Fact>,
-    /// Panic-site facts in the body (the P1 family, reported by R1).
-    pub(crate) panics: Vec<Fact>,
 }
 
 /// One call expression.
@@ -91,7 +92,7 @@ pub(crate) enum CallKind {
     Qualified(String),
 }
 
-/// A line-anchored body fact (allocation, taint source, or panic site).
+/// A line-anchored body fact (allocation or taint source).
 #[derive(Debug)]
 pub(crate) struct Fact {
     /// Human-readable description of the offending construct.
@@ -109,31 +110,52 @@ const KEYWORDS: &[&str] = &[
 ];
 
 /// Method-style allocation names (preceded by `.`, followed by a call).
-const ALLOC_METHODS: &[&str] = &["clone", "collect", "to_string", "to_vec"];
+const ALLOC_METHODS: &[&str] = &["clone", "collect", "to_owned", "to_string", "to_vec"];
+
+/// Path-style allocating constructors, as `(type, associated fn)`.
+const ALLOC_PATHS: &[(&str, &str)] = &[
+    ("Box", "from"),
+    ("Box", "new"),
+    ("String", "from"),
+    ("Vec", "new"),
+    ("Vec", "with_capacity"),
+];
 
 /// Parses one file. Never fails: unparseable constructs are skipped.
 pub(crate) fn parse_file(crate_name: &str, file: &str, src: &str, is_bin: bool) -> FileItems {
     let toks = lex(src);
-    // A0 for malformed markers is reported by the per-file rule scan;
-    // here we only need the marker facts.
-    let mut a0_sink = Vec::new();
-    let markers = rules::collect_markers(file, &toks, &mut a0_sink);
-    let tmask = rules::test_mask(&toks);
+    let mut diags = Vec::new();
+    let markers = rules::collect_markers(file, &toks, &mut diags);
+    let code: Vec<Token<'_>> = toks
+        .into_iter()
+        .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+        .collect();
 
-    let mut code: Vec<Token<'_>> = Vec::new();
-    let mut test: Vec<bool> = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) {
-            continue;
-        }
-        code.push(*t);
-        test.push(tmask[i]);
-    }
-
+    let test = vec![false; code.len()];
     let mut p = Parser { code, test, markers: &markers, aliases: BTreeMap::new(), fns: Vec::new() };
     p.collect_aliases();
     let end = p.code.len();
     p.parse_items(0, end, &Container::default(), None);
+
+    // P3: tree maps anywhere outside test items of a hot-path file.
+    for (t, _) in p.code.iter().zip(&p.test).filter(|&(_, &test)| markers.hot_path && !test) {
+        if t.kind == TokKind::Ident
+            && matches!(t.text, "BTreeMap" | "BTreeSet")
+            && !markers.suppressed(RuleId::P3, t.line)
+        {
+            diags.push(Diagnostic {
+                file: file.to_string(),
+                line: t.line,
+                rule: RuleId::P3,
+                message: format!(
+                    "{} in a hot-path-marked file: the kernel files were rebuilt on \
+                     slab-intrusive lists, bitsets and event wheels — keep tree maps out of \
+                     them (reference models belong in test code, which is exempt)",
+                    t.text
+                ),
+            });
+        }
+    }
 
     FileItems {
         crate_name: crate_name.to_string(),
@@ -141,6 +163,7 @@ pub(crate) fn parse_file(crate_name: &str, file: &str, src: &str, is_bin: bool) 
         is_bin,
         fns: p.fns,
         markers,
+        diags,
     }
 }
 
@@ -154,6 +177,7 @@ struct Container {
 
 struct Parser<'a> {
     code: Vec<Token<'a>>,
+    /// Tokens of skipped `#[cfg(test)]` / `#[test]` items.
     test: Vec<bool>,
     markers: &'a Markers,
     /// `use x::y as z;` → `z → y`.
@@ -176,79 +200,63 @@ impl<'a> Parser<'a> {
         self.ident(i) == Some(s)
     }
 
-    /// Index just past the `}` matching the `{` at `open` (or the end of
-    /// the stream for unbalanced input).
+    /// Index just past the `close` matching the `open` at `at` (or the
+    /// end of the stream for unbalanced input). For angle brackets, the
+    /// `>` of a `->` arrow does not close.
+    fn skip_group(&self, at: usize, open: &str, close: &str) -> usize {
+        let mut depth = 0usize;
+        let mut i = at;
+        while let Some(t) = self.code.get(i) {
+            if t.kind == TokKind::Punct {
+                if t.text == open {
+                    depth += 1;
+                } else if t.text == close && !(close == ">" && self.punct(i.wrapping_sub(1), "-")) {
+                    depth = depth.saturating_sub(1);
+                    if depth == 0 {
+                        return i + 1;
+                    }
+                }
+            }
+            i += 1;
+        }
+        i
+    }
+
     fn skip_braces(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while let Some(t) = self.code.get(i) {
-            if t.kind == TokKind::Punct {
-                match t.text {
-                    "{" => depth += 1,
-                    "}" => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            return i + 1;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        i
+        self.skip_group(open, "{", "}")
     }
 
-    /// Index just past the `>` matching the `<` at `open`.
     fn skip_angles(&self, open: usize) -> usize {
-        let mut depth = 0usize;
-        let mut i = open;
-        while let Some(t) = self.code.get(i) {
-            if t.kind == TokKind::Punct {
-                match t.text {
-                    "<" => depth += 1,
-                    ">" => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            return i + 1;
-                        }
-                    }
-                    // `->` in a generic default or an fn-pointer type:
-                    // the `>` of the arrow must not close the angle.
-                    "-" if self.punct(i + 1, ">") => i += 1,
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-        i
+        self.skip_group(open, "<", ">")
     }
 
-    /// Index just past an attribute starting at `#` (handles `#[…]` and
-    /// `#![…]` with nested brackets).
-    fn skip_attr(&self, at: usize) -> usize {
-        let mut i = at + 1;
-        if self.punct(i, "!") {
-            i += 1;
-        }
-        if !self.punct(i, "[") {
-            return i;
-        }
-        let mut depth = 0usize;
-        while let Some(t) = self.code.get(i) {
-            if t.kind == TokKind::Punct {
-                match t.text {
-                    "[" => depth += 1,
-                    "]" => {
-                        depth = depth.saturating_sub(1);
-                        if depth == 0 {
-                            return i + 1;
-                        }
-                    }
-                    _ => {}
-                }
+    /// Skips the run of attributes starting at the `#` at `at`; returns
+    /// the index past it and whether one of them is `#[test]` or
+    /// `#[cfg(test)]` (not `#[cfg(not(test))]`).
+    fn skip_attrs(&self, mut at: usize) -> (usize, bool) {
+        let mut gated = false;
+        while self.punct(at, "#") {
+            let open = if self.punct(at + 1, "!") { at + 2 } else { at + 1 };
+            if !self.punct(open, "[") {
+                return (open, gated);
             }
-            i += 1;
+            let body: Vec<&str> = self.code[open + 1..].iter().take(5).map(|t| t.text).collect();
+            gated |=
+                body.starts_with(&["test", "]"]) || body.starts_with(&["cfg", "(", "test", ")"]);
+            at = self.skip_group(open, "[", "]");
+        }
+        (at, gated)
+    }
+
+    /// Index just past the item starting at `i`: the matching `}` of its
+    /// first brace block, or a `;` seen before any `{`.
+    fn item_end(&self, mut i: usize) -> usize {
+        while let Some(t) = self.code.get(i) {
+            match t.text {
+                "{" if t.kind == TokKind::Punct => return self.skip_braces(i),
+                ";" if t.kind == TokKind::Punct => return i + 1,
+                _ => i += 1,
+            }
         }
         i
     }
@@ -292,7 +300,13 @@ impl<'a> Parser<'a> {
         let mut i = start;
         while i < end {
             if self.punct(i, "#") {
-                i = self.skip_attr(i);
+                let (next, gated) = self.skip_attrs(i);
+                i = next;
+                if gated {
+                    let item_end = self.item_end(i).min(end);
+                    self.test[i..item_end].iter_mut().for_each(|t| *t = true);
+                    i = item_end;
+                }
                 continue;
             }
             match self.ident(i) {
@@ -404,12 +418,10 @@ impl<'a> Parser<'a> {
             trait_name: ctx.trait_name.clone(),
             in_container: ctx.in_container,
             is_pub: self.is_pub_before(i),
-            is_test: self.test[i],
             is_hot: self.markers.is_hot_fn_line(line),
             calls: Vec::new(),
             allocs: Vec::new(),
             taints: Vec::new(),
-            panics: Vec::new(),
         });
         // Signature runs to the body `{` or a `;` (trait signature).
         let mut j = i + 2;
@@ -485,22 +497,16 @@ impl<'a> Parser<'a> {
             {
                 self.fact(f, FactKind::Taint, "thread::current", line);
             }
-            "Vec" | "Box"
-                if self.punct(i + 1, ":")
-                    && self.punct(i + 2, ":")
-                    && self.ident_is(i + 3, "new") =>
-            {
-                self.fact(f, FactKind::Alloc, &format!("{name}::new"), line);
+            "format" | "vec" if self.punct(i + 1, "!") => {
+                self.fact(f, FactKind::Alloc, &format!("{name}!"), line);
             }
-            "format" if self.punct(i + 1, "!") => {
-                self.fact(f, FactKind::Alloc, "format!", line);
+            _ => {
+                if let Some(assoc) =
+                    self.assoc_after(i).filter(|a| ALLOC_PATHS.contains(&(name, *a)))
+                {
+                    self.fact(f, FactKind::Alloc, &format!("{name}::{assoc}"), line);
+                }
             }
-            "panic" | "unreachable" | "todo" | "unimplemented"
-                if self.punct(i + 1, "!") && !(i > 0 && self.punct(i - 1, ".")) =>
-            {
-                self.fact(f, FactKind::Panic, &format!("{name}!"), line);
-            }
-            _ => {}
         }
 
         // Call shape: `name(`, `name::<T>(`, after `.` or `Qual::`.
@@ -509,14 +515,8 @@ impl<'a> Parser<'a> {
             return i + 1;
         }
         let dotted = i > 0 && self.punct(i - 1, ".");
-        if dotted {
-            match name {
-                "unwrap" | "expect" => self.fact(f, FactKind::Panic, &format!(".{name}()"), line),
-                n if ALLOC_METHODS.contains(&n) => {
-                    self.fact(f, FactKind::Alloc, &format!(".{name}()"), line);
-                }
-                _ => {}
-            }
+        if dotted && ALLOC_METHODS.contains(&name) {
+            self.fact(f, FactKind::Alloc, &format!(".{name}()"), line);
         }
         let kind = if dotted {
             CallKind::Method
@@ -543,6 +543,13 @@ impl<'a> Parser<'a> {
         i + 1
     }
 
+    /// The associated item named by `Type::item` or `Type::<T>::item`
+    /// for the type name at `i`.
+    fn assoc_after(&self, i: usize) -> Option<&'a str> {
+        let j = self.after_turbofish(i);
+        (self.punct(j, ":") && self.punct(j + 1, ":")).then(|| self.ident(j + 2)).flatten()
+    }
+
     fn after_turbofish(&self, i: usize) -> usize {
         if !(self.punct(i + 1, ":") && self.punct(i + 2, ":") && self.punct(i + 3, "<")) {
             return i + 1;
@@ -556,7 +563,6 @@ impl<'a> Parser<'a> {
         match kind {
             FactKind::Alloc => item.allocs.push(fact),
             FactKind::Taint => item.taints.push(fact),
-            FactKind::Panic => item.panics.push(fact),
         }
     }
 }
@@ -564,7 +570,6 @@ impl<'a> Parser<'a> {
 enum FactKind {
     Alloc,
     Taint,
-    Panic,
 }
 
 #[cfg(test)]
@@ -587,7 +592,7 @@ mod tests {
         );
         assert_eq!(items.fns.len(), 2);
         let a = fn_named(&items, "a");
-        assert!(a.is_pub && !a.in_container && !a.is_test && !a.is_hot);
+        assert!(a.is_pub && !a.in_container && !a.is_hot);
         assert_eq!(a.calls.len(), 2);
         assert_eq!(a.calls[0].name, "b");
         assert_eq!(a.calls[0].kind, CallKind::Free);
@@ -629,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn alloc_taint_and_panic_facts() {
+    fn alloc_and_taint_facts() {
         let items = parse(
             "fn f(v: &[u32]) -> Vec<u32> {\n\
              let a = v.to_vec();\n\
@@ -637,6 +642,11 @@ mod tests {
              let c = Vec::new();\n\
              let d = Box::new(1);\n\
              let e = format!(\"x\");\n\
+             let c2 = Vec::<u8>::with_capacity(4);\n\
+             let d2: Box<str> = Box::from(\"x\");\n\
+             let e2 = vec![0u8; 4];\n\
+             let s = String::from(\"x\").to_owned();\n\
+             let n = String::new();\n\
              let f2 = std::env::var(\"X\");\n\
              let g = std::time::Instant::now();\n\
              let h = std::thread::current();\n\
@@ -647,15 +657,27 @@ mod tests {
         );
         let f = fn_named(&items, "f");
         let allocs: Vec<&str> = f.allocs.iter().map(|a| a.what.as_str()).collect();
-        assert_eq!(allocs, vec![".to_vec()", ".collect()", "Vec::new", "Box::new", "format!"]);
+        assert_eq!(
+            allocs,
+            vec![
+                ".to_vec()",
+                ".collect()",
+                "Vec::new",
+                "Box::new",
+                "format!",
+                "Vec::with_capacity",
+                "Box::from",
+                "vec!",
+                "String::from",
+                ".to_owned()",
+            ]
+        );
         let taints: Vec<&str> = f.taints.iter().map(|t| t.what.as_str()).collect();
         assert!(taints.contains(&"env::var"), "{taints:?}");
         assert!(taints.contains(&"std::time"), "{taints:?}");
         assert!(taints.contains(&"Instant"), "{taints:?}");
         assert!(taints.contains(&"thread::current"), "{taints:?}");
         assert!(taints.iter().any(|t| t.starts_with("HashMap")), "{taints:?}");
-        let panics: Vec<&str> = f.panics.iter().map(|p| p.what.as_str()).collect();
-        assert_eq!(panics, vec![".unwrap()", "panic!"]);
     }
 
     #[test]
@@ -669,7 +691,7 @@ mod tests {
         );
         assert!(fn_named(&items, "tick").is_hot);
         assert!(!fn_named(&items, "helper").is_hot);
-        assert!(fn_named(&items, "t").is_test);
+        assert!(items.fns.iter().all(|f| f.name != "t"), "test items are skipped");
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //! Everything is seeded through `chainiq-devtest`'s `prop_check!`, so a
 //! failure prints a `CHAINIQ_PROP_SEED=…` reproduction line.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test support code: a failed unwrap is the test failing"
+)]
+
 use chainiq_analyze::lexer::{lex, TokKind};
 use chainiq_devtest::{prop_assert, prop_assert_eq, prop_check, Gen};
 

@@ -1,6 +1,13 @@
 //! End-to-end tests for `chainiq-analyze` over fixture workspaces built
 //! in a temp directory, plus a dogfood run over the real repo.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test support code: a failed unwrap is the test failing"
+)]
+
 use chainiq_analyze::rules::RuleId;
 use chainiq_analyze::{analyze_workspace, write_baseline};
 use std::fs;
@@ -17,20 +24,18 @@ impl Fixture {
             std::env::temp_dir().join(format!("chainiq-analyze-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         fs::create_dir_all(&root).expect("create fixture root");
-        fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n")
-            .expect("write root manifest");
+        fs::write(
+            root.join("Cargo.toml"),
+            "[workspace]\nmembers = [\"crates/*\"]\n\n[workspace.lints.rust]\nunsafe_code = \"forbid\"\n",
+        )
+        .expect("write root manifest");
         Fixture { root }
     }
 
-    /// Adds a crate with a clean workspace-local manifest and the given
-    /// `src/lib.rs` body (a `#![forbid(unsafe_code)]` header is added so
-    /// fixtures don't all trip U1).
+    /// Adds a crate with a clean manifest (no dependencies, workspace
+    /// lints inherited) and the given `src/lib.rs`.
     fn add_crate(&self, name: &str, lib_rs: &str) -> &Fixture {
-        self.add_crate_raw(
-            name,
-            "[package]\nname = \"x\"\nversion = \"0.1.0\"\nedition = \"2021\"\n\n[dependencies]\n",
-            &format!("#![forbid(unsafe_code)]\n{lib_rs}"),
-        )
+        self.add_crate_raw(name, &manifest(name, ""), lib_rs)
     }
 
     fn add_crate_raw(&self, name: &str, manifest: &str, lib_rs: &str) -> &Fixture {
@@ -53,25 +58,22 @@ impl Fixture {
     }
 }
 
+/// A crate manifest that inherits the workspace lints, with `deps` as
+/// its `[dependencies]` table body.
+fn manifest(name: &str, deps: &str) -> String {
+    format!(
+        "[package]\nname = \"{name}\"\nversion = \"0.1.0\"\n\n[lints]\nworkspace = true\n\n\
+         [dependencies]\n{deps}"
+    )
+}
+
 impl Drop for Fixture {
     fn drop(&mut self) {
         let _ = fs::remove_dir_all(&self.root);
     }
 }
 
-// ---- acceptance criterion: HashMap in crates/core → nonzero exit ----
-
-#[test]
-fn hashmap_iteration_in_core_fails() {
-    let fx = Fixture::new("d1-core");
-    fx.add_crate(
-        "core",
-        "use std::collections::HashMap;\n\
-         pub fn f(m: &HashMap<u32, u32>) -> u32 { m.values().sum() }\n",
-    );
-    let rules = fx.rules_found();
-    assert!(rules.contains(&RuleId::D1), "expected D1, got {rules:?}");
-}
+// ---- a clean crate passes; one outside the workspace lints fails ----
 
 #[test]
 fn clean_btreemap_core_passes() {
@@ -84,72 +86,27 @@ fn clean_btreemap_core_passes() {
     assert!(fx.rules_found().is_empty());
 }
 
-// ---- acceptance criterion: registry dependency → nonzero exit ----
-
 #[test]
-fn registry_dependency_fails() {
-    let fx = Fixture::new("h1");
-    fx.add_crate_raw(
-        "core",
-        "[package]\nname = \"x\"\nversion = \"0.1.0\"\n\n[dependencies]\nserde = \"1.0\"\n",
-        "#![forbid(unsafe_code)]\n",
-    );
+fn crate_opting_out_of_workspace_lints_fails() {
+    let fx = Fixture::new("l1");
+    fx.add_crate("core", "pub fn f() {}\n");
+    fx.add_crate_raw("mem", "[package]\nname = \"m\"\nversion = \"0.1.0\"\n", "pub fn g() {}\n");
+    let report = analyze_workspace(&fx.root).expect("analysis runs");
+    let files: Vec<_> = report.diags.iter().map(|d| (d.rule, d.file.as_str())).collect();
+    assert_eq!(files, vec![(RuleId::L1, "crates/mem/Cargo.toml")]);
+
+    fx.write("Cargo.toml", "[workspace]\nmembers = [\"crates/*\"]\n");
     let rules = fx.rules_found();
-    assert!(rules.contains(&RuleId::H1), "expected H1, got {rules:?}");
-}
-
-#[test]
-fn registry_dep_in_root_workspace_manifest_fails() {
-    let fx = Fixture::new("h1-root");
-    fx.write(
-        "Cargo.toml",
-        "[workspace]\nmembers = [\"crates/*\"]\n\n[workspace.dependencies]\nrand = \"0.8\"\n",
-    );
-    fx.add_crate("core", "");
-    assert!(fx.rules_found().contains(&RuleId::H1));
+    assert_eq!(rules, vec![RuleId::L1, RuleId::L1], "root and crate: {rules:?}");
 }
 
 // ---- baseline ratchet ----
 
 #[test]
-fn panic_count_increase_fails_and_decrease_passes_with_note() {
-    let fx = Fixture::new("ratchet");
-    fx.add_crate("core", "pub fn f(o: Option<u8>) -> u8 { o.unwrap() }\n");
-
-    // No baseline yet: 1 site vs budget 0 → P1.
-    let rules = fx.rules_found();
-    assert!(rules.contains(&RuleId::P1), "expected P1, got {rules:?}");
-
-    // Ratchet, then the same tree passes.
-    write_baseline(&fx.root).expect("write baseline");
-    assert!(fx.rules_found().is_empty());
-
-    // One more unwrap → over budget → P1 again.
-    fx.write(
-        "crates/core/src/lib.rs",
-        "#![forbid(unsafe_code)]\npub fn f(o: Option<u8>) -> u8 { o.unwrap().max(o.unwrap()) }\n",
-    );
-    assert!(fx.rules_found().contains(&RuleId::P1));
-
-    // Cleanup below budget → passes, and notes suggest re-ratcheting.
-    fx.write(
-        "crates/core/src/lib.rs",
-        "#![forbid(unsafe_code)]\npub fn f(o: Option<u8>) -> u8 { o.unwrap_or(0) }\n",
-    );
-    let report = analyze_workspace(&fx.root).expect("analysis runs");
-    assert!(report.diags.is_empty(), "{:?}", report.diags);
-    assert!(
-        report.slack.iter().any(|n| n.contains("write-baseline")),
-        "decrease should suggest re-ratcheting: {:?}",
-        report.slack
-    );
-}
-
-#[test]
 fn stale_baseline_entry_fails() {
     let fx = Fixture::new("stale");
     fx.add_crate("core", "");
-    fx.write("analyze-baseline.toml", "[panic-budget]\n\"crates/core/src/deleted.rs\" = 3\n");
+    fx.write("analyze-baseline.toml", "[hot-alloc-budget]\n\"crates/core/src/deleted.rs\" = 3\n");
     let rules = fx.rules_found();
     assert_eq!(rules, vec![RuleId::B1], "stale entry must fail: {rules:?}");
 }
@@ -158,62 +115,54 @@ fn stale_baseline_entry_fails() {
 fn corrupt_baseline_is_an_error_not_a_pass() {
     let fx = Fixture::new("corrupt");
     fx.add_crate("core", "");
-    fx.write("analyze-baseline.toml", "[panic-budget]\nnot a kv line\n");
+    fx.write("analyze-baseline.toml", "[hot-alloc-budget]\nnot a kv line\n");
     assert!(analyze_workspace(&fx.root).is_err());
 }
 
-// ---- other rules end to end ----
-
-#[test]
-fn wall_clock_and_env_read_fail_missing_forbid_fails() {
-    let fx = Fixture::new("d2d3u1");
-    fx.add_crate("cpu", "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n");
-    fx.add_crate_raw(
-        "mem",
-        "[package]\nname = \"m\"\nversion = \"0.1.0\"\n\n[dependencies]\n",
-        "pub fn knob() -> Option<String> { std::env::var(\"X\").ok() }\n", // no forbid header
-    );
-    let rules = fx.rules_found();
-    assert!(rules.contains(&RuleId::D2), "{rules:?}");
-    assert!(rules.contains(&RuleId::D3), "{rules:?}");
-    assert!(rules.contains(&RuleId::U1), "{rules:?}");
-}
+// ---- suppression hygiene and the baseline gate ----
 
 #[test]
 fn suppressed_findings_pass_reasonless_suppression_fails() {
     let fx = Fixture::new("suppress");
     fx.add_crate(
         "core",
-        "// chainiq-analyze: allow(D1, lookup-only table, never iterated)\n\
-         use std::collections::HashMap;\n\
-         pub fn get(m: &HashMap<u32, u32>, k: u32) -> Option<u32> { m.get(&k).copied() } // chainiq-analyze: allow(D1, lookup-only)\n",
+        "// chainiq-analyze: hot-path\n\
+         // chainiq-analyze: allow(P3, cold-path config table, never touched per cycle)\n\
+         use std::collections::BTreeMap;\n\
+         pub fn get(m: &BTreeMap<u32, u32>, k: u32) -> Option<u32> { m.get(&k).copied() } // chainiq-analyze: allow(P3, cold path)\n",
     );
     assert!(fx.rules_found().is_empty());
 
     let fx2 = Fixture::new("suppress-bad");
-    fx2.add_crate("core", "// chainiq-analyze: allow(D1)\nuse std::collections::HashMap;\n");
+    fx2.add_crate(
+        "core",
+        "// chainiq-analyze: hot-path\n// chainiq-analyze: allow(P3)\nuse std::collections::BTreeMap;\n",
+    );
     let rules = fx2.rules_found();
     assert!(rules.contains(&RuleId::A0), "{rules:?}");
-    assert!(rules.contains(&RuleId::D1), "reasonless allow must not suppress: {rules:?}");
+    assert!(rules.contains(&RuleId::P3), "reasonless allow must not suppress: {rules:?}");
 }
 
 #[test]
 fn write_baseline_refuses_while_rule_findings_exist() {
     // write_baseline itself writes unconditionally (library level); the
-    // CLI gates it. At the library level, verify baselining P1 debt does
-    // not mask a D1 finding on the next run.
+    // CLI gates it. At the library level, verify baselining H2 debt does
+    // not mask a P3 finding on the next run.
     let fx = Fixture::new("no-bless");
     fx.add_crate(
         "core",
-        "use std::collections::HashMap;\npub fn f(o: Option<u8>) -> u8 { o.unwrap() }\n",
+        "// chainiq-analyze: hot-path\n\
+         use std::collections::BTreeMap;\n\
+         // chainiq-analyze: hot\n\
+         pub fn tick(v: &[u8]) -> usize { v.to_vec().len() }\n",
     );
     write_baseline(&fx.root).expect("write baseline");
     let rules = fx.rules_found();
-    assert!(rules.contains(&RuleId::D1), "baseline must not bless D1: {rules:?}");
-    assert!(!rules.contains(&RuleId::P1), "P1 debt is baselined: {rules:?}");
+    assert!(rules.contains(&RuleId::P3), "baseline must not bless P3: {rules:?}");
+    assert!(!rules.contains(&RuleId::H2), "H2 debt is baselined: {rules:?}");
 }
 
-// ---- flow rules end-to-end: H2 / T1 / R1 over fixture workspaces ----
+// ---- flow rules end-to-end: H2 / T1 over fixture workspaces ----
 
 #[test]
 fn h2_transitive_allocation_fails_and_site_allow_passes() {
@@ -234,12 +183,10 @@ fn h2_transitive_allocation_fails_and_site_allow_passes() {
     );
     assert!(h2[0].message.contains("(helper)"), "witness path names the callee: {}", h2[0].message);
 
-    // An allow(H2) at the allocation site clears the finding; the hot
-    // fn's own body stays P2 territory (depth 0 is not H2's).
+    // An allow(H2) at the allocation site clears the finding.
     fx.write(
         "crates/core/src/lib.rs",
-        "#![forbid(unsafe_code)]\n\
-         // chainiq-analyze: hot\n\
+        "// chainiq-analyze: hot\n\
          pub fn tick(v: &[u8]) -> usize { helper(v) }\n\
          // chainiq-analyze: allow(H2, scratch copy measured cold in EXPERIMENTS.md)\n\
          fn helper(v: &[u8]) -> usize { v.to_vec().len() }\n",
@@ -249,26 +196,23 @@ fn h2_transitive_allocation_fails_and_site_allow_passes() {
 
 #[test]
 fn t1_cross_crate_taint_fails_and_source_allow_kills_every_flow() {
-    // A wall-clock read in `bench` (D2-exempt) reached by a public sim
-    // fn in `core` through a path dependency: T1 at the sink, witness
+    // A wall-clock read in `bench` (not a sim crate) reached by a public
+    // sim fn in `core` through a path dependency: T1 at the sink, witness
     // path crossing the crate boundary.
     let taint = |marker: &str| {
         let fx = Fixture::new(&format!("t1-e2e{}", marker.len()));
-        fx.add_crate_raw(
+        fx.add_crate(
             "bench",
-            "[package]\nname = \"bench\"\nversion = \"0.1.0\"\n\n[dependencies]\n",
             &format!(
-                "#![forbid(unsafe_code)]\n\
-                 pub fn now_ms() -> u128 {{\n\
+                "pub fn now_ms() -> u128 {{\n\
                      {marker}std::time::Instant::now().elapsed().as_millis()\n\
                  }}\n"
             ),
         );
         fx.add_crate_raw(
             "core",
-            "[package]\nname = \"core\"\nversion = \"0.1.0\"\n\n\
-             [dependencies]\nbench = { path = \"../bench\" }\n",
-            "#![forbid(unsafe_code)]\npub fn stamp() -> u128 { now_ms() }\n",
+            &manifest("core", "bench = { path = \"../bench\" }\n"),
+            "pub fn stamp() -> u128 { now_ms() }\n",
         );
         analyze_workspace(&fx.root).expect("analysis runs")
     };
@@ -298,17 +242,13 @@ fn t1_without_dependency_edge_does_not_link_same_named_fns() {
     // `core` has a fn named like `other`'s tainted pub fn but no dep on
     // it: the visibility filter must keep the crates apart.
     let fx = Fixture::new("t1-nodep");
-    fx.add_crate_raw(
+    fx.add_crate(
         "bench",
-        "[package]\nname = \"bench\"\nversion = \"0.1.0\"\n\n[dependencies]\n",
-        "#![forbid(unsafe_code)]\n\
-         pub fn now_ms() -> u128 { std::time::Instant::now().elapsed().as_millis() }\n",
+        "pub fn now_ms() -> u128 { std::time::Instant::now().elapsed().as_millis() }\n",
     );
-    fx.add_crate_raw(
+    fx.add_crate(
         "core",
-        "[package]\nname = \"core\"\nversion = \"0.1.0\"\n\n[dependencies]\n",
-        "#![forbid(unsafe_code)]\n\
-         fn now_ms() -> u128 { 0 }\n\
+        "fn now_ms() -> u128 { 0 }\n\
          pub fn stamp() -> u128 { now_ms() }\n",
     );
     let report = analyze_workspace(&fx.root).expect("analysis runs");
@@ -326,7 +266,7 @@ fn h2_ratchet_budget_covers_sites_and_surplus_is_slack() {
     );
     fx.write(
         "analyze-baseline.toml",
-        "[panic-budget]\n[hot-alloc-budget]\n\"crates/core/src/lib.rs\" = 1\n[taint-budget]\n",
+        "[hot-alloc-budget]\n\"crates/core/src/lib.rs\" = 1\n[taint-budget]\n",
     );
     let report = analyze_workspace(&fx.root).expect("analysis runs");
     assert!(report.diags.is_empty(), "budgeted site must pass: {:?}", report.diags);
@@ -334,7 +274,7 @@ fn h2_ratchet_budget_covers_sites_and_surplus_is_slack() {
     // Budget above the actual count → slack, surfaced for --check-tight.
     fx.write(
         "analyze-baseline.toml",
-        "[panic-budget]\n[hot-alloc-budget]\n\"crates/core/src/lib.rs\" = 2\n[taint-budget]\n",
+        "[hot-alloc-budget]\n\"crates/core/src/lib.rs\" = 2\n[taint-budget]\n",
     );
     let report = analyze_workspace(&fx.root).expect("analysis runs");
     assert!(report.diags.is_empty(), "{:?}", report.diags);
@@ -343,29 +283,6 @@ fn h2_ratchet_budget_covers_sites_and_surplus_is_slack() {
         "surplus budget must surface as slack: {:?}",
         report.slack
     );
-}
-
-#[test]
-fn r1_reports_hot_reachable_panics_without_failing() {
-    let fx = Fixture::new("r1-e2e");
-    fx.add_crate(
-        "core",
-        "// chainiq-analyze: hot\n\
-         pub fn tick(o: Option<u8>) -> u8 { pick(o) }\n\
-         fn pick(o: Option<u8>) -> u8 { o.unwrap() }\n\
-         fn cold(o: Option<u8>) -> u8 { o.unwrap_or(9) }\n",
-    );
-    fx.write("analyze-baseline.toml", "[panic-budget]\n\"crates/core/src/lib.rs\" = 1\n");
-    let report = analyze_workspace(&fx.root).expect("analysis runs");
-    assert!(report.diags.is_empty(), "R1 never fails a run: {:?}", report.diags);
-    assert_eq!(report.panic_report.len(), 1, "{:?}", report.panic_report);
-    let entry = &report.panic_report[0];
-    assert!(entry.hot_reachable, "{entry:?}");
-    assert!(
-        entry.witness.as_deref().is_some_and(|w| w.contains("(tick)")),
-        "witness leads from the hot root: {entry:?}"
-    );
-    assert!(report.notes.iter().any(|n| n.contains("R1")), "{:?}", report.notes);
 }
 
 // ---- dogfood: the real repo must be clean ----

@@ -268,6 +268,7 @@ impl IssueQueue for DistanceIq {
             if fus.slots_left() == 0 {
                 break;
             }
+            #[expect(clippy::expect_used, reason = "`due` was collected from `entries` above")]
             let idx = self.entries.iter().position(|e| e.tag == tag).expect("candidate present");
             if !fus.try_issue(now, self.entries[idx].op) {
                 continue;

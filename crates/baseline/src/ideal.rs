@@ -96,6 +96,7 @@ impl IssueQueue for IdealIq {
             if fus.slots_left() == 0 {
                 break;
             }
+            #[expect(clippy::expect_used, reason = "`ready` was collected from `entries` above")]
             let idx = self.entries.iter().position(|e| e.tag == tag).expect("candidate present");
             if !fus.try_issue(now, self.entries[idx].op) {
                 continue;

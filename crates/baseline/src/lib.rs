@@ -34,7 +34,6 @@
 //! assert_eq!(iq.select_issue(1, &mut fus).len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod distance;

@@ -62,7 +62,6 @@ where
             let bytes = w.into_bytes();
             let mut restored = fresh();
             let mut r = chainiq_ckpt::Reader::new(&bytes);
-            // chainiq-analyze: allow(P1, cfg(test)-only helper; a failed restore IS the test failure)
             chainiq_ckpt::restore_section(&mut r, &mut restored).expect("snapshot must restore");
             *iq = restored;
         }

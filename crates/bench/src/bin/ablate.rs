@@ -6,6 +6,8 @@
 //! delta. (The predictors' ablation — base/hmp/lrp/comb — is Figure 2's
 //! job; this binary covers the *structural* choices.)
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use chainiq::{Bench, IqKind, SegmentedIqConfig};
 use chainiq_bench::{sample_size, PredictorConfig, Sweep, TextTable};
 

@@ -2,6 +2,8 @@
 //! key configurations. Not a paper artifact — used to tune the synthetic
 //! workload profiles (DESIGN.md §2) and sanity-check result shapes.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use chainiq::Bench;
 use chainiq_bench::{ideal, sample_size, segmented, PredictorConfig, Sweep, TextTable};
 

@@ -8,6 +8,8 @@
 //! contrast, the cycle time of the ideal queue would be expected to grow
 //! quadratically with its size."
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use chainiq::{Bench, QueueGeometry, Technology};
 use chainiq_bench::{ideal, sample_size, segmented, PredictorConfig, Sweep, TextTable};
 

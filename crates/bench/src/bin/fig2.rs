@@ -6,6 +6,8 @@
 //! percentage of the ideal monolithic 512-entry queue's IPC. Also prints
 //! the §4.5 deadlock-recovery cycle fraction (scalar claim S2).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use chainiq_bench::{
     ideal, sample_size, segmented, PredictorConfig, Sweep, TextTable, FIG2_BENCHES,
 };

@@ -7,6 +7,8 @@
 //! * **Prescheduled** — Michaud & Seznec's scheme with a 32-entry issue
 //!   buffer plus 8/24/56/120 lines of 12 (128, 320, 704, 1472 slots).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use chainiq::Bench;
 use chainiq_bench::{
     ideal, prescheduled, sample_size, segmented, PredictorConfig, Sweep, TextTable,

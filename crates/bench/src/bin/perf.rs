@@ -13,11 +13,18 @@
 //! history line stamps the revision from `CHAINIQ_GIT_REV` (an input —
 //! the binary never shells out to `git`).
 //!
-//! Exits non-zero if the aggregate throughput is not a positive finite
-//! number — a malformed artifact must fail loudly, not rot silently.
+//! Refuses to write either file, and exits non-zero, if the aggregate
+//! throughput is not a positive finite number — a malformed artifact
+//! must fail loudly, not rot silently.
+
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
 
 use std::fmt::Write as _;
 use std::io::Write as _;
+#[expect(
+    clippy::disallowed_types,
+    reason = "D2: perf measures host wall-clock time; it never feeds simulated state"
+)]
 use std::time::Instant;
 
 use chainiq::core::{SegmentedIq, SegmentedIqConfig};
@@ -181,6 +188,7 @@ fn main() -> std::process::ExitCode {
     let mut points = Vec::new();
     for (label, spec) in matrix(sample) {
         eprintln!("  running {label} ...");
+        #[expect(clippy::disallowed_types, reason = "D2: host time of one perf point")]
         let t0 = Instant::now();
         let (sim_cycles, committed_insts) = match spec {
             PointSpec::Single(spec) => {
@@ -212,6 +220,12 @@ fn main() -> std::process::ExitCode {
     }
     println!("{}", t.render());
 
+    let throughput = agg.kcycles_per_sec();
+    if !(throughput.is_finite() && throughput > 0.0) {
+        eprintln!("error: aggregate throughput is {throughput}; refusing to write the artifact");
+        return std::process::ExitCode::from(1);
+    }
+
     let dir = results_dir();
     let path = dir.join("BENCH_perf.json");
     let body = json(sample, &points, &agg);
@@ -231,18 +245,13 @@ fn main() -> std::process::ExitCode {
         .open(&history_path)
         .and_then(|mut f| f.write_all(line.as_bytes()));
     match appended {
-        Ok(()) => println!("appended {}", history_path.display()),
+        Ok(()) => {
+            println!("appended {}", history_path.display());
+            std::process::ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: could not append {}: {e}", history_path.display());
-            return std::process::ExitCode::from(2);
+            std::process::ExitCode::from(2)
         }
-    }
-
-    let throughput = agg.kcycles_per_sec();
-    if throughput.is_finite() && throughput > 0.0 {
-        std::process::ExitCode::SUCCESS
-    } else {
-        eprintln!("error: aggregate throughput is {throughput}; artifact would be malformed");
-        std::process::ExitCode::from(1)
     }
 }

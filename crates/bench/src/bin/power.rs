@@ -8,6 +8,8 @@
 //! dynamic resizing by gating clocks and/or power on a segment
 //! granularity."
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use chainiq::{Bench, EnergyModel};
 use chainiq_bench::{ideal, sample_size, segmented, PredictorConfig, Sweep, TextTable};
 

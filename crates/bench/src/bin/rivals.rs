@@ -5,6 +5,8 @@
 //! Runs both quasi-static rivals at matched total sizes against the
 //! segmented queue and the ideal queue.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use chainiq::{Bench, DistanceConfig, IqKind, PrescheduleConfig};
 use chainiq_bench::{ideal, sample_size, segmented, PredictorConfig, Sweep, TextTable};
 

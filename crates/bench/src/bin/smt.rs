@@ -7,6 +7,8 @@
 //! holds, the segmented queue's retention (segmented/ideal) does not
 //! collapse as threads are added.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use chainiq::core::{SegmentedIq, SegmentedIqConfig};
 use chainiq::{AddressSpace, Bench, IdealIq, SimConfig, SimStats, SmtPipeline, SyntheticWorkload};
 use chainiq_bench::{sample_size, sweep_map, TextTable, DEFAULT_SEED};

@@ -3,6 +3,8 @@
 //! Prints the simulated machine configuration and asserts that the
 //! defaults match the paper's Table 1 exactly.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use chainiq::SimConfig;
 
 fn main() {

@@ -7,6 +7,8 @@
 //! operands in different chains (S3, ~35%), and the fraction of chains
 //! headed by loads in the base configuration (S4, ~65%).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use chainiq::Bench;
 use chainiq_bench::{sample_size, segmented, PredictorConfig, Sweep, TextTable};
 

@@ -16,6 +16,7 @@ use std::str::FromStr;
 /// * Set but unparsable (or not UTF-8) → `default`, with a warning on
 ///   stderr quoting the rejected value.
 #[must_use]
+#[expect(clippy::disallowed_methods, reason = "D3: the one module that reads CHAINIQ_* knobs")]
 pub fn knob<T: FromStr + Display>(name: &str, default: T) -> T {
     match std::env::var(name) {
         Ok(raw) => match raw.parse() {
@@ -37,6 +38,7 @@ pub fn knob<T: FromStr + Display>(name: &str, default: T) -> T {
 /// (callers fall back to the runtime-discovered `results/` dir). Taken
 /// as-is — any non-empty path is valid, so there is nothing to warn on.
 #[must_use]
+#[expect(clippy::disallowed_methods, reason = "D3: the one module that reads CHAINIQ_* knobs")]
 pub fn bench_dir() -> Option<std::path::PathBuf> {
     std::env::var_os("CHAINIQ_BENCH_DIR").map(std::path::PathBuf::from)
 }
@@ -46,6 +48,7 @@ pub fn bench_dir() -> Option<std::path::PathBuf> {
 /// default (**off**, so plain runs never touch a cache directory and
 /// behave exactly as before the cache existed).
 #[must_use]
+#[expect(clippy::disallowed_methods, reason = "D3: the one module that reads CHAINIQ_* knobs")]
 pub fn ckpt_enabled() -> bool {
     match std::env::var("CHAINIQ_CKPT") {
         Ok(raw) => match raw.trim() {
@@ -69,6 +72,7 @@ pub fn ckpt_enabled() -> bool {
 /// cached warmup prefixes live beside the artifacts they accelerate).
 /// Any non-empty path is valid, so there is nothing to warn on.
 #[must_use]
+#[expect(clippy::disallowed_methods, reason = "D3: the one module that reads CHAINIQ_* knobs")]
 pub fn ckpt_dir() -> std::path::PathBuf {
     std::env::var_os("CHAINIQ_CKPT_DIR")
         .map(std::path::PathBuf::from)
@@ -82,6 +86,7 @@ pub fn ckpt_dir() -> std::path::PathBuf {
 /// still produce well-formed history lines. Any non-empty string is
 /// valid, so there is nothing to warn on.
 #[must_use]
+#[expect(clippy::disallowed_methods, reason = "D3: the one module that reads CHAINIQ_* knobs")]
 pub fn git_rev() -> String {
     match std::env::var("CHAINIQ_GIT_REV") {
         Ok(raw) if !raw.trim().is_empty() => raw.trim().to_string(),

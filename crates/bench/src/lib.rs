@@ -2,7 +2,6 @@
 //! configuration, result tables, and text rendering used by the binaries
 //! that regenerate the paper's tables and figures.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod knob;

@@ -23,6 +23,7 @@ use std::sync::mpsc;
 ///
 /// If `f` panics on any job, the panic is propagated to the caller once
 /// the remaining workers have drained the job list.
+#[expect(clippy::expect_used, reason = "every claimed job slot is filled before the scope ends")]
 pub fn run_indexed<J, R, F, P>(jobs: &[J], workers: usize, f: F, mut progress: P) -> Vec<R>
 where
     J: Sync,

@@ -11,6 +11,10 @@
 //! stdout reserved for the artifact tables.
 
 use std::path::Path;
+#[expect(
+    clippy::disallowed_types,
+    reason = "D2: sweep progress lines report host wall-clock time on stderr"
+)]
 use std::time::Instant;
 
 use chainiq::{Bench, CkptOutcome, CkptPlan, IqKind, RunResult};
@@ -177,6 +181,10 @@ impl Sweep {
         cache: Option<&Path>,
     ) -> (Vec<RunResult>, CkptTally) {
         let total = self.specs.len();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "D2: elapsed time for the stderr progress line only"
+        )]
         let t0 = Instant::now();
         let mut done = 0usize;
         let outcomes = pool::run_indexed(
@@ -300,6 +308,10 @@ where
 {
     let jobs = knob::jobs();
     let total = items.len();
+    #[expect(
+        clippy::disallowed_types,
+        reason = "D2: elapsed time for the stderr progress line only"
+    )]
     let t0 = Instant::now();
     let mut done = 0usize;
     let results = pool::run_indexed(

@@ -42,7 +42,6 @@
 //! See `examples/` for richer scenarios and `crates/bench` for the
 //! binaries that regenerate every table and figure of the paper.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub use chainiq_baseline as baseline;

@@ -45,7 +45,6 @@
 //! assert!(segmented < 1.2 * small, "segments clock like small queues");
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 /// Geometry of the scheduling structure whose critical path is modelled.

@@ -41,7 +41,6 @@
 //! silently misread. There is no cross-version migration: checkpoints
 //! are a cache, the cold path always exists.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod cache;
@@ -691,9 +690,10 @@ pub fn restore_sparse<T: Pack + Clone>(
 /// rebuilds it from the run's configuration first) and overwrites every
 /// piece of mutable state, so that continuing the simulation after a
 /// restore is cycle-for-cycle identical to never having stopped.
-/// Implementations must not read clocks or the environment — snapshots
-/// are pure functions of machine state (enforced by `chainiq-analyze`
-/// rule S1).
+/// Implementations must not read clocks or the environment, directly or
+/// through a helper — snapshots are pure functions of machine state
+/// (enforced by `chainiq-analyze` rule T1, for which every `Snapshot`
+/// method is a sink).
 pub trait Snapshot {
     /// Stable section name, unique per component.
     const COMPONENT: &'static str;

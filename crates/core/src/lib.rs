@@ -68,7 +68,6 @@
 //! assert_eq!(issued, vec![InstTag(0), InstTag(1)]);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod bitset;

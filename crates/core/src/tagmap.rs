@@ -61,7 +61,9 @@ impl<V: Copy + Default> TagMap<V> {
 
     fn grow(&mut self) {
         let new_cap = (self.keys.len() * 2).max(16);
+        // chainiq-analyze: allow(H2, doubling growth: amortised to zero once the map reaches its working size)
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY_KEY; new_cap]);
+        // chainiq-analyze: allow(H2, doubling growth: amortised to zero once the map reaches its working size)
         let old_vals = std::mem::replace(&mut self.vals, vec![V::default(); new_cap]);
         self.len = 0;
         for (k, v) in old_keys.into_iter().zip(old_vals) {

@@ -86,7 +86,7 @@ impl RunResult {
 /// `use_hmp`/`use_lrp` control the §4.3/§4.4 predictor hooks — they only
 /// change behaviour for the segmented queue.
 #[must_use]
-#[allow(clippy::fn_params_excessive_bools)]
+#[allow(clippy::fn_params_excessive_bools, reason = "one flag per paper mechanism")]
 pub fn run_one(
     profile: Profile,
     kind: IqKind,
@@ -137,7 +137,7 @@ pub enum CkptOutcome {
 /// carries complete machine state, and a cold run executes the exact same
 /// step sequence whether or not it pauses to save.
 #[must_use]
-#[allow(clippy::fn_params_excessive_bools)]
+#[allow(clippy::fn_params_excessive_bools, reason = "one flag per paper mechanism")]
 pub fn run_one_ckpt(
     profile: Profile,
     kind: IqKind,
@@ -234,7 +234,7 @@ pub fn run_one_ckpt(
 /// Builds the machine, consults the checkpoint cache, and runs to
 /// `max_insts` committed instructions. Returns the finished machine so
 /// queue-specific statistics can still be read off it.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the flattened run_one parameters")]
 fn run_kind<Q>(
     config: SimConfig,
     make_iq: impl Fn() -> Q,

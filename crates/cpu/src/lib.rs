@@ -39,7 +39,6 @@
 //! assert!(result.ipc() > 0.1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod config;

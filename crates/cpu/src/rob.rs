@@ -93,6 +93,7 @@ impl Rob {
         while out.len() - start < width {
             match self.entries.front() {
                 Some(e) if e.state == RobState::Completed => {
+                    #[expect(clippy::expect_used, reason = "front() just matched Some")]
                     out.push(self.entries.pop_front().expect("front exists"));
                 }
                 _ => break,

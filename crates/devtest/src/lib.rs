@@ -34,7 +34,6 @@
 //! });
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::fmt::Write as _;
@@ -167,8 +166,12 @@ impl Gen {
 /// family: `Err` carries the failure message.
 pub type CaseResult = Result<(), String>;
 
+#[expect(
+    clippy::disallowed_methods,
+    clippy::panic,
+    reason = "CHAINIQ_PROP_* replay knobs are devtest's own debugging interface; a malformed one fails the test"
+)]
 fn env_u64(name: &str) -> Option<u64> {
-    // chainiq-analyze: allow(D3, CHAINIQ_PROP_* replay knobs are devtest's own debugging interface, not experiment inputs)
     let v = std::env::var(name).ok()?;
     let v = v.trim();
     let parsed = if let Some(hex) = v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
@@ -189,6 +192,7 @@ fn env_u64(name: &str) -> Option<u64> {
 ///
 /// Panics (failing the test) when a case fails, with the reproducing
 /// seed, shrink level, and failure message.
+#[expect(clippy::panic, reason = "a failing property fails its #[test] by panicking")]
 pub fn run_prop(name: &str, cases: u64, property: impl Fn(&mut Gen) -> CaseResult) {
     // Reproduction mode: exactly one seed, no shrinking beyond the
     // requested level.

@@ -21,7 +21,6 @@
 //! assert_eq!(add.exec_latency(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod ckpt;

@@ -163,6 +163,7 @@ impl CacheArray {
 
         self.stats.misses += 1;
         // Prefer an invalid way; otherwise evict the LRU way.
+        #[expect(clippy::expect_used, reason = "a set always has at least one way")]
         let victim_idx =
             set.iter().enumerate().find(|(_, w)| !w.valid).map(|(i, _)| i).unwrap_or_else(|| {
                 set.iter()

@@ -37,7 +37,6 @@
 //! assert_eq!(again.serviced_by, ServicedBy::L1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod bus;

@@ -39,7 +39,6 @@
 //! assert!(mono.total_pj() > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use chainiq_core::{IqStats, SegmentedStats};

@@ -127,6 +127,7 @@ impl Btb {
             e.last_use = clock;
             return;
         }
+        #[expect(clippy::expect_used, reason = "BTB sets are non-empty")]
         let victim = set
             .iter_mut()
             .min_by_key(|e| if e.valid { e.last_use } else { 0 })

@@ -29,7 +29,6 @@
 //! assert!(!hmp.predict_hit(0x40));
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod branch;

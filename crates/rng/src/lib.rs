@@ -27,7 +27,6 @@
 //! let _coin: bool = a.gen_bool(0.5);
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::ops::Range;
@@ -96,6 +95,7 @@ impl Rng {
     /// Panics if the range is empty.
     #[must_use]
     pub fn gen_range(&mut self, range: Range<u64>) -> u64 {
+        #[expect(clippy::expect_used, reason = "documented panic on an inverted range")]
         let width = range.end.checked_sub(range.start).expect("gen_range: end < start");
         assert!(width > 0, "gen_range: empty range");
         let hi = ((u128::from(self.next_u64()) * u128::from(width)) >> 64) as u64;

@@ -14,6 +14,8 @@
 //! request) to a file once the daemon is reachable — the hook ci.sh and
 //! the tests use to rendezvous without racing on a fixed port.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
+
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -23,7 +23,11 @@
 //! byte-for-byte — across phases, clients, or hit/miss paths — fails
 //! the run. `--expect-warm-all-hits` additionally asserts the warm
 //! phase simulated nothing (ci.sh runs it at `--hit-ratio 1.0`).
-//! `--shutdown` just asks the daemon to exit.
+//! `--shutdown` just asks the daemon to exit. A degenerate (non-finite
+//! or non-positive) cold or warm throughput fails the run before either
+//! artifact is written.
+
+#![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -31,6 +35,10 @@ use std::io::Write as _;
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Mutex;
+#[expect(
+    clippy::disallowed_types,
+    reason = "D2: storm measures host jobs per second against the daemon"
+)]
 use std::time::Instant;
 
 use chainiq::Bench;
@@ -177,6 +185,7 @@ fn run_phase(
     registry: &Registry,
 ) -> Result<(f64, u64), String> {
     let busy_retries = Mutex::new(0u64);
+    #[expect(clippy::disallowed_types, reason = "D2: host time of one storm phase")]
     let t0 = Instant::now();
     let errors: Vec<String> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..clients)

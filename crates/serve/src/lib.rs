@@ -25,7 +25,6 @@
 //! of a deterministic simulation, and the cache key is a fingerprint of
 //! the spec's canonical wire encoding.
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod client;

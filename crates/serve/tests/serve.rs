@@ -2,6 +2,13 @@
 //! byte-identity across worker counts and submission orders, typed
 //! backpressure, and cache persistence across daemon restarts.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test support code: a failed unwrap is the test failing"
+)]
+
 use std::net::SocketAddr;
 use std::path::Path;
 

@@ -165,7 +165,7 @@ impl KernelState {
         self.iter += 1;
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one parameter per profile knob")]
     fn emit_stream(
         &mut self,
         arrays: u8,
@@ -326,7 +326,7 @@ impl KernelState {
         out.push(Inst::store(pc.take(), acc, ri, self.region + idx_off));
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one parameter per profile knob")]
     fn emit_branchy(
         &mut self,
         taken_prob: f64,

@@ -28,7 +28,6 @@
 //! assert!(first_thousand.iter().eq(w2.by_ref().take(1000).collect::<Vec<_>>().iter()));
 //! ```
 
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod gen;

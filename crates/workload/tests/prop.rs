@@ -92,7 +92,7 @@ prop_check! {
     fn static_code_footprint_is_bounded(g, cases = 48) {
         let profile = rand_profile(g);
         let seed = g.any_u64();
-        let pcs: std::collections::HashSet<u64> = SyntheticWorkload::from_profile(profile, seed)
+        let pcs: std::collections::BTreeSet<u64> = SyntheticWorkload::from_profile(profile, seed)
             .take(5000)
             .map(|i| i.pc)
             .collect();

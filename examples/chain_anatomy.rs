@@ -10,6 +10,13 @@
 //! cargo run --release --example chain_anatomy
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example may exit through a panic"
+)]
+
 use chainiq::core::{
     DispatchInfo, FuPool, InstTag, IssueQueue, SegmentedIq, SegmentedIqConfig, SrcOperand,
 };

@@ -9,6 +9,13 @@
 //! cargo run --release --example custom_workload [insts]
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example may exit through a panic"
+)]
+
 use chainiq::{run_one, IqKind, KernelSpec, Phase, Profile, SegmentedIqConfig};
 
 const KB: u64 = 1 << 10;

@@ -5,6 +5,13 @@
 //! cargo run --release --example quickstart [bench] [insts]
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example may exit through a panic"
+)]
+
 use chainiq::{run_one, Bench, IqKind, PrescheduleConfig, SegmentedIqConfig};
 
 fn main() {

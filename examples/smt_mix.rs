@@ -6,6 +6,13 @@
 //! e.g.  cargo run --release --example smt_mix swim,gcc 60000
 //! ```
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "an example may exit through a panic"
+)]
+
 use chainiq::core::{SegmentedIq, SegmentedIqConfig};
 use chainiq::{AddressSpace, Bench, IdealIq, SimConfig, SmtPipeline, SyntheticWorkload};
 

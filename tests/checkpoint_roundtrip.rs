@@ -15,6 +15,13 @@
 //! the full pipeline, a two-thread SMT machine, and the end-to-end cached
 //! harness path.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "test support code: a failed unwrap is the test failing"
+)]
+
 use chainiq::ckpt::{
     restore_section, save_section, CkptHeader, ImageReader, ImageWriter, Reader, Snapshot, Writer,
 };

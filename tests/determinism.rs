@@ -2,7 +2,7 @@
 //! must agree on *every* statistic, not just the headline counters.
 //!
 //! The simulator's collections are all ordered (`BTreeMap`/`Vec`) —
-//! enforced by `chainiq-analyze` rule D1 — so any divergence here means
+//! `clippy.toml` bans `HashMap`/`HashSet` — so any divergence here means
 //! an iteration-order or hidden-input dependence crept back in.
 //! `SimStats` does not implement `PartialEq` (it carries derived floats),
 //! so the runs are compared through their full `Debug` rendering, which

@@ -79,21 +79,6 @@ pub fn ckpt_dir() -> std::path::PathBuf {
         .unwrap_or_else(|| crate::runner::results_dir().join("ckpt-cache"))
 }
 
-/// Source-revision label stamped into the perf-history artifact:
-/// `CHAINIQ_GIT_REV` when set (CI passes `git rev-parse --short HEAD`),
-/// otherwise `"unknown"`. The binaries never shell out to `git`
-/// themselves — the label is an input, so sandboxed or exported trees
-/// still produce well-formed history lines. Any non-empty string is
-/// valid, so there is nothing to warn on.
-#[must_use]
-#[expect(clippy::disallowed_methods, reason = "D3: the one module that reads CHAINIQ_* knobs")]
-pub fn git_rev() -> String {
-    match std::env::var("CHAINIQ_GIT_REV") {
-        Ok(raw) if !raw.trim().is_empty() => raw.trim().to_string(),
-        _ => "unknown".to_string(),
-    }
-}
-
 /// Checkpoint/result cache size cap in mebibytes: `CHAINIQ_CKPT_MAX_MB`.
 /// Unset or `0` means unlimited (today's behavior); a positive value
 /// makes cache-owning code paths evict least-recently-used entries until
@@ -181,18 +166,6 @@ mod tests {
     #[test]
     fn jobs_is_positive() {
         assert!(jobs() >= 1);
-    }
-
-    #[test]
-    fn git_rev_defaults_and_trims() {
-        // Only this test touches CHAINIQ_GIT_REV, so no cross-test race.
-        std::env::remove_var("CHAINIQ_GIT_REV");
-        assert_eq!(git_rev(), "unknown");
-        std::env::set_var("CHAINIQ_GIT_REV", "  1c5b71a \n");
-        assert_eq!(git_rev(), "1c5b71a");
-        std::env::set_var("CHAINIQ_GIT_REV", "   ");
-        assert_eq!(git_rev(), "unknown", "blank labels fall back");
-        std::env::remove_var("CHAINIQ_GIT_REV");
     }
 
     #[test]

@@ -15,7 +15,7 @@ pub use runner::results_dir;
 pub use sweep::{sweep_map, CkptTally, RunSpec, Sweep};
 pub use table::TextTable;
 
-use chainiq::{Bench, IqKind, PrescheduleConfig, RunResult, SegmentedIqConfig};
+use chainiq::{Bench, IqKind, PrescheduleConfig, SegmentedIqConfig};
 
 /// The benchmarks Figure 2 / Table 2 report (gcc is omitted from
 /// Figure 2 "for space reasons"; Figure 3 includes it).
@@ -86,14 +86,6 @@ impl PredictorConfig {
     pub fn lrp(self) -> bool {
         matches!(self, PredictorConfig::Lrp | PredictorConfig::Comb)
     }
-}
-
-/// Runs one benchmark on one queue design with the shared defaults,
-/// serially on the calling thread. Grids of runs should go through
-/// [`Sweep`] instead, which fans out across `CHAINIQ_JOBS` workers.
-#[must_use]
-pub fn run(bench: Bench, kind: IqKind, pred: PredictorConfig, sample: u64) -> RunResult {
-    RunSpec::new(bench, kind, pred, sample).execute()
 }
 
 /// The segmented queue of the paper's main experiments: 32-entry

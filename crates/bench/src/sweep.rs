@@ -11,11 +11,6 @@
 //! stdout reserved for the artifact tables.
 
 use std::path::Path;
-#[expect(
-    clippy::disallowed_types,
-    reason = "D2: sweep progress lines report host wall-clock time on stderr"
-)]
-use std::time::Instant;
 
 use chainiq::{Bench, CkptOutcome, CkptPlan, IqKind, RunResult};
 
@@ -153,17 +148,8 @@ impl Sweep {
     /// rooted at the `CHAINIQ_CKPT_DIR` directory.
     #[must_use]
     pub fn run(self) -> Vec<RunResult> {
-        let jobs = knob::jobs();
-        self.run_with_jobs(jobs)
-    }
-
-    /// Executes the sweep on an explicit worker count (bypassing the
-    /// `CHAINIQ_JOBS` knob — used by tests and callers that know better).
-    /// The checkpoint cache still follows the environment knobs.
-    #[must_use]
-    pub fn run_with_jobs(self, jobs: usize) -> Vec<RunResult> {
         let cache = knob::ckpt_enabled().then(knob::ckpt_dir);
-        self.run_with_jobs_cached(jobs, cache.as_deref()).0
+        self.run_with_jobs_cached(knob::jobs(), cache.as_deref()).0
     }
 
     /// Executes the sweep with an explicit worker count and cache root
@@ -180,32 +166,8 @@ impl Sweep {
         jobs: usize,
         cache: Option<&Path>,
     ) -> (Vec<RunResult>, CkptTally) {
-        let total = self.specs.len();
-        #[expect(
-            clippy::disallowed_types,
-            reason = "D2: elapsed time for the stderr progress line only"
-        )]
-        let t0 = Instant::now();
-        let mut done = 0usize;
-        let outcomes = pool::run_indexed(
-            &self.specs,
-            jobs,
-            |_, spec| spec.execute_cached(cache),
-            |i, _| {
-                done += 1;
-                eprintln!(
-                    "  [{done:>3}/{total}] {:<36} ({:.1}s elapsed)",
-                    self.specs[i].label(),
-                    t0.elapsed().as_secs_f64()
-                );
-            },
-        );
-        eprintln!(
-            "sweep: {total} runs in {:.1}s on {} worker{}",
-            t0.elapsed().as_secs_f64(),
-            jobs.max(1),
-            if jobs == 1 { "" } else { "s" }
-        );
+        let outcomes =
+            fan_out("runs", &self.specs, jobs, |spec| spec.execute_cached(cache), RunSpec::label);
         let mut tally = CkptTally::default();
         let mut results = Vec::with_capacity(outcomes.len());
         for (result, outcome) in outcomes {
@@ -306,24 +268,42 @@ where
     R: Send,
     F: Fn(&J) -> R + Sync,
 {
-    let jobs = knob::jobs();
+    fan_out(&format!("{what} jobs"), items, knob::jobs(), f, |_| what.to_string())
+}
+
+/// The one fan-out behind [`Sweep`] and [`sweep_map`]: runs `f` over
+/// `items` on `jobs` workers, collects results by submission index, and
+/// reports each completion (named by `label`) and the total on stderr.
+#[expect(clippy::disallowed_types, reason = "D2: elapsed time for the stderr progress lines only")]
+fn fan_out<J, R, F, L>(what: &str, items: &[J], jobs: usize, f: F, label: L) -> Vec<R>
+where
+    J: Sync,
+    R: Send,
+    F: Fn(&J) -> R + Sync,
+    L: Fn(&J) -> String,
+{
     let total = items.len();
-    #[expect(
-        clippy::disallowed_types,
-        reason = "D2: elapsed time for the stderr progress line only"
-    )]
-    let t0 = Instant::now();
+    let t0 = std::time::Instant::now();
     let mut done = 0usize;
     let results = pool::run_indexed(
         items,
         jobs,
         |_, item| f(item),
-        |_, _| {
+        |i, _| {
             done += 1;
-            eprintln!("  [{done:>3}/{total}] {what} ({:.1}s elapsed)", t0.elapsed().as_secs_f64());
+            eprintln!(
+                "  [{done:>3}/{total}] {:<36} ({:.1}s elapsed)",
+                label(&items[i]),
+                t0.elapsed().as_secs_f64()
+            );
         },
     );
-    eprintln!("sweep: {total} {what} jobs in {:.1}s on {jobs} workers", t0.elapsed().as_secs_f64());
+    eprintln!(
+        "sweep: {total} {what} in {:.1}s on {} worker{}",
+        t0.elapsed().as_secs_f64(),
+        jobs.max(1),
+        if jobs == 1 { "" } else { "s" }
+    );
     results
 }
 

@@ -28,8 +28,8 @@ fn fingerprints(results: &[chainiq::RunResult]) -> Vec<String> {
 
 #[test]
 fn parallel_sweep_matches_serial_sweep() {
-    let serial = grid().run_with_jobs(1);
-    let parallel = grid().run_with_jobs(4);
+    let serial = grid().run_with_jobs_cached(1, None).0;
+    let parallel = grid().run_with_jobs_cached(4, None).0;
     assert_eq!(serial.len(), parallel.len());
     let (s, p) = (fingerprints(&serial), fingerprints(&parallel));
     for (i, (a, b)) in s.iter().zip(&p).enumerate() {
@@ -43,7 +43,7 @@ fn sweep_matches_direct_execution() {
     // i equal a plain serial `RunSpec::execute` of spec i.
     let sweep = grid();
     let specs: Vec<RunSpec> = sweep.specs().to_vec();
-    let pooled = sweep.run_with_jobs(4);
+    let pooled = sweep.run_with_jobs_cached(4, None).0;
     for (i, spec) in specs.iter().enumerate() {
         let direct = spec.execute();
         assert_eq!(

@@ -11,8 +11,8 @@
 //! ```
 //!
 //! `--addr-file` writes the *bound* address (resolving a port-0
-//! request) to a file once the daemon is reachable — the hook ci.sh and
-//! the tests use to rendezvous without racing on a fixed port.
+//! request) to a file once the daemon is reachable — the hook the tests
+//! use to rendezvous without racing on a fixed port.
 
 #![allow(clippy::unwrap_used, clippy::expect_used, reason = "a binary may exit through a panic")]
 

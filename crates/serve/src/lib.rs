@@ -16,8 +16,8 @@
 //!   checkpoint-image format), collapses concurrent identical
 //!   submissions onto one in-flight simulation (single-flight dedupe),
 //!   and shards misses across a fixed worker pool.
-//! * **Client** ([`client`]) — the blocking client the `storm`
-//!   benchmark and the integration tests drive.
+//! * **Client** ([`client`]) — the blocking client the integration
+//!   tests and the `benchmark/` package's `serve-mix` workload drive.
 //!
 //! Responses are **byte-identical** for a given spec regardless of
 //! arrival order, worker count, or whether the bytes came from the

@@ -295,8 +295,14 @@ impl std::fmt::Display for ServeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "{} submitted: {} hits, {} joined, {} simulated, {} busy, {} evicted",
-            self.submitted, self.hits, self.joined, self.simulated, self.busy, self.evicted
+            "{} submitted: {} hits, {} joined, {} simulated, {} busy, {} store failures, {} evicted",
+            self.submitted,
+            self.hits,
+            self.joined,
+            self.simulated,
+            self.busy,
+            self.store_failures,
+            self.evicted
         )
     }
 }
@@ -744,7 +750,8 @@ mod tests {
         stats.pack(&mut w);
         let bytes = w.into_bytes();
         assert_eq!(ServeStats::unpack(&mut Reader::new(&bytes)).unwrap(), stats);
-        assert!(stats.to_string().contains("2 hits"), "{stats}");
+        let line = stats.to_string();
+        assert!(line.contains("2 hits") && line.contains("6 store failures"), "{line}");
     }
 
     #[test]

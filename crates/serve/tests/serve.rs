@@ -1,6 +1,7 @@
 //! End-to-end tests over a loopback socket: single-flight dedupe,
 //! byte-identity across worker counts and submission orders, typed
-//! backpressure, and cache persistence across daemon restarts.
+//! backpressure, cache persistence across daemon restarts, and the
+//! daemon binary's own start-up, cache and shutdown path.
 
 #![allow(
     clippy::unwrap_used,
@@ -202,6 +203,74 @@ fn stats_roundtrip_and_version_guard() {
     }
 
     let _ = server.stop();
+}
+
+/// The `chainiq-serve` binary, killed on drop so a failing test leaves
+/// no daemon behind.
+struct Daemon(Option<std::process::Child>);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Some(child) = &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+/// The real daemon binary end to end: it publishes its port-0 address
+/// through `--addr-file`, answers a repeated grid entirely from its
+/// cache with byte-identical images, and exits successfully when a
+/// client asks it to shut down.
+#[test]
+fn daemon_binary_serves_repeat_grid_from_cache_and_exits_cleanly() {
+    use std::process::{Command, Stdio};
+
+    let dir = tempdir("daemon");
+    let addr_file = dir.join("addr");
+    let child = Command::new(env!("CARGO_BIN_EXE_chainiq-serve"))
+        .args(["--addr", "127.0.0.1:0", "--workers", "2", "--addr-file"])
+        .arg(&addr_file)
+        .arg("--cache-dir")
+        .arg(dir.join("cache"))
+        .env_remove("CHAINIQ_CKPT")
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn chainiq-serve");
+    let mut daemon = Daemon(Some(child));
+
+    let mut addr = None;
+    for _ in 0..200 {
+        if let Some(status) = daemon.0.as_mut().and_then(|c| c.try_wait().expect("poll daemon")) {
+            panic!("chainiq-serve exited before publishing its address: {status}");
+        }
+        let published = std::fs::read_to_string(&addr_file).unwrap_or_default();
+        addr = published.strip_suffix('\n').and_then(|a| a.parse::<SocketAddr>().ok());
+        if addr.is_some() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+    let addr = addr.expect("chainiq-serve never published its address");
+
+    let grid: Vec<RunSpec> = (0..4).map(|i| spec(Bench::Equake, i)).collect();
+    let cold = submit_ok(addr, &grid);
+    let after_cold = Client::connect(addr).expect("connect").stats().expect("stats");
+    assert_eq!(after_cold.simulated, 4, "a fresh cache simulates every spec once");
+
+    let warm = submit_ok(addr, &grid);
+    assert_eq!(warm, cold, "every image must be byte-identical across the two passes");
+    let last = Client::connect(addr).expect("connect").shutdown().expect("shutdown");
+    assert_eq!(last.simulated, after_cold.simulated, "the second pass must not re-simulate");
+    assert_eq!(last.hits - after_cold.hits, 4, "the second pass is answered from the cache");
+
+    let output = daemon.0.take().expect("daemon").wait_with_output().expect("wait for daemon");
+    assert!(
+        output.status.success(),
+        "chainiq-serve exited with {}: {}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
 }
 
 fn tempdir(tag: &str) -> std::path::PathBuf {

@@ -61,6 +61,23 @@ echo "== benchmark package tests: traced twins must write and restore identical 
 CARGO_TARGET_DIR="$PWD/target/benchmark" \
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
+WORK_DIR="$(mktemp -d)"
+trap 'rm -rf "$WORK_DIR"' EXIT
+
+echo "== traced paper-grid at the held-out seed 7: fast-forward must equal stepping"
+# Untraced passes fast-forward over quiet cycles; traced passes run every
+# queue inside the benchmark's Timed<Q>, which keeps the stepwise horizon
+# defaults, and must equal them. That checks fast-forward against
+# stepping on all 275 specs and 9 SMT mixes at a seed the committed
+# digest does not cover. It runs from the scratch directory so the
+# benchmark's .bench_work/ stays out of the tree.
+ROOT="$PWD"
+GRID_OUT="$(cd "$WORK_DIR" && CARGO_TARGET_DIR="$ROOT/target/benchmark" \
+    cargo run --release --offline --quiet --manifest-path "$ROOT/benchmark/Cargo.toml" -- \
+    --workload paper-grid --seed 7 --seconds 1 --trace 1 2>/dev/null | tail -n 1)"
+{ grep -q '"correct": true' <<<"$GRID_OUT" && grep -q '"failed": 0' <<<"$GRID_OUT"; } \
+    || { echo "ci.sh: traced paper-grid at seed 7 failed: $GRID_OUT" >&2; exit 1; }
+
 echo "== sweep smoke: fig3 on 2 workers at a small sample"
 CHAINIQ_SAMPLE=2000 CHAINIQ_JOBS=2 \
     cargo run -p chainiq-bench --release --bin fig3 --offline >/dev/null
@@ -69,8 +86,6 @@ echo "== checkpoint smoke: snapshot, restore, compare (cold vs cached stdout)"
 # First cached run simulates cold and saves warmup images; the second
 # restores them (serial) and the third restores them concurrently. All
 # three must render byte-identical tables to the uncached run.
-WORK_DIR="$(mktemp -d)"
-trap 'rm -rf "$WORK_DIR"' EXIT
 CKPT_CACHE="$WORK_DIR/ckpt-cache"
 run_fig3() {
     CHAINIQ_SAMPLE=2000 CHAINIQ_BENCH_DIR="$WORK_DIR" "$@" \

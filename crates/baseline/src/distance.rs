@@ -250,6 +250,12 @@ impl IssueQueue for DistanceIq {
     }
 
     fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
+        let mut issued = Vec::new();
+        self.select_issue_into(now, fus, &mut issued);
+        issued
+    }
+
+    fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         // Issue directly from due rows, oldest tag first (instructions in
         // the array are ready by construction; a conservative readiness
         // check guards against table staleness).
@@ -263,7 +269,7 @@ impl IssueQueue for DistanceIq {
             .map(|e| e.tag)
             .collect();
         due.sort();
-        let mut issued = Vec::new();
+        let before = out.len();
         for tag in due {
             if fus.slots_left() == 0 {
                 break;
@@ -279,10 +285,9 @@ impl IssueQueue for DistanceIq {
                     *c = c.saturating_sub(1);
                 }
             }
-            issued.push(IssuedInst { tag: e.tag, op: e.op });
+            out.push(IssuedInst { tag: e.tag, op: e.op });
         }
-        self.stats.issued += issued.len() as u64;
-        issued
+        self.stats.issued += (out.len() - before) as u64;
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {

@@ -1,6 +1,8 @@
 //! The idealized monolithic conventional queue.
 
-use chainiq_core::{DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst};
+use chainiq_core::{
+    DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, QuietCycle,
+};
 use chainiq_isa::{Cycle, OpClass};
 
 #[derive(Debug, Clone, Copy)]
@@ -20,6 +22,16 @@ struct Entry {
 impl Entry {
     fn ready(&self, now: Cycle) -> bool {
         self.ops.iter().flatten().all(|o| o.ready_at.map(|r| r <= now).unwrap_or(false))
+    }
+
+    /// The first cycle this entry may be selected, or `None` while a
+    /// producer is unannounced.
+    fn selectable_at(&self) -> Option<Cycle> {
+        let mut at = self.entered_at + 1;
+        for o in self.ops.iter().flatten() {
+            at = at.max(o.ready_at?);
+        }
+        Some(at)
     }
 }
 
@@ -84,6 +96,12 @@ impl IssueQueue for IdealIq {
     }
 
     fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
+        let mut issued = Vec::new();
+        self.select_issue_into(now, fus, &mut issued);
+        issued
+    }
+
+    fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         let mut ready: Vec<InstTag> = self
             .entries
             .iter()
@@ -91,7 +109,7 @@ impl IssueQueue for IdealIq {
             .map(|e| e.tag)
             .collect();
         ready.sort();
-        let mut issued = Vec::new();
+        let before = out.len();
         for tag in ready {
             if fus.slots_left() == 0 {
                 break;
@@ -102,10 +120,9 @@ impl IssueQueue for IdealIq {
                 continue;
             }
             let e = self.entries.swap_remove(idx);
-            issued.push(IssuedInst { tag: e.tag, op: e.op });
+            out.push(IssuedInst { tag: e.tag, op: e.op });
         }
-        self.stats.issued += issued.len() as u64;
-        issued
+        self.stats.issued += (out.len() - before) as u64;
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
@@ -124,6 +141,23 @@ impl IssueQueue for IdealIq {
 
     fn stats(&self) -> IqStats {
         self.stats
+    }
+
+    /// The ideal queue acts only by issuing, so it sleeps until its first
+    /// entry becomes selectable.
+    // chainiq-analyze: hot
+    fn next_event(&self, quiet: &QuietCycle) -> Cycle {
+        let first = self.entries.iter().filter_map(Entry::selectable_at).min();
+        first.map_or(Cycle::MAX, |at| at.max(quiet.now + 1))
+    }
+
+    // chainiq-analyze: hot
+    fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
+        self.stats.cycles += k;
+        self.stats.occupancy_accum += k * self.entries.len() as u64;
+        if quiet.refused.is_some() {
+            self.stats.stalls_full += k;
+        }
     }
 }
 

@@ -12,7 +12,8 @@
 
 use chainiq_core::slab_list::{self, Link, ListHead, NIL};
 use chainiq_core::{
-    DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, TagMap, Wheel,
+    DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, QuietCycle,
+    TagMap, Wheel,
 };
 use chainiq_isa::{ArchReg, Cycle, OpClass, NUM_ARCH_REGS};
 
@@ -81,6 +82,16 @@ struct Entry {
 impl Entry {
     fn ready(&self, now: Cycle) -> bool {
         self.ops.iter().flatten().all(|o| o.ready_at.map(|r| r <= now).unwrap_or(false))
+    }
+
+    /// The first cycle every operand is ready, or `None` while a producer
+    /// is unannounced.
+    fn ready_from(&self) -> Option<Cycle> {
+        let mut at = 0;
+        for o in self.ops.iter().flatten() {
+            at = at.max(o.ready_at?);
+        }
+        Some(at)
     }
 }
 
@@ -427,8 +438,14 @@ impl IssueQueue for PrescheduledIq {
         Ok(())
     }
 
-    // chainiq-analyze: hot
     fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
+        let mut issued = Vec::new();
+        self.select_issue_into(now, fus, &mut issued);
+        issued
+    }
+
+    // chainiq-analyze: hot
+    fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         let mut ready = std::mem::take(&mut self.scratch_tags);
         ready.clear();
         ready.extend(
@@ -436,7 +453,7 @@ impl IssueQueue for PrescheduledIq {
                 self.entry(t).is_some_and(|e| e.entered_buffer_at < now && e.ready(now))
             }),
         );
-        let mut issued = Vec::with_capacity(ready.len());
+        let before = out.len();
         for &tag in &ready {
             if fus.slots_left() == 0 {
                 break;
@@ -446,11 +463,10 @@ impl IssueQueue for PrescheduledIq {
                 continue;
             }
             self.remove_entry(tag);
-            issued.push(IssuedInst { tag, op });
+            out.push(IssuedInst { tag, op });
         }
         self.scratch_tags = ready;
-        self.stats.issued += issued.len() as u64;
-        issued
+        self.stats.issued += (out.len() - before) as u64;
     }
 
     // chainiq-analyze: hot
@@ -483,6 +499,52 @@ impl IssueQueue for PrescheduledIq {
 
     fn stats(&self) -> IqStats {
         self.stats
+    }
+
+    // chainiq-analyze: hot
+    fn next_event(&self, quiet: &QuietCycle) -> Cycle {
+        let next = quiet.now + 1;
+        // A due row admits into free buffer slots; a dispatch refused
+        // with the queue not full was refused by the row window, which
+        // slides every cycle.
+        let space = self.config.issue_buffer_size - self.buffer.len();
+        if (!self.overdue.is_empty() && space > 0)
+            || (quiet.refused.is_some() && self.by_tag.len() < self.config.capacity())
+        {
+            return next;
+        }
+        // Every buffered entry was admitted by `now`, so it is selectable
+        // exactly when its operands are ready.
+        let first_ready = self
+            .buffer
+            .iter()
+            .filter_map(|&t| self.entry(t).and_then(Entry::ready_from))
+            .min()
+            .unwrap_or(Cycle::MAX);
+        if first_ready <= next {
+            return next;
+        }
+        // A blocked due row recirculates past a younger buffer entry once
+        // nothing in the buffer is ready, which holds until `first_ready`.
+        let oldest_due = self.overdue.iter().map(|&(_, tag)| tag).min();
+        if oldest_due.zip(self.buffer.last()).is_some_and(|(due, &young)| due < young) {
+            return next;
+        }
+        self.due_wheel.next_due(first_ready).max(next)
+    }
+
+    // chainiq-analyze: hot
+    fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
+        self.stats.cycles += k;
+        self.stats.occupancy_accum += k * self.by_tag.len() as u64;
+        self.last_now = quiet.now + k;
+        // A due row still waiting has found the buffer full every cycle.
+        if !self.overdue.is_empty() {
+            self.shift_stalls += k;
+        }
+        if quiet.refused.is_some() {
+            self.stats.stalls_full += k;
+        }
     }
 }
 

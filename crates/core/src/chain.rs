@@ -2,8 +2,6 @@
 //! signals.
 // chainiq-analyze: hot-path
 
-use chainiq_isa::Cycle;
-
 use crate::tag::InstTag;
 use crate::tagmap::TagMap;
 
@@ -138,16 +136,16 @@ impl ChainTable {
         &self.stats
     }
 
-    /// Records a dispatch stall caused by wire exhaustion.
-    pub(crate) fn note_wire_stall(&mut self) {
-        self.stats.wire_stalls += 1;
+    /// Records `n` dispatch stalls caused by wire exhaustion.
+    pub(crate) fn note_wire_stalls(&mut self, n: u64) {
+        self.stats.wire_stalls += n;
     }
 
-    /// Samples the live count for the mean/peak statistics; call once per
-    /// cycle.
-    pub(crate) fn sample(&mut self, _now: Cycle) {
-        self.stats.live_accum += self.live as u64;
-        self.stats.cycles += 1;
+    /// Samples the live count for the mean/peak statistics over `cycles`
+    /// cycles in which it did not change; call once per cycle.
+    pub(crate) fn sample(&mut self, cycles: u64) {
+        self.stats.live_accum += cycles * self.live as u64;
+        self.stats.cycles += cycles;
         self.stats.peak_live = self.stats.peak_live.max(self.live);
     }
 
@@ -402,7 +400,7 @@ mod tests {
         let mut t = ChainTable::new(None);
         t.alloc(InstTag(1), true).unwrap();
         t.alloc(InstTag(2), false).unwrap();
-        t.sample(0);
+        t.sample(1);
         t.sample(1);
         let s = t.stats();
         assert_eq!(s.allocations, 2);

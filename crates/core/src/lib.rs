@@ -84,7 +84,7 @@ mod wheel;
 
 pub use chain::{ChainRef, ChainStats};
 pub use fu::FuPool;
-pub use queue::{IqStats, IssueQueue, IssuedInst};
+pub use queue::{IqStats, IssueQueue, IssuedInst, QuietCycle};
 pub use segmented::{SegmentedIq, SegmentedIqConfig};
 pub use stats::SegmentedStats;
 pub use tag::{DispatchInfo, DispatchStall, InstTag, OperandPick, SrcOperand};

@@ -5,6 +5,23 @@ use chainiq_isa::{Cycle, OpClass};
 use crate::fu::FuPool;
 use crate::tag::{DispatchInfo, DispatchStall, InstTag};
 
+/// A cycle in which nothing outside the queue changed: no timing event
+/// was delivered, nothing issued, dispatched, committed or fetched, and
+/// no memory access resolved. The pipeline hands one to
+/// [`IssueQueue::next_event`] and [`IssueQueue::skip_quiet`] to jump over
+/// the cycles that would repeat it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuietCycle {
+    /// The cycle just stepped.
+    pub now: Cycle,
+    /// The `execution_idle` its [`tick`](IssueQueue::tick) saw; it holds
+    /// for every repeat, since no event is delivered or scheduled.
+    pub execution_idle: bool,
+    /// The stall of the one dispatch the queue refused this cycle, if an
+    /// instruction was waiting at dispatch. Each repeat retries it.
+    pub refused: Option<DispatchStall>,
+}
+
 /// An instruction selected for issue this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssuedInst {
@@ -49,7 +66,7 @@ impl IqStats {
 ///
 /// 1. [`tick`](IssueQueue::tick) — advance internal state (segment
 ///    promotion, chain-wire propagation, prescheduling-array shift, …).
-/// 2. [`select_issue`](IssueQueue::select_issue) — pick ready
+/// 2. [`select_issue_into`](IssueQueue::select_issue_into) — pick ready
 ///    instructions, bounded by the function-unit pool. Selected entries
 ///    leave the queue.
 /// 3. [`announce_ready`](IssueQueue::announce_ready) — the pipeline
@@ -61,8 +78,13 @@ impl IqStats {
 ///    lifecycle notifications that the segmented design uses for chain
 ///    release and the suspend/resume signals of §3.4.
 ///
+/// After a [`QuietCycle`] the pipeline asks
+/// [`next_event`](IssueQueue::next_event) how long the queue would stay
+/// quiet, and accounts the cycles before that with one
+/// [`skip_quiet`](IssueQueue::skip_quiet) instead of stepping them.
+///
 /// Implementors: [`SegmentedIq`](crate::SegmentedIq) here, and the ideal
-/// monolithic and prescheduling queues in `chainiq-baseline`.
+/// monolithic, prescheduling and distance queues in `chainiq-baseline`.
 pub trait IssueQueue {
     /// Total instruction slots.
     fn capacity(&self) -> usize;
@@ -89,8 +111,21 @@ pub trait IssueQueue {
     fn dispatch(&mut self, now: Cycle, info: DispatchInfo) -> Result<(), DispatchStall>;
 
     /// Selects ready instructions for issue at `now`, claiming function
-    /// units from `fus`. Selected entries are removed from the queue.
+    /// units from `fus`, and returns them in a fresh vector. Selected
+    /// entries are removed from the queue.
+    ///
+    /// The pipeline calls [`IssueQueue::select_issue_into`]; this
+    /// allocating form remains only because the benchmark package's
+    /// `Timed<Q>` wrapper implements it.
     fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst>;
+
+    /// [`select_issue`](IssueQueue::select_issue) into a caller-owned
+    /// buffer: the selected instructions are appended to `out`. The
+    /// default extends `out` from `select_issue`; every queue in the
+    /// workspace overrides it so an issuing cycle allocates nothing.
+    fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
+        out.extend(self.select_issue(now, fus));
+    }
 
     /// Reports that `producer`'s result will be usable by consumers
     /// issuing at `ready_at` or later.
@@ -113,6 +148,24 @@ pub trait IssueQueue {
 
     /// Common statistics.
     fn stats(&self) -> IqStats;
+
+    /// The earliest cycle after `quiet.now` at which this queue could act
+    /// on its own — issue, promote, move a chain signal, recover from
+    /// deadlock, or answer the refused dispatch differently — if nothing
+    /// outside it changes meanwhile. Every cycle before that would repeat
+    /// `quiet` exactly, up to its counters. The default, the next cycle,
+    /// keeps the pipeline stepping every cycle.
+    fn next_event(&self, quiet: &QuietCycle) -> Cycle {
+        quiet.now + 1
+    }
+
+    /// Accounts `k` repeats of `quiet` at once — the cycles `quiet.now +
+    /// 1 ..= quiet.now + k`, every one before
+    /// [`next_event`](IssueQueue::next_event) — leaving the queue as `k`
+    /// ticks, empty selections and refused dispatches would. The default
+    /// does nothing: it is never called while `next_event` keeps the
+    /// default.
+    fn skip_quiet(&mut self, _quiet: &QuietCycle, _k: u64) {}
 }
 
 impl<Q: IssueQueue + ?Sized> IssueQueue for Box<Q> {
@@ -131,6 +184,9 @@ impl<Q: IssueQueue + ?Sized> IssueQueue for Box<Q> {
     fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
         (**self).select_issue(now, fus)
     }
+    fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
+        (**self).select_issue_into(now, fus, out);
+    }
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
         (**self).announce_ready(producer, ready_at);
     }
@@ -148,6 +204,12 @@ impl<Q: IssueQueue + ?Sized> IssueQueue for Box<Q> {
     }
     fn stats(&self) -> IqStats {
         (**self).stats()
+    }
+    fn next_event(&self, quiet: &QuietCycle) -> Cycle {
+        (**self).next_event(quiet)
+    }
+    fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
+        (**self).skip_quiet(quiet, k);
     }
 }
 

@@ -132,6 +132,14 @@ impl RegInfoTable {
     /// first (suspends take effect before the decrement they gate).
     // chainiq-analyze: hot
     pub(crate) fn tick(&mut self) {
+        self.tick_n(1);
+    }
+
+    /// `k` cycles of countdowns with no signal between them: the same
+    /// table `k` calls of [`RegInfoTable::tick`] leave behind.
+    // chainiq-analyze: hot
+    pub(crate) fn tick_n(&mut self, k: u64) {
+        let k = k as i64;
         let mut m = self.active;
         while m != 0 {
             let i = m.trailing_zeros() as usize;
@@ -139,7 +147,7 @@ impl RegInfoTable {
             let e = &mut self.entries[i];
             *e = match *e {
                 RegSched::Countdown { remaining } => {
-                    let r = remaining - 1;
+                    let r = remaining - k;
                     if r <= 0 {
                         RegSched::Available
                     } else {
@@ -153,7 +161,7 @@ impl RegInfoTable {
                     self_timed: true,
                     suspended: false,
                 } => {
-                    let l = latency - 1;
+                    let l = latency - k;
                     if l <= 0 {
                         RegSched::Available
                     } else {
@@ -172,6 +180,28 @@ impl RegInfoTable {
                 self.active &= !(1u64 << i);
             }
         }
+    }
+
+    /// Ticks until the first chain-tracked register counts down to
+    /// available, or `None` if no such register is counting. It is the
+    /// only change of a chain subscription that passing time makes, and
+    /// so the only way time alone can let a dispatch refused for want of
+    /// a chain wire through.
+    // chainiq-analyze: hot
+    pub(crate) fn chain_expiry(&self) -> Option<u64> {
+        let mut m = self.active;
+        let mut first: Option<u64> = None;
+        while m != 0 {
+            let i = m.trailing_zeros() as usize;
+            m &= m - 1;
+            if let RegSched::OnChain { latency, self_timed: true, suspended: false, .. } =
+                self.entries[i]
+            {
+                let ticks = latency.max(1) as u64;
+                first = Some(first.map_or(ticks, |f| f.min(ticks)));
+            }
+        }
+        first
     }
 
     /// Resets every entry (pipeline flush).
@@ -329,6 +359,48 @@ mod tests {
         t.tick();
         t.tick();
         assert_eq!(t.get(r), RegSched::Available);
+    }
+
+    #[test]
+    fn bulk_countdown_equals_single_ticks() {
+        let on = |latency, self_timed, suspended| RegSched::OnChain {
+            chain: chain(1),
+            latency,
+            head_loc: 2,
+            self_timed,
+            suspended,
+        };
+        let mut start = RegInfoTable::new();
+        for (i, sched) in [
+            RegSched::Countdown { remaining: 1 },
+            RegSched::Countdown { remaining: 5 },
+            RegSched::Countdown { remaining: 40 },
+            on(3, true, false),
+            on(9, true, false),
+            on(4, true, true),
+            on(6, false, false),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            start.set(ArchReg::int(i as u8), sched);
+        }
+        assert_eq!(start.chain_expiry(), Some(3), "the running chain-tracked countdowns");
+        for k in [0u64, 1, 2, 3, 5, 9, 10, 64] {
+            let mut single = start.clone();
+            for _ in 0..k {
+                single.tick();
+            }
+            let mut bulk = start.clone();
+            bulk.tick_n(k);
+            assert_eq!(bulk.entries, single.entries, "after {k} ticks");
+            assert_eq!(bulk.active, single.active, "active mask after {k} ticks");
+        }
+        let mut t = start.clone();
+        t.tick_n(3);
+        assert_eq!(t.chain_expiry(), Some(6), "the first chain-tracked register expired");
+        t.tick_n(6);
+        assert_eq!(t.chain_expiry(), None, "suspended and pulse-driven entries never expire");
     }
 
     #[test]

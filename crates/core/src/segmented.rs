@@ -42,7 +42,7 @@ use crate::wheel::Wheel;
 
 use crate::chain::{ChainRef, ChainTable, SignalKind, WireSignal};
 use crate::fu::FuPool;
-use crate::queue::{IqStats, IssueQueue, IssuedInst};
+use crate::queue::{IqStats, IssueQueue, IssuedInst, QuietCycle};
 use crate::regtable::{RegInfoTable, RegSched};
 use crate::stats::SegmentedStats;
 use crate::tag::{DispatchInfo, DispatchStall, InstTag, OperandPick};
@@ -1231,6 +1231,35 @@ impl SegmentedIq {
         }
     }
 
+    /// Adds `cycles` samples of the per-cycle statistics, each of the
+    /// state as it stands at `now`: the maintained counters, or the
+    /// reference full scan in naive mode (the scan kernel recomputed
+    /// readiness per entry every cycle).
+    // chainiq-analyze: hot
+    fn sample_stats(&mut self, now: Cycle, cycles: u64) {
+        let mut occupancy = 0u64;
+        let mut empty = 0u64;
+        for &len in &self.seg_len {
+            occupancy += len as u64;
+            if len == 0 {
+                empty += 1;
+            }
+        }
+        let (ready0, ready_all) = if self.naive {
+            self.ready_scan_naive(now)
+        } else {
+            (self.ready_count[0], self.ready_count.iter().sum())
+        };
+        self.stats.iq.cycles += cycles;
+        self.stats.iq.occupancy_accum += cycles * occupancy;
+        self.stats.seg0_occupancy_accum += cycles * self.seg_len[0] as u64;
+        self.stats.num_segments = self.config.num_segments;
+        self.stats.empty_segment_cycles += cycles * empty;
+        self.stats.ready_in_seg0_accum += cycles * ready0;
+        self.stats.ready_total_accum += cycles * ready_all;
+        self.chains.sample(cycles);
+    }
+
     /// Reference ready-count sample by full scan (naive mode).
     fn ready_scan_naive(&self, now: Cycle) -> (u64, u64) {
         let mut ready0 = 0u64;
@@ -1323,34 +1352,7 @@ impl IssueQueue for SegmentedIq {
             self.free_prev[k] = self.free(k);
         }
         self.drain_ready(now);
-
-        // Per-cycle statistics, sampled from the maintained counters (the
-        // scan kernel recomputed readiness per entry here every cycle).
-        self.stats.iq.cycles += 1;
-        let mut occupancy = 0u64;
-        let mut empty = 0u64;
-        for &len in &self.seg_len {
-            occupancy += len as u64;
-            if len == 0 {
-                empty += 1;
-            }
-        }
-        self.stats.iq.occupancy_accum += occupancy;
-        self.stats.seg0_occupancy_accum += self.seg_len[0] as u64;
-        self.stats.num_segments = self.config.num_segments;
-        self.stats.empty_segment_cycles += empty;
-        let (ready0, ready_all) = if self.naive {
-            self.ready_scan_naive(now)
-        } else {
-            let mut all = 0u64;
-            for &c in &self.ready_count {
-                all += c;
-            }
-            (self.ready_count[0], all)
-        };
-        self.stats.ready_in_seg0_accum += ready0;
-        self.stats.ready_total_accum += ready_all;
-        self.chains.sample(now);
+        self.sample_stats(now, 1);
 
         // 1. Signals asserted last cycle move one segment up (delivered
         //    against the previous cycle's epoch: suspends gate this
@@ -1428,7 +1430,7 @@ impl IssueQueue for SegmentedIq {
             match self.chains.alloc(info.tag, is_load) {
                 Some(c) => Some(c),
                 None => {
-                    self.chains.note_wire_stall();
+                    self.chains.note_wire_stalls(1);
                     self.stats.iq.stalls_no_chain += 1;
                     return Err(DispatchStall::NoChainWire);
                 }
@@ -1593,9 +1595,21 @@ impl IssueQueue for SegmentedIq {
         Ok(())
     }
 
-    // chainiq-analyze: hot
     fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
+        let mut issued = Vec::new();
+        self.select_issue_into(now, fus, &mut issued);
+        issued
+    }
+
+    // chainiq-analyze: hot
+    fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         self.drain_ready(now);
+        // With no data-ready entry in the issue buffer nothing can issue,
+        // so the indexed kernel skips the walk; the naive reference keeps
+        // it, which is what the differential tests compare against.
+        if !self.naive && self.ready_count[0] == 0 {
+            return;
+        }
         let mut ready = std::mem::take(&mut self.scratch_pairs);
         ready.clear();
         // Tag-order walk of the issue buffer's age list, preserving the
@@ -1609,7 +1623,7 @@ impl IssueQueue for SegmentedIq {
             }
             cur = self.seg_link[cur as usize].next;
         }
-        let mut issued = Vec::with_capacity(ready.len());
+        let before = out.len();
         for &(tag, slot) in &ready {
             let op = self.slots[slot as usize].op;
             if fus.slots_left() == 0 {
@@ -1621,14 +1635,14 @@ impl IssueQueue for SegmentedIq {
             if let Some(chain) = self.remove_fully(slot) {
                 self.assert_signal(chain, SignalKind::Pulse, 0);
             }
-            issued.push(IssuedInst { tag, op });
+            out.push(IssuedInst { tag, op });
         }
         self.scratch_pairs = ready;
-        self.stats.iq.issued += issued.len() as u64;
-        if !issued.is_empty() {
+        let issued = (out.len() - before) as u64;
+        self.stats.iq.issued += issued;
+        if issued > 0 {
             self.issued_this_cycle = true;
         }
-        issued
     }
 
     // chainiq-analyze: hot
@@ -1722,6 +1736,68 @@ impl IssueQueue for SegmentedIq {
 
     fn stats(&self) -> IqStats {
         self.stats.iq
+    }
+
+    // chainiq-analyze: hot
+    fn next_event(&self, quiet: &QuietCycle) -> Cycle {
+        let next = quiet.now + 1;
+        // Acts next cycle: a data-ready issue-buffer entry may issue, a
+        // buffered signal climbs, the §4.5 detector may fire, or a
+        // promotion is possible. Next tick's promotion budget reads the
+        // free counts as they stand now (that is what `free_prev` will
+        // snapshot).
+        let promotion_possible = (1..self.config.num_segments).any(|seg| {
+            let budget = self.free(seg - 1).min(self.config.promote_width);
+            budget > 0
+                && (self.elig[seg].any()
+                    || (self.config.pushdown
+                        && self.seg_len[seg] > 0
+                        && self.free(seg) < self.config.promote_width
+                        && self.free(seg - 1) * 2 > 3 * self.config.promote_width))
+        });
+        if self.ready_count[0] > 0
+            || self.sig_bufs.iter().any(|b| !b.is_empty())
+            || (self.config.deadlock_recovery && quiet.execution_idle && !self.is_empty())
+            || promotion_possible
+        {
+            return next;
+        }
+        // Otherwise only time moves the queue: a readiness record
+        // maturing, an eligibility crossing, and — for a dispatch refused
+        // a chain wire — a chain-tracked register counting down to
+        // available, which changes the chains the instruction must head.
+        let mut at = self.crossings.next_due(self.ready_wheel.next_due(Cycle::MAX));
+        if quiet.refused == Some(DispatchStall::NoChainWire) {
+            if let Some(ticks) = self.regs.iter().filter_map(RegInfoTable::chain_expiry).min() {
+                at = at.min(quiet.now + ticks);
+            }
+        }
+        at.max(next)
+    }
+
+    // chainiq-analyze: hot
+    fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
+        let to = quiet.now + k;
+        // `k` ticks with nothing due all sample the state as it stands.
+        self.sample_stats(quiet.now, k);
+        for seg in 0..self.config.num_segments {
+            self.free_prev[seg] = self.free(seg);
+        }
+        self.last_now = to;
+        self.countdown_epoch = to;
+        for t in &mut self.regs {
+            t.tick_n(k);
+        }
+        self.progress_last_cycle = false;
+        self.issued_this_cycle = false;
+        match quiet.refused {
+            Some(DispatchStall::QueueFull) => self.stats.iq.stalls_full += k,
+            Some(DispatchStall::NoChainWire) => {
+                self.chains.note_wire_stalls(k);
+                self.stats.iq.stalls_no_chain += k;
+            }
+            None => {}
+        }
     }
 }
 
@@ -2252,6 +2328,48 @@ mod tests {
         assert_eq!(err, DispatchStall::NoChainWire);
         assert_eq!(iq.occupancy(), 1, "stalled dispatch must not enter the queue");
         assert_eq!(iq.full_stats().iq.stalls_no_chain, 1);
+    }
+
+    #[test]
+    fn refused_chain_head_wakes_when_a_source_chain_expires() {
+        let mut cfg = cfg3x8();
+        cfg.max_chains = Some(2);
+        let mut iq = SegmentedIq::new(cfg);
+        for (tag, reg) in [(0, 1), (1, 2)] {
+            let load = DispatchInfo::load(
+                InstTag(tag),
+                ArchReg::int(reg),
+                ready_src(ArchReg::int(9)),
+                false,
+            );
+            iq.dispatch(0, load).unwrap();
+        }
+        // Dual dependence on the two live chains: it must head a third.
+        let add = DispatchInfo::compute(
+            InstTag(2),
+            OpClass::IntAlu,
+            ArchReg::int(3),
+            &[dep_src(ArchReg::int(1), InstTag(0)), dep_src(ArchReg::int(2), InstTag(1))],
+        );
+        // Both loads issue at cycle 1; their pulses reach the register
+        // table at the top two cycles later, starting its countdowns.
+        let mut fus = FuPool::table1();
+        for now in 1..=3 {
+            iq.tick(now, false);
+            let _ = iq.select_issue(now, &mut fus);
+            fus.next_cycle();
+        }
+        assert_eq!(iq.dispatch(3, add), Err(DispatchStall::NoChainWire));
+        let quiet =
+            QuietCycle { now: 3, execution_idle: false, refused: Some(DispatchStall::NoChainWire) };
+        let horizon = iq.next_event(&quiet);
+        let accepted = (4..20)
+            .find(|&now| {
+                iq.tick(now, false);
+                iq.dispatch(now, add).is_ok()
+            })
+            .unwrap();
+        assert_eq!(horizon, accepted, "the countdown expiry is the refusal's horizon");
     }
 
     #[test]

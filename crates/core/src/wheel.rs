@@ -101,6 +101,31 @@ impl<T: Copy> Wheel<T> {
         self.last = now;
     }
 
+    /// The earliest cycle in `(last drained, bound)` that holds a record,
+    /// or `bound` if none does. Records the consumer will find stale
+    /// still count, so the answer may be early but never late. Probes
+    /// at most one revolution of buckets before falling back to a scan
+    /// of the far-future records.
+    // chainiq-analyze: hot
+    pub fn next_due(&self, bound: Cycle) -> Cycle {
+        if self.len == 0 {
+            return bound;
+        }
+        // Bucket `c & mask` holds cycles `c, c + size, …` only (every
+        // record lies after `last`), so the first probed bucket with a
+        // record for exactly its own cycle is the earliest one.
+        let end = bound.min(self.last + 1 + self.buckets.len() as u64);
+        for c in self.last + 1..end {
+            if self.buckets[(c & self.mask) as usize].iter().any(|&(at, _)| at == c) {
+                return c;
+            }
+        }
+        if end == bound {
+            return bound;
+        }
+        self.buckets.iter().flatten().map(|&(at, _)| at).min().map_or(bound, |at| at.min(bound))
+    }
+
     /// Empties the wheel and rebases the drain clock to `now` (flush /
     /// snapshot-restore rebuilds).
     pub fn reset(&mut self, now: Cycle) {
@@ -182,6 +207,33 @@ mod tests {
         assert_eq!(out, vec![100]);
     }
 
+    #[test]
+    fn next_due_finds_the_earliest_record_within_the_bound() {
+        let mut w: Wheel<u32> = Wheel::new(4);
+        assert_eq!(w.next_due(50), 50, "empty wheel answers the bound");
+        w.schedule(3, 0);
+        w.schedule(1 + 4 * 10, 1); // far future, shares cycle 1's bucket
+        assert_eq!(w.next_due(50), 3);
+        assert_eq!(w.next_due(3), 3, "a record at the bound answers the bound");
+        assert_eq!(w.next_due(2), 2);
+        let mut out = Vec::new();
+        w.drain_into(3, &mut out);
+        assert_eq!(w.next_due(100), 41, "a far-future record is found past one revolution");
+        assert_eq!(w.next_due(30), 30);
+        // A record its consumer will drop as stale still counts: the
+        // query may answer early, never late.
+        w.schedule(7, 2);
+        assert_eq!(w.next_due(100), 7);
+        for now in 4..7 {
+            w.drain_into(now, &mut out);
+            assert_eq!(w.next_due(100), 7, "drained to {now}");
+        }
+        out.clear();
+        w.drain_into(7, &mut out);
+        assert_eq!(out, vec![2]);
+        assert_eq!(w.next_due(100), 41);
+    }
+
     prop_check! {
         /// Against a reference sorted model: any schedule pattern
         /// (including bucket wraparound and far-future expiries) drains
@@ -216,6 +268,9 @@ mod tests {
                         "drain to {now} disagrees with model"
                     );
                 }
+                let bound = now + g.u64(1..(4 * size as u64 + 2));
+                let want = pending.iter().map(|&(c, _)| c).filter(|&c| c < bound).min();
+                prop_assert_eq!(w.next_due(bound), want.unwrap_or(bound), "next due before {bound}");
             }
             prop_assert!(w.len() == pending.len(), "live-record count drifted");
         }

@@ -77,6 +77,41 @@ impl Frontend {
         self.resume_at = self.resume_at.max(at);
     }
 
+    /// Whether fetch at `now` does nothing but count a stall cycle:
+    /// stalled behind a mispredicted branch or waiting on an
+    /// instruction-cache fill.
+    pub(crate) fn stalled_at(&self, now: Cycle) -> bool {
+        self.stalled || now < self.resume_at
+    }
+
+    /// The first cycle after `now` at which fetch may do more than count a
+    /// stall. Behind a mispredicted branch that is never on its own: only
+    /// the branch's issue ends the stall.
+    // chainiq-analyze: hot
+    pub(crate) fn next_fetch(&self, now: Cycle) -> Cycle {
+        if self.stalled {
+            Cycle::MAX
+        } else {
+            self.resume_at.max(now + 1)
+        }
+    }
+
+    /// Counts `k` more stalled fetch cycles, of whichever kind fetch is
+    /// stalled on.
+    // chainiq-analyze: hot
+    pub(crate) fn count_stalls(&mut self, k: u64) {
+        if self.stalled {
+            self.stats.mispredict_stall_cycles += k;
+        } else {
+            self.stats.icache_stall_cycles += k;
+        }
+    }
+
+    /// The cycle the oldest in-flight instruction reaches dispatch.
+    pub(crate) fn next_dispatchable(&self) -> Option<Cycle> {
+        self.pipe.front().map(|f| f.dispatch_ready_at)
+    }
+
     /// Pops the next instruction that has reached dispatch, if any.
     pub(crate) fn take_dispatchable(&mut self, now: Cycle) -> Option<FetchedInst> {
         match self.pipe.front() {

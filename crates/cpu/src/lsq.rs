@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 
 use chainiq_core::InstTag;
 use chainiq_isa::Cycle;
-use chainiq_mem::{AccessKind, Hierarchy, ServicedBy};
+use chainiq_mem::{AccessKind, AccessOutcome, Hierarchy, ServicedBy};
 
 /// What happened to a memory operation this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +56,11 @@ struct LsqEntry {
     committed: bool,
     /// HMP verdict this load dispatched under (stats pairing).
     predicted_hit: bool,
+    /// The access was refused for a full MSHR file and is refused again
+    /// at every cycle before this one, so those retries are counted
+    /// without presenting it (derived from the hierarchy; not
+    /// serialized — a restored entry presents its next retry).
+    retry_at: Cycle,
 }
 
 /// Statistics the LSQ reports.
@@ -88,6 +93,11 @@ pub(crate) struct Lsq {
     /// the disambiguation pass is skipped when zero (derived; not
     /// serialized).
     ready_loads: usize,
+    /// MSHR retries and disambiguation stalls the last `cycle` counted:
+    /// what each repeat of a cycle that resolved nothing counts again
+    /// (transient; not serialized).
+    last_retries: u64,
+    last_stalls: u64,
 }
 
 impl Lsq {
@@ -101,6 +111,8 @@ impl Lsq {
             store_addrs: Vec::new(),
             committed_stores: 0,
             ready_loads: 0,
+            last_retries: 0,
+            last_stalls: 0,
         }
     }
 
@@ -139,6 +151,7 @@ impl Lsq {
             state: State::WaitingEa,
             committed: false,
             predicted_hit,
+            retry_at: 0,
         });
     }
 
@@ -184,50 +197,108 @@ impl Lsq {
     /// (a caller-owned scratch buffer, so steady-state cycles allocate
     /// nothing).
     pub(crate) fn cycle(&mut self, now: Cycle, mem: &mut Hierarchy, events: &mut Vec<LsqEvent>) {
-        // Committed stores write to the cache in order. Skipped outright
-        // when none is queued (most cycles).
-        if self.committed_stores > 0 {
-            let mut writes = 0usize;
-            debug_assert!(self.written.is_empty());
-            for idx in 0..self.entries.len() {
-                if writes >= self.write_ports {
-                    break;
-                }
-                let e = &self.entries[idx];
-                if !e.is_store || !e.committed {
-                    continue;
-                }
-                match e.state {
-                    State::Ready(at) if at <= now => {
-                        let (tag, addr) = (e.tag, e.addr);
-                        match mem.access(now, addr, AccessKind::Write) {
-                            Ok(_) => {
-                                writes += 1;
-                                self.written.push(idx as u32);
-                                events.push(LsqEvent::StoreWritten { tag });
-                            }
-                            Err(_) => {
-                                self.stats.mshr_retries += 1;
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            self.committed_stores -= self.written.len();
-            for idx in self.written.drain(..).rev() {
-                self.entries.remove(idx as usize);
-            }
-            self.stats.stores_written += writes as u64;
-        }
+        let (retries, stalls) = (self.stats.mshr_retries, self.stats.disambiguation_stalls);
+        self.write_stores(now, mem, events);
+        self.access_loads(now, mem, events);
+        self.last_retries = self.stats.mshr_retries - retries;
+        self.last_stalls = self.stats.disambiguation_stalls - stalls;
+    }
 
-        // Loads access once disambiguated against all older stores. One
-        // forward pass replaces the per-load backward scans: a load is
-        // blocked iff any older store is unresolved (address unknown or
-        // not yet computed), and — when none is — it forwards iff some
-        // older resolved store matches its address, which the pass
-        // accumulates in `store_addrs` as it walks. The whole pass is
-        // skipped when no load has a computed, unresolved address.
+    /// Counts `k` repeats of the last [`Lsq::cycle`], which resolved
+    /// nothing: the same refused retries and disambiguation stalls each
+    /// time.
+    // chainiq-analyze: hot
+    pub(crate) fn repeat_cycle(&mut self, k: u64, mem: &mut Hierarchy) {
+        self.stats.mshr_retries += k * self.last_retries;
+        self.stats.disambiguation_stalls += k * self.last_stalls;
+        mem.count_rejections(k * self.last_retries);
+    }
+
+    /// The first cycle after `now` at which [`Lsq::cycle`] could resolve
+    /// something on its own, asked after a cycle at `now` that resolved
+    /// nothing — so every access then due was refused or blocked behind
+    /// an older store. That cycle is an address becoming known (which
+    /// may also unblock younger loads) or a refused access reaching its
+    /// MSHR horizon. Everything else that frees an access — an address
+    /// computed, a store committed — comes from the pipeline.
+    // chainiq-analyze: hot
+    pub(crate) fn next_event(&self, now: Cycle) -> Cycle {
+        let mut at = Cycle::MAX;
+        for e in &self.entries {
+            match e.state {
+                State::Ready(t) if t > now => at = at.min(t),
+                State::Ready(_) if e.retry_at > now => at = at.min(e.retry_at),
+                _ => {}
+            }
+        }
+        at
+    }
+
+    /// Presents the access of the entry at `idx`, or — before the MSHR
+    /// horizon of its last refusal — counts the refusal it would meet.
+    fn access(
+        &mut self,
+        idx: usize,
+        now: Cycle,
+        kind: AccessKind,
+        mem: &mut Hierarchy,
+    ) -> Option<AccessOutcome> {
+        let e = &mut self.entries[idx];
+        if now < e.retry_at {
+            mem.count_rejections(1);
+        } else {
+            match mem.access(now, e.addr, kind) {
+                Ok(out) => return Some(out),
+                Err(reason) => e.retry_at = mem.retry_at(now, kind, reason),
+            }
+        }
+        self.stats.mshr_retries += 1;
+        None
+    }
+
+    /// Committed stores write to the cache in order. Skipped outright when
+    /// none is queued (most cycles).
+    fn write_stores(&mut self, now: Cycle, mem: &mut Hierarchy, events: &mut Vec<LsqEvent>) {
+        if self.committed_stores == 0 {
+            return;
+        }
+        let mut writes = 0usize;
+        debug_assert!(self.written.is_empty());
+        for idx in 0..self.entries.len() {
+            if writes >= self.write_ports {
+                break;
+            }
+            let e = &self.entries[idx];
+            if !e.is_store || !e.committed {
+                continue;
+            }
+            match e.state {
+                State::Ready(at) if at <= now => {
+                    let tag = e.tag;
+                    if self.access(idx, now, AccessKind::Write, mem).is_some() {
+                        writes += 1;
+                        self.written.push(idx as u32);
+                        events.push(LsqEvent::StoreWritten { tag });
+                    }
+                }
+                _ => {}
+            }
+        }
+        self.committed_stores -= self.written.len();
+        for idx in self.written.drain(..).rev() {
+            self.entries.remove(idx as usize);
+        }
+        self.stats.stores_written += writes as u64;
+    }
+
+    /// Loads access once disambiguated against all older stores. One
+    /// forward pass replaces the per-load backward scans: a load is
+    /// blocked iff any older store is unresolved (address unknown or not
+    /// yet computed), and — when none is — it forwards iff some older
+    /// resolved store matches its address, which the pass accumulates in
+    /// `store_addrs` as it walks. The whole pass is skipped when no load
+    /// has a computed, unresolved address.
+    fn access_loads(&mut self, now: Cycle, mem: &mut Hierarchy, events: &mut Vec<LsqEvent>) {
         if self.ready_loads == 0 {
             return;
         }
@@ -282,25 +353,20 @@ impl Lsq {
                 });
                 continue;
             }
-            match mem.access(now, addr, AccessKind::Read) {
-                Ok(out) => {
-                    self.stats.loads_issued += 1;
-                    reads += 1;
-                    self.entries[idx].state = State::Done;
-                    self.ready_loads -= 1;
-                    events.push(LsqEvent::LoadResolved {
-                        tag,
-                        pc,
-                        predicted_hit,
-                        completes_at: out.completes_at,
-                        l1_resolved_at: out.l1_resolved_at,
-                        was_l1_hit: out.serviced_by == ServicedBy::L1,
-                        forwarded: false,
-                    });
-                }
-                Err(_) => {
-                    self.stats.mshr_retries += 1;
-                }
+            if let Some(out) = self.access(idx, now, AccessKind::Read, mem) {
+                self.stats.loads_issued += 1;
+                reads += 1;
+                self.entries[idx].state = State::Done;
+                self.ready_loads -= 1;
+                events.push(LsqEvent::LoadResolved {
+                    tag,
+                    pc,
+                    predicted_hit,
+                    completes_at: out.completes_at,
+                    l1_resolved_at: out.l1_resolved_at,
+                    was_l1_hit: out.serviced_by == ServicedBy::L1,
+                    forwarded: false,
+                });
             }
         }
     }
@@ -350,6 +416,7 @@ impl chainiq_ckpt::Pack for LsqEntry {
             state: Pack::unpack(r)?,
             committed: Pack::unpack(r)?,
             predicted_hit: Pack::unpack(r)?,
+            retry_at: 0,
         })
     }
 }
@@ -398,6 +465,8 @@ impl chainiq_ckpt::Pack for Lsq {
             store_addrs: Vec::new(),
             committed_stores,
             ready_loads,
+            last_retries: 0,
+            last_stalls: 0,
         })
     }
 }

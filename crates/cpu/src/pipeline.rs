@@ -4,7 +4,8 @@
 use std::collections::BTreeMap;
 
 use chainiq_core::{
-    DispatchInfo, FuPool, InstTag, IssueQueue, OperandPick, SrcOperand, TagMap, Wheel,
+    DispatchInfo, FuPool, InstTag, IssueQueue, IssuedInst, OperandPick, QuietCycle, SrcOperand,
+    TagMap, Wheel,
 };
 use chainiq_isa::{Cycle, Inst, OpClass};
 use chainiq_mem::Hierarchy;
@@ -22,6 +23,9 @@ use crate::stats::SimStats;
 /// far-future path at one compare per revolution.
 const EVENT_WHEEL_BUCKETS: usize = 512;
 
+/// Cycles without a commit after which a run is declared hung.
+const HANG_CYCLES: Cycle = 500_000;
+
 /// Deferred timing events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
@@ -32,6 +36,19 @@ enum Event {
     LoadMiss(InstTag),
     /// A missing load's fill arrived (§3.4 resume).
     LoadFill(InstTag),
+}
+
+/// A quiet step as [`Pipeline::run`] repeats it: the queue's view of the
+/// cycle plus the predictor lookups of the dispatch the queue refused.
+#[derive(Debug, Clone, Copy)]
+struct QuietStep {
+    cycle: QuietCycle,
+    /// PC of the refused load, when its retry repeats a hit/miss
+    /// prediction.
+    hmp_pc: Option<u64>,
+    /// PC of the refused instruction, when its retry repeats a left/right
+    /// prediction.
+    lrp_pc: Option<u64>,
 }
 
 /// Per-thread machine state. Threads do not share memory; feed each one
@@ -84,6 +101,11 @@ pub struct Pipeline<Q, W> {
     lsq_events: Vec<LsqEvent>,
     /// Scratch for the entries one thread commits in a cycle.
     commit_scratch: Vec<RobEntry>,
+    /// Scratch for the instructions the queue issues in a cycle.
+    issue_scratch: Vec<IssuedInst>,
+    /// The last step, if it was quiet and the machine has one thread
+    /// (transient; not serialized).
+    quiet: Option<QuietStep>,
     completion_time: TagMap<Cycle>,
     /// Owning thread of each in-flight tag. Kept only with more than one
     /// thread; a single-thread machine never touches it.
@@ -159,6 +181,8 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
             events_scratch: Vec::new(),
             lsq_events: Vec::new(),
             commit_scratch: Vec::new(),
+            issue_scratch: Vec::new(),
+            quiet: None,
             completion_time: TagMap::new(),
             thread_of: TagMap::new(),
             next_tag: 0,
@@ -193,6 +217,10 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
 
     /// Runs until `max_insts` instructions commit across all threads (or
     /// the cycle guard trips) and returns the statistics.
+    ///
+    /// After a quiet step the run jumps over the cycles that would repeat
+    /// it (DESIGN.md §9, "Quiet cycles"); the statistics and the machine
+    /// state are those of stepping every cycle.
     pub fn run(&mut self, max_insts: u64) -> SimStats {
         let mut c = self.committed();
         let mut last_progress = (self.now, c);
@@ -201,12 +229,59 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
             c = self.committed();
             if c != last_progress.1 {
                 last_progress = (self.now, c);
-            } else if self.now - last_progress.0 > 500_000 {
+            } else if self.now - last_progress.0 > HANG_CYCLES {
                 self.stats.hung = true;
                 break;
+            } else if let Some(quiet) = self.quiet {
+                // The cycle limit and the hang guard end the run at a
+                // cycle it must step itself.
+                let limit = self.config.max_cycles.min(last_progress.0 + HANG_CYCLES + 1);
+                self.fast_forward(&quiet, limit);
             }
         }
         self.snapshot_stats()
+    }
+
+    /// Jumps from a quiet step to the cycle before the earliest one at
+    /// which any component could act on its own (and before `limit`),
+    /// adding what the skipped repeats of the step would have counted.
+    // chainiq-analyze: hot
+    fn fast_forward(&mut self, quiet: &QuietStep, limit: Cycle) {
+        let now = self.now;
+        let next = now + 1;
+        let ctx = &self.threads[0];
+        let mut until = limit.min(ctx.frontend.next_fetch(now));
+        if ctx.rob.has_space() {
+            // An instruction still in the front-end pipe reaches dispatch.
+            if let Some(at) = ctx.frontend.next_dispatchable().filter(|&at| at > now) {
+                until = until.min(at);
+            }
+        }
+        if until > next {
+            until = until.min(self.iq.next_event(&quiet.cycle));
+        }
+        if until > next {
+            until = until.min(ctx.lsq.next_event(now));
+        }
+        if until > next {
+            until = self.events.next_due(until);
+        }
+        if until <= next {
+            return;
+        }
+        let k = until - next;
+        self.iq.skip_quiet(&quiet.cycle, k);
+        let ctx = &mut self.threads[0];
+        ctx.rob.sample_occupancy(k);
+        ctx.lsq.repeat_cycle(k, &mut self.mem);
+        ctx.frontend.count_stalls(k);
+        if let Some(pc) = quiet.hmp_pc {
+            self.hmp.predict_hit_n(pc, k);
+        }
+        if let Some(pc) = quiet.lrp_pc {
+            self.lrp.predict_n(pc, k);
+        }
+        self.now = until - 1;
     }
 
     /// A snapshot of the statistics so far, summed over threads.
@@ -269,9 +344,13 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
         let n = self.threads.len();
         self.fus.next_cycle();
 
+        // Anything beyond the per-cycle counters makes the cycle active.
+        let mut active = false;
+
         // 1. Deliver timing events due this cycle.
         let mut evs = std::mem::take(&mut self.events_scratch);
         self.events.drain_into(now, &mut evs);
+        active |= !evs.is_empty();
         for ev in evs.drain(..) {
             match ev {
                 Event::LoadMiss(tag) => self.iq.on_load_miss(tag),
@@ -288,14 +367,21 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
         // the queue itself can make progress.
         let execution_idle = self.events.is_empty();
         self.iq.tick(now, execution_idle);
+        // What this cycle is, should it turn out quiet.
+        let mut quiet = QuietStep {
+            cycle: QuietCycle { now, execution_idle, refused: None },
+            hmp_pc: None,
+            lrp_pc: None,
+        };
         for t in &mut self.threads {
-            t.rob.sample_occupancy();
+            t.rob.sample_occupancy(1);
         }
 
         // 3. Memory scheduling, per thread.
         for t in 0..n {
             let mut lsq_events = std::mem::take(&mut self.lsq_events);
             self.threads[t].lsq.cycle(now, &mut self.mem, &mut lsq_events);
+            active |= !lsq_events.is_empty();
             for ev in lsq_events.drain(..) {
                 match ev {
                     LsqEvent::LoadResolved {
@@ -328,7 +414,10 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
         }
 
         // 4. Issue from the shared queue.
-        for sel in self.iq.select_issue(now, &mut self.fus) {
+        let mut issued = std::mem::take(&mut self.issue_scratch);
+        self.iq.select_issue_into(now, &mut self.fus, &mut issued);
+        active |= !issued.is_empty();
+        for sel in issued.drain(..) {
             let t = self.thread_of(sel.tag).unwrap_or(0);
             let ctx = &mut self.threads[t];
             ctx.rob.mark(sel.tag, RobState::Issued);
@@ -362,6 +451,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
                 }
             }
         }
+        self.issue_scratch = issued;
 
         // 5. Dispatch (rename): shared bandwidth, round-robin over the
         // threads. A thread drops out for the cycle once its ROB is full
@@ -419,8 +509,11 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
                 lrp_pick,
                 thread: t as u8,
             };
-            if self.iq.dispatch(now, info).is_err() {
+            if let Err(stall) = self.iq.dispatch(now, info) {
                 ctx.frontend.undo_take(fetched);
+                quiet.cycle.refused = Some(stall);
+                quiet.hmp_pc = (inst.is_load() && self.config.use_hmp).then_some(inst.pc);
+                quiet.lrp_pc = lrp_pick.map(|_| inst.pc);
                 break;
             }
             self.next_tag += 1;
@@ -450,8 +543,10 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
         }
 
         // 6. Commit: shared bandwidth, split evenly over the threads.
+        active |= dispatched > 0;
         for ctx in &mut self.threads {
             ctx.rob.commit(self.commit_share, &mut self.commit_scratch);
+            active |= !self.commit_scratch.is_empty();
             for e in self.commit_scratch.drain(..) {
                 ctx.rename.retire(e.inst.dest, e.tag);
                 ctx.lsq.on_commit(e.tag);
@@ -469,7 +564,12 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
         // 7. Fetch: one thread per cycle, round-robin.
         let ctx = &mut self.threads[self.fetch_rr];
         self.fetch_rr = next_rr(self.fetch_rr, n);
+        active |= !ctx.frontend.stalled_at(now);
         ctx.frontend.fetch(now, &self.config, &mut ctx.workload, &mut self.bp, &mut self.mem);
+
+        // A quiet single-thread cycle repeats until some component acts
+        // (with more threads the round-robin pointers move every cycle).
+        self.quiet = (!active && n == 1).then_some(quiet);
     }
 
     /// When the data value of store `tag` is (or will be) available:
@@ -655,6 +755,8 @@ where
         }
         self.events_scratch.clear();
         self.lsq_events.clear();
+        self.issue_scratch.clear();
+        self.quiet = None;
         self.completion_time.clear();
         for (k, v) in completion_time {
             self.completion_time.insert(k, v);
@@ -670,5 +772,97 @@ where
         self.waiting_stores = waiting_stores;
         self.stats = stats;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chainiq_core::{DispatchStall, IqStats, SegmentedIq, SegmentedIqConfig};
+    use chainiq_workload::{Bench, SyntheticWorkload};
+
+    #[test]
+    fn memory_stalls_are_jumped_not_stepped() {
+        let qc = SegmentedIqConfig::paper(128, Some(64));
+        let config = SimConfig::default().rob_for_iq(qc.capacity()).with_extra_dispatch_cycle();
+        let workload = SyntheticWorkload::from_profile(Bench::Swim.profile(), 5);
+        let mut sim = Pipeline::new(config, SegmentedIq::new(qc), workload);
+        // `run`'s loop without its guards, counting the cycles jumped.
+        let mut jumped = 0;
+        while sim.committed() < 3_000 {
+            sim.step();
+            if let Some(quiet) = sim.quiet {
+                let from = sim.now;
+                sim.fast_forward(&quiet, Cycle::MAX);
+                jumped += sim.now - from;
+            }
+        }
+        assert!(jumped * 4 > sim.now, "only {jumped} of {} cycles jumped", sim.now);
+    }
+
+    /// A queue that takes eight instructions and never issues one, and
+    /// says so: its horizon is never.
+    struct Wedged(IqStats);
+
+    impl IssueQueue for Wedged {
+        fn capacity(&self) -> usize {
+            8
+        }
+        fn occupancy(&self) -> usize {
+            self.0.dispatched as usize
+        }
+        fn tick(&mut self, _now: Cycle, _execution_idle: bool) {
+            self.0.cycles += 1;
+        }
+        fn dispatch(&mut self, _now: Cycle, _info: DispatchInfo) -> Result<(), DispatchStall> {
+            if self.occupancy() < self.capacity() {
+                self.0.dispatched += 1;
+                Ok(())
+            } else {
+                self.0.stalls_full += 1;
+                Err(DispatchStall::QueueFull)
+            }
+        }
+        fn select_issue(&mut self, _now: Cycle, _fus: &mut FuPool) -> Vec<IssuedInst> {
+            Vec::new()
+        }
+        fn announce_ready(&mut self, _producer: InstTag, _ready_at: Cycle) {}
+        fn flush(&mut self) {}
+        fn stats(&self) -> IqStats {
+            self.0
+        }
+        fn next_event(&self, _quiet: &QuietCycle) -> Cycle {
+            Cycle::MAX
+        }
+        fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
+            self.0.cycles += k;
+            if quiet.refused.is_some() {
+                self.0.stalls_full += k;
+            }
+        }
+    }
+
+    #[test]
+    fn a_wedged_machine_is_declared_hung_at_the_guard() {
+        let workload = SyntheticWorkload::from_profile(Bench::Gcc.profile(), 9);
+        let mut sim = Pipeline::new(SimConfig::default(), Wedged(IqStats::default()), workload);
+        let stats = sim.run(1_000);
+        assert!(stats.hung);
+        assert_eq!(stats.committed, 0);
+        assert_eq!(stats.cycles, HANG_CYCLES + 1, "the guard trips where stepping would");
+        assert_eq!(stats.iq.cycles, stats.cycles, "every cycle ticked or skipped once");
+    }
+
+    #[test]
+    fn more_threads_never_skip() {
+        let config = SimConfig::default().rob_for_iq(64);
+        let workloads = (0..2)
+            .map(|seed| SyntheticWorkload::from_profile(Bench::Swim.profile(), seed))
+            .collect();
+        let mut sim = Pipeline::with_threads(config, chainiq_baseline::IdealIq::new(64), workloads);
+        for _ in 0..2_000 {
+            sim.step();
+            assert!(sim.quiet.is_none(), "a two-thread step at {} was taken as quiet", sim.now);
+        }
     }
 }

@@ -56,9 +56,9 @@ impl Rob {
         self.committed
     }
 
-    pub(crate) fn sample_occupancy(&mut self) {
-        self.occupancy_accum += self.entries.len() as u64;
-        self.samples += 1;
+    pub(crate) fn sample_occupancy(&mut self, samples: u64) {
+        self.occupancy_accum += samples * self.entries.len() as u64;
+        self.samples += samples;
     }
 
     pub(crate) fn mean_occupancy(&self) -> f64 {
@@ -255,9 +255,11 @@ mod tests {
     fn occupancy_sampling() {
         let mut rob = Rob::new(4);
         rob.push(entry(0));
-        rob.sample_occupancy();
+        rob.sample_occupancy(1);
         rob.push(entry(1));
-        rob.sample_occupancy();
+        rob.sample_occupancy(1);
         assert!((rob.mean_occupancy() - 1.5).abs() < 1e-12);
+        rob.sample_occupancy(4);
+        assert!((rob.mean_occupancy() - 11.0 / 6.0).abs() < 1e-12, "four samples of two");
     }
 }

@@ -200,6 +200,31 @@ impl Hierarchy {
         }
     }
 
+    /// The first cycle at which an access of `kind` rejected at `now` for
+    /// `reason` could be accepted: the earliest fill in the MSHR file that
+    /// was full. Until then no line can enter or leave the caches the
+    /// access looked up, so every retry is rejected again and changes
+    /// nothing but [`MemStats::mshr_rejections`] — a caller may count
+    /// those retries with [`Hierarchy::count_rejections`] instead of
+    /// presenting them.
+    // chainiq-analyze: hot
+    #[must_use]
+    pub fn retry_at(&self, now: Cycle, kind: AccessKind, reason: RejectReason) -> Cycle {
+        let file = match (reason, kind) {
+            (RejectReason::L2MshrFull, _) => &self.l2_mshrs,
+            (RejectReason::L1MshrFull, AccessKind::Ifetch) => &self.l1i_mshrs,
+            (RejectReason::L1MshrFull, _) => &self.l1d_mshrs,
+        };
+        file.next_fill(now).unwrap_or(now + 1)
+    }
+
+    /// Counts `n` rejected retries that were not presented (see
+    /// [`Hierarchy::retry_at`]).
+    // chainiq-analyze: hot
+    pub fn count_rejections(&mut self, n: u64) {
+        self.stats.mshr_rejections += n;
+    }
+
     /// Checks (without side effects) whether `addr` would hit in the L1
     /// data cache right now — neither in flight nor absent.
     #[must_use]
@@ -494,6 +519,60 @@ mod tests {
         }
         assert!(m.access(0, 64 * 64, AccessKind::Read).is_err());
         assert!(m.access(last, 64 * 64, AccessKind::Read).is_ok());
+    }
+
+    /// Presents `addr` at every cycle in `(from, horizon)`, checking each
+    /// is refused with nothing but the rejection count moving, then once
+    /// more at `horizon`, which must accept it.
+    fn refused_until(m: &mut Hierarchy, from: Cycle, horizon: Cycle, addr: u64) {
+        for t in from + 1..horizon {
+            let before = *m.stats();
+            assert!(m.access(t, addr, AccessKind::Read).is_err(), "accepted early at {t}");
+            let mut want = before;
+            want.mshr_rejections += 1;
+            assert_eq!(*m.stats(), want, "a refusal at {t} changed more than its count");
+        }
+        assert!(m.access(horizon, addr, AccessKind::Read).is_ok(), "refused at the horizon");
+    }
+
+    #[test]
+    fn l1_mshr_rejection_holds_until_the_earliest_l1_fill() {
+        let mut m = hier();
+        // Staggered L1D misses: the first fill lands well before the last.
+        let mut first_fill = Cycle::MAX;
+        for i in 0..32u64 {
+            let out = m.access(i, i * 64, AccessKind::Read).unwrap();
+            first_fill = first_fill.min(out.completes_at);
+        }
+        let reason = m.access(40, 1 << 20, AccessKind::Read).unwrap_err();
+        assert_eq!(reason, RejectReason::L1MshrFull);
+        let horizon = m.retry_at(40, AccessKind::Read, reason);
+        assert_eq!(horizon, first_fill, "the earliest L1D fill frees a register");
+        refused_until(&mut m, 40, horizon, 1 << 20);
+    }
+
+    #[test]
+    fn l2_mshr_rejection_holds_until_the_earliest_l2_fill() {
+        let config = MemConfig {
+            l2: CacheConfig { mshrs: 2, ..MemConfig::default().l2 },
+            ..MemConfig::default()
+        };
+        let mut m = Hierarchy::new(config);
+        m.access(0, 0, AccessKind::Read).unwrap();
+        m.access(5, 1 << 21, AccessKind::Read).unwrap();
+        let reason = m.access(6, 1 << 22, AccessKind::Read).unwrap_err();
+        assert_eq!(reason, RejectReason::L2MshrFull);
+        let horizon = m.retry_at(6, AccessKind::Read, reason);
+        refused_until(&mut m, 6, horizon, 1 << 22);
+        // The counted form of the same refusals, one per cycle in (6, horizon).
+        let mut counted = Hierarchy::new(config);
+        counted.access(0, 0, AccessKind::Read).unwrap();
+        counted.access(5, 1 << 21, AccessKind::Read).unwrap();
+        let reason = counted.access(6, 1 << 22, AccessKind::Read).unwrap_err();
+        assert_eq!(counted.retry_at(6, AccessKind::Read, reason), horizon);
+        counted.count_rejections(horizon - 6 - 1);
+        assert!(counted.access(horizon, 1 << 22, AccessKind::Read).is_ok());
+        assert_eq!(*counted.stats(), *m.stats(), "counting equals presenting");
     }
 
     #[test]

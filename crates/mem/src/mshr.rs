@@ -131,6 +131,14 @@ impl MshrFile {
         self.entries.iter().filter(|e| e.fill_at > now).count()
     }
 
+    /// The first cycle after `now` at which an in-flight entry fills and
+    /// frees its register, or `None` if nothing is in flight.
+    // chainiq-analyze: hot
+    #[must_use]
+    pub fn next_fill(&self, now: Cycle) -> Option<Cycle> {
+        self.entries.iter().map(|e| e.fill_at).filter(|&at| at > now).min()
+    }
+
     /// Highest simultaneous occupancy observed.
     #[must_use]
     pub fn peak_in_use(&self) -> usize {
@@ -230,6 +238,18 @@ mod tests {
         assert_eq!(m.in_use(42), 0);
         // At cycle 42 the entry is expired, so a new line allocates.
         assert_eq!(m.request(42, 8, 100), MshrGrant::Allocated);
+    }
+
+    #[test]
+    fn next_fill_is_the_earliest_inflight_fill() {
+        let mut m = MshrFile::new(4);
+        assert_eq!(m.next_fill(0), None);
+        m.request(0, 7, 42);
+        m.request(0, 8, 30);
+        m.request(0, 9, 55);
+        assert_eq!(m.next_fill(0), Some(30));
+        assert_eq!(m.next_fill(30), Some(42), "a landed fill no longer counts");
+        assert_eq!(m.next_fill(55), None);
     }
 
     #[test]

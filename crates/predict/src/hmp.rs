@@ -104,10 +104,16 @@ impl HitMissPredictor {
     /// the prediction for the accuracy statistics. Callers that want a
     /// side-effect-free peek can use [`HitMissPredictor::peek`].
     pub fn predict_hit(&mut self, pc: u64) -> bool {
+        self.predict_hit_n(pc, 1)
+    }
+
+    /// [`predict_hit`](HitMissPredictor::predict_hit) `n` times over, with
+    /// no training between: the same verdict, recorded `n` times.
+    pub fn predict_hit_n(&mut self, pc: u64, n: u64) -> bool {
         let hit = self.peek(pc);
-        self.stats.predictions += 1;
+        self.stats.predictions += n;
         if hit {
-            self.stats.predicted_hit += 1;
+            self.stats.predicted_hit += n;
         }
         hit
     }

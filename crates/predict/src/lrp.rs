@@ -108,7 +108,13 @@ impl LeftRightPredictor {
     /// Predicts which operand of the instruction at `pc` arrives later,
     /// recording the prediction in the statistics.
     pub fn predict(&mut self, pc: u64) -> Operand {
-        self.stats.predictions += 1;
+        self.predict_n(pc, 1)
+    }
+
+    /// [`predict`](LeftRightPredictor::predict) `n` times over, with no
+    /// training between: the same pick, recorded `n` times.
+    pub fn predict_n(&mut self, pc: u64, n: u64) -> Operand {
+        self.stats.predictions += n;
         self.peek(pc)
     }
 

@@ -15,17 +15,26 @@ if grep -n '^source = ' Cargo.lock; then
     exit 1
 fi
 
+echo "== crate manifests: every crate inherits [workspace.lints] (L1)"
+for manifest in crates/*/Cargo.toml; do
+    awk '/^\[/ { in_lints = ($0 == "[lints]") } in_lints && /^workspace = true$/ { ok = 1 }
+         END { exit !ok }' "$manifest" \
+        || { echo "ci.sh: $manifest lacks [lints] workspace = true" >&2; exit 1; }
+done
+
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 
 echo "== cargo test -q --offline"
 cargo test -q --offline --workspace
 
-echo "== cargo clippy --offline (-D warnings)"
+echo "== cargo clippy --offline --all-targets (-D warnings)"
 # clippy.toml and [workspace.lints] carry the determinism, unsafe and
 # panic rules (DESIGN.md §8); every exempt site is an #[expect], so a
-# site that stops needing its exemption fails here too.
-cargo clippy --offline --workspace -- -D warnings
+# site that stops needing its exemption fails here too. The simulator
+# crates forbid the disallowed-type and -method lints at their roots, so
+# an #[expect] of either there is an error (T1).
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== clippy.toml D1 proof: the lint fixture must fail on HashMap and HashSet"
 # No tree crate has a D1 exemption, so the fixture is the standing proof
@@ -36,9 +45,6 @@ for ty in HashMap HashSet; do
     grep -q "disallowed type \`std::collections::$ty\`" <<<"$LINT_OUT" \
         || { echo "ci.sh: clippy.toml no longer rejects $ty in tests/lint-fixture" >&2; exit 1; }
 done
-
-echo "== chainiq-analyze (call-graph invariants, tight ratchets)"
-cargo run -p chainiq-analyze --release --offline -- --check-tight
 
 echo "== cargo fmt --check"
 cargo fmt --check

@@ -29,7 +29,7 @@ const SIM_CRATES: &[&str] = &[
     "workload",
 ];
 
-/// Shape of the call graph, surfaced in the summary line.
+/// Shape of the call graph.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GraphStats {
     /// Non-test functions in the graph.
@@ -40,14 +40,14 @@ pub struct GraphStats {
     pub hot_roots: usize,
 }
 
-/// Everything the flow pass produced, pre-ratchet.
+/// Everything the flow pass produced.
 #[derive(Debug, Default)]
 pub(crate) struct FlowReport {
     /// Unsuppressed H2 site diagnostics, keyed by allocation-site file.
     pub(crate) h2: BTreeMap<String, Vec<Diagnostic>>,
     /// Unsuppressed T1 sink diagnostics, keyed by sink file.
     pub(crate) t1: BTreeMap<String, Vec<Diagnostic>>,
-    /// Graph shape for the summary line.
+    /// Graph shape.
     pub(crate) stats: GraphStats,
 }
 
@@ -81,8 +81,7 @@ pub(crate) fn analyze(g: &Graph) -> FlowReport {
                 message: format!(
                     "{} allocates on a hot path: {path} → {}; per-cycle paths must not \
                      allocate at any depth — hoist the buffer, or carry \
-                     `// chainiq-analyze: allow(H2, reason)` at this site (ratcheted under \
-                     [hot-alloc-budget])",
+                     `// chainiq-analyze: allow(H2, reason)` at this site",
                     alloc.what, alloc.what
                 ),
             });
@@ -123,8 +122,7 @@ pub(crate) fn analyze(g: &Graph) -> FlowReport {
             message: format!(
                 "{sink_kind} `{}` can reach a nondeterminism source: {path} → {what} at \
                  {}:{line}; route the value out of the model, or carry \
-                 `// chainiq-analyze: allow(T1, reason)` at the source read (ratcheted under \
-                 [taint-budget])",
+                 `// chainiq-analyze: allow(T1, reason)` at the source read",
                 n.item.name, g.nodes[src].file
             ),
         });

@@ -1,11 +1,8 @@
 //! Rule ids, diagnostics and marker comments.
 //!
-//! The toolchain enforces every rule it can express (DESIGN.md §8):
-//! `clippy.toml` bans hash collections, wall clocks and env reads,
-//! `[workspace.lints]` forbids `unsafe` and bans panicking shortcuts.
-//! This crate keeps what no lint can see:
+//! The rules this crate implements:
 //!
-//! * **H2** and **T1**, the call-graph rules in [`crate::flows`];
+//! * **H2** and **T1**, the call-graph rules in the `flows` module;
 //! * **P3** — no `BTreeMap`/`BTreeSet` in a file carrying the bare
 //!   `hot-path` marker comment, checked by the parser. Those files hold
 //!   the per-cycle kernel data structures, which were deliberately
@@ -14,12 +11,7 @@
 //!   marker protects;
 //! * **A0** — a malformed marker comment: neither `hot`, `hot-path`,
 //!   nor `allow(RULE, reason)` with a known rule and a non-empty reason
-//!   (this module);
-//! * **L1** — a crate manifest that does not inherit the workspace
-//!   lints, or a root manifest that stops forbidding `unsafe_code`
-//!   ([`crate::manifest`]). Without L1 a crate could silently drop every
-//!   lint above;
-//! * **B1** — a stale baseline entry ([`crate::baseline`]).
+//!   (this module).
 //!
 //! Test code — `#[cfg(test)]` items and `#[test]` functions — is exempt
 //! from every rule.
@@ -34,7 +26,6 @@
 //! P3.
 
 use crate::lexer::{TokKind, Token};
-use std::collections::BTreeMap;
 
 /// Identifiers of the rules, as they appear in diagnostics and
 /// suppression comments.
@@ -44,28 +35,21 @@ pub enum RuleId {
     P3,
     /// Malformed marker comment.
     A0,
-    /// Stale baseline entry (file no longer exists).
-    B1,
     /// Allocation reachable from a hot-marked function, its body included.
     H2,
     /// Determinism-taint source reaching a Snapshot/Stats/sim-public sink.
     T1,
-    /// Manifest that does not inherit the workspace lints.
-    L1,
 }
 
 impl RuleId {
-    const ALL: [RuleId; 6] =
-        [RuleId::P3, RuleId::A0, RuleId::B1, RuleId::H2, RuleId::T1, RuleId::L1];
+    const ALL: [RuleId; 4] = [RuleId::P3, RuleId::A0, RuleId::H2, RuleId::T1];
 
     fn name(self) -> &'static str {
         match self {
             RuleId::P3 => "P3",
             RuleId::A0 => "A0",
-            RuleId::B1 => "B1",
             RuleId::H2 => "H2",
             RuleId::T1 => "T1",
-            RuleId::L1 => "L1",
         }
     }
 }
@@ -81,7 +65,7 @@ impl std::fmt::Display for RuleId {
 pub struct Diagnostic {
     /// Workspace-relative path.
     pub file: String,
-    /// 1-based line (0 for file-level findings such as L1 and B1).
+    /// 1-based line.
     pub line: u32,
     /// The violated rule.
     pub rule: RuleId,
@@ -94,10 +78,6 @@ impl std::fmt::Display for Diagnostic {
         write!(f, "{}:{}: {}: {}", self.file, self.line, self.rule, self.message)
     }
 }
-
-/// Per-file site counts, keyed by workspace-relative path — the currency
-/// of the H2 and T1 ratchets.
-pub type SiteCounts = BTreeMap<String, u32>;
 
 /// The comment marker that introduces a suppression.
 const SUPPRESS_MARKER: &str = "chainiq-analyze:";
@@ -112,7 +92,7 @@ struct Suppression {
 /// Everything the marker comments of one file declare: suppressions,
 /// `hot` function markers, and the file-level `hot-path` marker. Shared
 /// between the per-file scan and the workspace flow analysis
-/// ([`crate::flows`]), which needs the same facts without re-reporting
+/// (the `flows` module), which needs the same facts without re-reporting
 /// A0.
 #[derive(Debug, Default)]
 pub(crate) struct Markers {
@@ -196,7 +176,7 @@ pub(crate) fn collect_markers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// A0 and P3 from the parser plus H2 and T1 from the flow pass, over
     /// a one-file workspace.

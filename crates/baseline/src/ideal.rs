@@ -48,6 +48,9 @@ pub struct IdealIq {
     capacity: usize,
     entries: Vec<Entry>,
     stats: IqStats,
+    /// Scratch for the tags selectable in a cycle, empty between calls,
+    /// so selection allocates nothing (not serialized).
+    ready: Vec<InstTag>,
 }
 
 impl IdealIq {
@@ -59,7 +62,12 @@ impl IdealIq {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        IdealIq { capacity, entries: Vec::with_capacity(capacity), stats: IqStats::default() }
+        IdealIq {
+            capacity,
+            entries: Vec::with_capacity(capacity),
+            stats: IqStats::default(),
+            ready: Vec::with_capacity(capacity),
+        }
     }
 }
 
@@ -102,15 +110,13 @@ impl IssueQueue for IdealIq {
     }
 
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
-        let mut ready: Vec<InstTag> = self
-            .entries
-            .iter()
-            .filter(|e| e.entered_at < now && e.ready(now))
-            .map(|e| e.tag)
-            .collect();
-        ready.sort();
+        let mut ready = std::mem::take(&mut self.ready);
+        ready.extend(
+            self.entries.iter().filter(|e| e.entered_at < now && e.ready(now)).map(|e| e.tag),
+        );
+        ready.sort_unstable();
         let before = out.len();
-        for tag in ready {
+        for &tag in &ready {
             if fus.slots_left() == 0 {
                 break;
             }
@@ -123,6 +129,8 @@ impl IssueQueue for IdealIq {
             out.push(IssuedInst { tag: e.tag, op: e.op });
         }
         self.stats.issued += (out.len() - before) as u64;
+        ready.clear();
+        self.ready = ready;
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
@@ -145,13 +153,11 @@ impl IssueQueue for IdealIq {
 
     /// The ideal queue acts only by issuing, so it sleeps until its first
     /// entry becomes selectable.
-    // chainiq-analyze: hot
     fn next_event(&self, quiet: &QuietCycle) -> Cycle {
         let first = self.entries.iter().filter_map(Entry::selectable_at).min();
         first.map_or(Cycle::MAX, |at| at.max(quiet.now + 1))
     }
 
-    // chainiq-analyze: hot
     fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
         self.stats.cycles += k;
         self.stats.occupancy_accum += k * self.entries.len() as u64;

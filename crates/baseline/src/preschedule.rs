@@ -8,7 +8,6 @@
 //! linked lists; and row occupancy is a [`TagMap`] keyed by row cycle.
 //! A cycle with nothing due costs one empty-bucket probe instead of an
 //! ordered-tree range scan, and no path here allocates or rebalances.
-// chainiq-analyze: hot-path
 
 use chainiq_core::slab_list::{self, Link, ListHead, NIL};
 use chainiq_core::{
@@ -213,7 +212,6 @@ impl PrescheduledIq {
 
     /// Stores `entry` in a free slab slot and returns the slot number,
     /// growing the parallel waiter-link array alongside the slab.
-    // chainiq-analyze: hot
     fn alloc_slot(&mut self, entry: Entry) -> u32 {
         if let Some(s) = self.free_slots.pop() {
             debug_assert!(!self.slots[s as usize].live);
@@ -228,7 +226,6 @@ impl PrescheduledIq {
 
     /// Moves an array entry (already removed from `overdue` by the
     /// caller) into the issue buffer.
-    // chainiq-analyze: hot
     fn admit(&mut self, now: Cycle, sched: Cycle, tag: InstTag) {
         let Some(slot) = self.by_tag.get(tag.0) else {
             debug_assert!(false, "due record names a non-resident tag");
@@ -250,7 +247,6 @@ impl PrescheduledIq {
     }
 
     /// Removes an issued (or squashed) entry from every index.
-    // chainiq-analyze: hot
     fn remove_entry(&mut self, tag: InstTag) {
         let Some(slot) = self.by_tag.remove(tag.0) else { return };
         let s = slot as usize;
@@ -308,7 +304,6 @@ impl IssueQueue for PrescheduledIq {
         self.by_tag.len()
     }
 
-    // chainiq-analyze: hot
     fn tick(&mut self, now: Cycle, _execution_idle: bool) {
         self.stats.cycles += 1;
         self.stats.occupancy_accum += self.by_tag.len() as u64;
@@ -444,7 +439,6 @@ impl IssueQueue for PrescheduledIq {
         issued
     }
 
-    // chainiq-analyze: hot
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         let mut ready = std::mem::take(&mut self.scratch_tags);
         ready.clear();
@@ -469,7 +463,6 @@ impl IssueQueue for PrescheduledIq {
         self.stats.issued += (out.len() - before) as u64;
     }
 
-    // chainiq-analyze: hot
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
         let Some(head) = self.waiter_heads.get(producer.0) else { return };
         let mut cur = head.head;
@@ -501,7 +494,6 @@ impl IssueQueue for PrescheduledIq {
         self.stats
     }
 
-    // chainiq-analyze: hot
     fn next_event(&self, quiet: &QuietCycle) -> Cycle {
         let next = quiet.now + 1;
         // A due row admits into free buffer slots; a dispatch refused
@@ -533,7 +525,6 @@ impl IssueQueue for PrescheduledIq {
         self.due_wheel.next_due(first_ready).max(next)
     }
 
-    // chainiq-analyze: hot
     fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
         self.stats.cycles += k;
         self.stats.occupancy_accum += k * self.by_tag.len() as u64;

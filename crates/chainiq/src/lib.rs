@@ -43,6 +43,9 @@
 //! binaries that regenerate every table and figure of the paper.
 
 #![deny(missing_docs)]
+// T1 (DESIGN.md §8): no clock, environment or thread-identity read, and
+// no site may exempt itself, since `forbid` rejects a local `#[expect]`.
+#![forbid(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub use chainiq_baseline as baseline;
 pub use chainiq_circuit as circuit;

@@ -42,6 +42,9 @@
 //! are a cache, the cold path always exists.
 
 #![deny(missing_docs)]
+// T1 (DESIGN.md §8): no clock, environment or thread-identity read, and
+// no site may exempt itself, since `forbid` rejects a local `#[expect]`.
+#![forbid(clippy::disallowed_types, clippy::disallowed_methods)]
 
 pub mod cache;
 
@@ -691,9 +694,9 @@ pub fn restore_sparse<T: Pack + Clone>(
 /// piece of mutable state, so that continuing the simulation after a
 /// restore is cycle-for-cycle identical to never having stopped.
 /// Implementations must not read clocks or the environment, directly or
-/// through a helper — snapshots are pure functions of machine state
-/// (enforced by `chainiq-analyze` rule T1, for which every `Snapshot`
-/// method is a sink).
+/// through a helper — snapshots are pure functions of machine state. In
+/// the simulator crates that is enforced by T1: each forbids clippy's
+/// disallowed-type and -method lints at its root (DESIGN.md §8).
 pub trait Snapshot {
     /// Stable section name, unique per component.
     const COMPONENT: &'static str;

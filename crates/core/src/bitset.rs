@@ -6,7 +6,6 @@
 //! segments outright, and the age-list walk probes single bits instead
 //! of re-deriving eligibility; the masks are updated incrementally at
 //! every delay mutation (see DESIGN.md §9).
-// chainiq-analyze: hot-path
 
 /// A growable `[u64; W]` bitset indexed by slab slot number.
 #[derive(Debug, Clone, Default)]
@@ -28,7 +27,6 @@ impl BitSet {
     }
 
     /// Sets bit `i`; the caller must have `ensure`d capacity.
-    // chainiq-analyze: hot
     #[inline]
     pub(crate) fn set(&mut self, i: u32) {
         self.words[(i >> 6) as usize] |= 1u64 << (i & 63);
@@ -36,7 +34,6 @@ impl BitSet {
 
     /// Clears bit `i` (out-of-range indices are untouched by
     /// construction: a bit can only have been set within capacity).
-    // chainiq-analyze: hot
     #[inline]
     pub(crate) fn clear(&mut self, i: u32) {
         if let Some(w) = self.words.get_mut((i >> 6) as usize) {
@@ -54,7 +51,6 @@ impl BitSet {
     }
 
     /// Whether any bit is set.
-    // chainiq-analyze: hot
     #[inline]
     pub(crate) fn any(&self) -> bool {
         self.words.iter().any(|&w| w != 0)

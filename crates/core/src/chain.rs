@@ -1,6 +1,5 @@
 //! Chain identifiers, the chain-wire allocator, and in-flight wire
 //! signals.
-// chainiq-analyze: hot-path
 
 use crate::tag::InstTag;
 use crate::tagmap::TagMap;
@@ -181,7 +180,6 @@ impl ChainTable {
     }
 
     /// Releases the chain headed by `tag`, if one is live.
-    // chainiq-analyze: hot
     pub(crate) fn release_by_head(&mut self, tag: InstTag) {
         if let Some(id) = self.by_head.remove(tag.0) {
             let slot = &mut self.slots[id as usize];
@@ -218,7 +216,6 @@ impl ChainTable {
     }
 
     /// Finds the live chain headed by `tag`, if any.
-    // chainiq-analyze: hot
     pub(crate) fn chain_of_head(&self, tag: InstTag) -> Option<ChainRef> {
         self.by_head.get(tag.0).map(|id| ChainRef { id, gen: self.slots[id as usize].gen })
     }

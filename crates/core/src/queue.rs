@@ -168,51 +168,6 @@ pub trait IssueQueue {
     fn skip_quiet(&mut self, _quiet: &QuietCycle, _k: u64) {}
 }
 
-impl<Q: IssueQueue + ?Sized> IssueQueue for Box<Q> {
-    fn capacity(&self) -> usize {
-        (**self).capacity()
-    }
-    fn occupancy(&self) -> usize {
-        (**self).occupancy()
-    }
-    fn tick(&mut self, now: Cycle, execution_idle: bool) {
-        (**self).tick(now, execution_idle);
-    }
-    fn dispatch(&mut self, now: Cycle, info: DispatchInfo) -> Result<(), DispatchStall> {
-        (**self).dispatch(now, info)
-    }
-    fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
-        (**self).select_issue(now, fus)
-    }
-    fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
-        (**self).select_issue_into(now, fus, out);
-    }
-    fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
-        (**self).announce_ready(producer, ready_at);
-    }
-    fn on_load_miss(&mut self, tag: InstTag) {
-        (**self).on_load_miss(tag);
-    }
-    fn on_load_fill(&mut self, tag: InstTag) {
-        (**self).on_load_fill(tag);
-    }
-    fn on_writeback(&mut self, tag: InstTag) {
-        (**self).on_writeback(tag);
-    }
-    fn flush(&mut self) {
-        (**self).flush();
-    }
-    fn stats(&self) -> IqStats {
-        (**self).stats()
-    }
-    fn next_event(&self, quiet: &QuietCycle) -> Cycle {
-        (**self).next_event(quiet)
-    }
-    fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
-        (**self).skip_quiet(quiet, k);
-    }
-}
-
 impl chainiq_ckpt::Pack for IssuedInst {
     fn pack(&self, w: &mut chainiq_ckpt::Writer) {
         self.tag.pack(w);

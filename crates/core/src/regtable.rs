@@ -7,7 +7,6 @@
 //! listens to the chain wires exactly as queue entries do — at the top of
 //! the wire pipeline, so its view lags the bottom segments by the wire
 //! delay, as in the hardware.
-// chainiq-analyze: hot-path
 
 use chainiq_isa::{ArchReg, NUM_ARCH_REGS};
 
@@ -100,7 +99,6 @@ impl RegInfoTable {
 
     /// Applies a chain-wire signal that reached the top of the queue to
     /// every register listening on its chain.
-    // chainiq-analyze: hot
     pub(crate) fn apply_signal(&mut self, sig: WireSignal) {
         let mut m = self.active;
         while m != 0 {
@@ -130,14 +128,12 @@ impl RegInfoTable {
 
     /// One cycle of countdowns. Signals for this cycle must be applied
     /// first (suspends take effect before the decrement they gate).
-    // chainiq-analyze: hot
     pub(crate) fn tick(&mut self) {
         self.tick_n(1);
     }
 
     /// `k` cycles of countdowns with no signal between them: the same
     /// table `k` calls of [`RegInfoTable::tick`] leave behind.
-    // chainiq-analyze: hot
     pub(crate) fn tick_n(&mut self, k: u64) {
         let k = k as i64;
         let mut m = self.active;
@@ -187,7 +183,6 @@ impl RegInfoTable {
     /// only change of a chain subscription that passing time makes, and
     /// so the only way time alone can let a dispatch refused for want of
     /// a chain wire through.
-    // chainiq-analyze: hot
     pub(crate) fn chain_expiry(&self) -> Option<u64> {
         let mut m = self.active;
         let mut first: Option<u64> = None;

@@ -31,7 +31,6 @@
 //! path through reference full scans (signal delivery, wakeup targeting,
 //! ready statistics, deadlock probing, and promotion eligibility), which
 //! is what the differential tests compare against.
-// chainiq-analyze: hot-path
 
 use chainiq_isa::{Cycle, OpClass};
 
@@ -177,7 +176,6 @@ impl SchedOperand {
     }
 
     /// Remaining relative latency as of `epoch`.
-    // chainiq-analyze: hot
     #[inline]
     fn rel_at(&self, epoch: Cycle) -> i64 {
         if self.ticking() {
@@ -188,7 +186,6 @@ impl SchedOperand {
     }
 
     /// §3.1 delay value as of `epoch`.
-    // chainiq-analyze: hot
     #[inline]
     fn delay_at(&self, epoch: Cycle) -> i64 {
         2 * self.head_loc.max(0) + self.rel_at(epoch)
@@ -200,7 +197,6 @@ impl SchedOperand {
     /// self-timed operand, a suspend while suspended or a resume while
     /// running are all no-ops, and the caller can skip the eligibility
     /// recompute for them.
-    // chainiq-analyze: hot
     fn apply_at(&mut self, kind: SignalKind, epoch: Cycle) -> bool {
         match kind {
             SignalKind::Pulse => {
@@ -270,7 +266,6 @@ struct Entry {
 }
 
 impl Entry {
-    // chainiq-analyze: hot
     fn delay_at(&self, epoch: Cycle) -> i64 {
         self.sched_ops.iter().flatten().map(|op| op.delay_at(epoch)).max().unwrap_or(0)
     }
@@ -292,7 +287,6 @@ impl Entry {
 
     /// Applies a signal to every operand subscribed to `chain`; reports
     /// whether any of them actually changed state.
-    // chainiq-analyze: hot
     fn apply_signal_at(&mut self, chain: ChainRef, kind: SignalKind, epoch: Cycle) -> bool {
         let mut changed = false;
         for op in self.sched_ops.iter_mut().flatten() {
@@ -309,7 +303,6 @@ impl Entry {
     /// The result depends only on each operand's `(since, base)` pair —
     /// not on when it is computed — which is what makes the scheduled
     /// crossings reproducible across snapshot restore.
-    // chainiq-analyze: hot
     fn crossing_at(&self, th: i64, epoch: Cycle) -> Option<Cycle> {
         let mut latest: Option<Cycle> = None;
         for op in self.sched_ops.iter().flatten() {
@@ -354,7 +347,6 @@ struct BufSig {
 /// the scan almost always stops at the tail. The probe reads the dense
 /// tag mirror, not the slab — a long scan stays inside a few cache
 /// lines instead of striding across full entries.
-// chainiq-analyze: hot
 fn seg_splice(h: &mut ListHead, links: &mut [Link], tags: &[InstTag], tag: InstTag, slot: u32) {
     let mut after = h.tail;
     while after != NIL && tags[after as usize] > tag {
@@ -371,7 +363,6 @@ fn seg_splice(h: &mut ListHead, links: &mut [Link], tags: &[InstTag], tag: InstT
 /// whole batch traverse that suffix once. Falls back to the tail scan
 /// whenever the hint does not precede the new tag (pushdown picks restart
 /// the tag order).
-// chainiq-analyze: hot
 fn seg_splice_hinted(
     h: &mut ListHead,
     links: &mut [Link],
@@ -628,7 +619,6 @@ impl SegmentedIq {
 
     /// Stores `entry` in a free slab slot and returns the slot number,
     /// growing the parallel link/guard arrays alongside the slab.
-    // chainiq-analyze: hot
     fn alloc_slot(&mut self, entry: Entry) -> u32 {
         let tag = entry.tag;
         if let Some(s) = self.free_slots.pop() {
@@ -670,7 +660,6 @@ impl SegmentedIq {
     /// Whether bucket filter `f` may hold a signal for any chain
     /// subscribed by `ops`. No false negatives; a false positive (wire
     /// ids aliasing modulo 256) only costs a wasted bucket scan.
-    // chainiq-analyze: hot
     #[inline]
     fn filter_hits(f: &[u64; 4], ops: &[Option<SchedOperand>; 2]) -> bool {
         Self::subscriptions(ops).any(|(_, chain)| {
@@ -690,7 +679,6 @@ impl SegmentedIq {
     /// and (re)schedules its time-only crossing. Idempotent: if nothing
     /// changed, neither the mask nor the wheel is touched — safe to call
     /// redundantly (the naive delivery path calls it for bystanders).
-    // chainiq-analyze: hot
     fn recompute_elig(&mut self, slot: u32) {
         let e = &self.slots[slot as usize];
         let seg = e.seg;
@@ -718,7 +706,6 @@ impl SegmentedIq {
     /// Inserts `slot` (with `tag` and `seg` already set in its entry)
     /// into the per-segment lists and eligibility mask, and counts it
     /// ready if its entry is.
-    // chainiq-analyze: hot
     fn attach(&mut self, slot: u32) {
         let e = &self.slots[slot as usize];
         let (tag, seg, counted) = (e.tag, e.seg, e.counted);
@@ -749,7 +736,6 @@ impl SegmentedIq {
     /// (it stays in the slab, the ready wheel and the waiter lists —
     /// callers either re-attach after moving it or finish with
     /// `remove_fully`).
-    // chainiq-analyze: hot
     fn detach(&mut self, slot: u32) {
         let e = &self.slots[slot as usize];
         let (seg, counted) = (e.seg, e.counted);
@@ -779,7 +765,6 @@ impl SegmentedIq {
     /// recompute — the work a detach/attach pair would do twice. The
     /// promotion loop runs this tens of times per cycle under heavy
     /// chain traffic.
-    // chainiq-analyze: hot
     fn move_down(&mut self, slot: u32, now: Cycle, splice_hint: &mut u32) {
         let e = &mut self.slots[slot as usize];
         let (tag, seg, counted) = (e.tag, e.seg, e.counted);
@@ -828,7 +813,6 @@ impl SegmentedIq {
     /// Removes `slot` from the queue entirely (issue path), returning the
     /// chain its instruction headed, if any. Stale ready-wheel records
     /// are left behind; the drain revalidates liveness.
-    // chainiq-analyze: hot
     fn remove_fully(&mut self, slot: u32) -> Option<ChainRef> {
         self.detach(slot);
         let e = &mut self.slots[slot as usize];
@@ -853,7 +837,6 @@ impl SegmentedIq {
 
     /// Re-seats `slot` in the ready accounting after a data-operand
     /// mutation.
-    // chainiq-analyze: hot
     fn refresh_ready(&mut self, slot: u32) {
         let e = &mut self.slots[slot as usize];
         let new = e.compute_ready_cache();
@@ -889,7 +872,6 @@ impl SegmentedIq {
     /// record against the live entry (records outlive re-announces and
     /// issued entries; only a live, still-uncounted, actually-ready
     /// entry is counted — so the wheel's drain order is immaterial).
-    // chainiq-analyze: hot
     fn drain_ready(&mut self, now: Cycle) {
         self.last_now = now;
         let mut matured = std::mem::take(&mut self.scratch_wake);
@@ -913,7 +895,6 @@ impl SegmentedIq {
     /// definition, so skipping the recompute keeps both modes'
     /// masks identical (naive recomputes unconditionally, including
     /// bystanders — the reference stays maximally simple).
-    // chainiq-analyze: hot
     fn deliver_to_segment(&mut self, sig: WireSignal) {
         let epoch = self.countdown_epoch;
         if self.naive {
@@ -953,7 +934,6 @@ impl SegmentedIq {
     }
 
     /// Applies a signal to every register table.
-    // chainiq-analyze: hot
     fn deliver_to_regs(&mut self, sig: WireSignal) {
         for t in &mut self.regs {
             t.apply_signal(sig);
@@ -963,7 +943,6 @@ impl SegmentedIq {
     /// Asserts a signal at `segment` this cycle: applies it to the
     /// entries there (and the register table if at the top) and queues it
     /// for upward propagation.
-    // chainiq-analyze: hot
     fn assert_signal(&mut self, chain: ChainRef, kind: SignalKind, segment: usize) {
         self.stats.wire_signal_hops += 1;
         let sig = WireSignal { chain, kind, segment };
@@ -984,7 +963,6 @@ impl SegmentedIq {
     /// bucket moves up wholesale by vector swap — the destination bucket
     /// was drained on the previous iteration — so a signal is written
     /// once at assert and never copied again while it climbs.
-    // chainiq-analyze: hot
     fn propagate_signals(&mut self) {
         let top = self.top();
         for s in (0..top).rev() {
@@ -1020,7 +998,6 @@ impl SegmentedIq {
     /// is guarded by `recheck_at` (stale records from detached or
     /// rescheduled slots are skipped) and the handler is a pure
     /// recompute, so drain order and redundant firings are immaterial.
-    // chainiq-analyze: hot
     fn drain_crossings(&mut self, now: Cycle) {
         let mut matured = std::mem::take(&mut self.scratch_cross);
         matured.clear();
@@ -1043,7 +1020,6 @@ impl SegmentedIq {
     /// indexed kernel reads the incrementally-maintained eligibility
     /// mask, whose bits are exactly `delay < threshold` at the current
     /// epoch, and age-orders the set bits by tag.
-    // chainiq-analyze: hot
     fn choose_promotions_into(&self, seg: usize, budget: usize, picks: &mut Vec<(InstTag, u32)>) {
         let threshold = self.config.threshold(seg - 1);
         let epoch = self.countdown_epoch;
@@ -1099,7 +1075,6 @@ impl SegmentedIq {
     /// it heads a chain. `splice_hint` carries the destination-list
     /// position between the picks of one batch (see `seg_splice_hinted`);
     /// callers reset it to `NIL` per destination list.
-    // chainiq-analyze: hot
     fn promote_one(
         &mut self,
         now: Cycle,
@@ -1136,7 +1111,6 @@ impl SegmentedIq {
         }
     }
 
-    // chainiq-analyze: hot
     fn run_promotion(&mut self, now: Cycle) -> u64 {
         let mut promoted = 0u64;
         let mut picks = std::mem::take(&mut self.scratch_picks);
@@ -1235,7 +1209,6 @@ impl SegmentedIq {
     /// state as it stands at `now`: the maintained counters, or the
     /// reference full scan in naive mode (the scan kernel recomputed
     /// readiness per entry every cycle).
-    // chainiq-analyze: hot
     fn sample_stats(&mut self, now: Cycle, cycles: u64) {
         let mut occupancy = 0u64;
         let mut empty = 0u64;
@@ -1343,7 +1316,6 @@ impl IssueQueue for SegmentedIq {
         self.seg_len.iter().sum()
     }
 
-    // chainiq-analyze: hot
     fn tick(&mut self, now: Cycle, execution_idle: bool) {
         // Snapshot each segment's free-slot count as of the end of the
         // previous cycle (= start of this one, after last cycle's issue
@@ -1601,7 +1573,6 @@ impl IssueQueue for SegmentedIq {
         issued
     }
 
-    // chainiq-analyze: hot
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         self.drain_ready(now);
         // With no data-ready entry in the issue buffer nothing can issue,
@@ -1645,7 +1616,6 @@ impl IssueQueue for SegmentedIq {
         }
     }
 
-    // chainiq-analyze: hot
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
         let mut targets = std::mem::take(&mut self.scratch_pairs);
         targets.clear();
@@ -1738,7 +1708,6 @@ impl IssueQueue for SegmentedIq {
         self.stats.iq
     }
 
-    // chainiq-analyze: hot
     fn next_event(&self, quiet: &QuietCycle) -> Cycle {
         let next = quiet.now + 1;
         // Acts next cycle: a data-ready issue-buffer entry may issue, a
@@ -1775,7 +1744,6 @@ impl IssueQueue for SegmentedIq {
         at.max(next)
     }
 
-    // chainiq-analyze: hot
     fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
         let to = quiet.now + k;
         // `k` ticks with nothing due all sample the state as it stands.

@@ -8,7 +8,6 @@
 //! node allocation. The link storage is owned by the caller — one
 //! `Vec<Link>` can back many lists as long as each node is on at most one
 //! of them at a time.
-// chainiq-analyze: hot-path
 
 /// Null link/index sentinel.
 pub const NIL: u32 = u32::MAX;
@@ -55,7 +54,6 @@ impl ListHead {
 }
 
 /// Appends `id` at the tail.
-// chainiq-analyze: hot
 #[inline]
 pub fn push_back(h: &mut ListHead, links: &mut [Link], id: u32) {
     links[id as usize] = Link { prev: h.tail, next: NIL };
@@ -69,7 +67,6 @@ pub fn push_back(h: &mut ListHead, links: &mut [Link], id: u32) {
 
 /// Inserts `id` immediately after `after`; `after == NIL` inserts at the
 /// front.
-// chainiq-analyze: hot
 #[inline]
 pub fn insert_after(h: &mut ListHead, links: &mut [Link], after: u32, id: u32) {
     let next = if after == NIL { h.head } else { links[after as usize].next };
@@ -87,7 +84,6 @@ pub fn insert_after(h: &mut ListHead, links: &mut [Link], after: u32, id: u32) {
 }
 
 /// Unsplices `id` from the list it is on.
-// chainiq-analyze: hot
 #[inline]
 pub fn remove(h: &mut ListHead, links: &mut [Link], id: u32) {
     let Link { prev, next } = links[id as usize];

@@ -9,7 +9,6 @@
 //! determinism holds trivially (every operation's result depends only on
 //! the operation history, not on any hash-seed state — the hash is a
 //! fixed multiplicative mix).
-// chainiq-analyze: hot-path
 
 /// Reserved key marking an empty probe slot. Instruction tags are
 /// monotonically assigned from zero, so `u64::MAX` is never a real key.
@@ -61,9 +60,9 @@ impl<V: Copy + Default> TagMap<V> {
 
     fn grow(&mut self) {
         let new_cap = (self.keys.len() * 2).max(16);
-        // chainiq-analyze: allow(H2, doubling growth: amortised to zero once the map reaches its working size)
+        // Doubling growth: amortised to zero once the map reaches its
+        // working size.
         let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY_KEY; new_cap]);
-        // chainiq-analyze: allow(H2, doubling growth: amortised to zero once the map reaches its working size)
         let old_vals = std::mem::replace(&mut self.vals, vec![V::default(); new_cap]);
         self.len = 0;
         for (k, v) in old_keys.into_iter().zip(old_vals) {
@@ -74,7 +73,6 @@ impl<V: Copy + Default> TagMap<V> {
     }
 
     /// Inserts or overwrites `key`.
-    // chainiq-analyze: hot
     pub fn insert(&mut self, key: u64, val: V) {
         debug_assert_ne!(key, EMPTY_KEY);
         if self.keys.is_empty() || 4 * (self.len + 1) > 3 * self.keys.len() {
@@ -97,7 +95,6 @@ impl<V: Copy + Default> TagMap<V> {
     }
 
     /// Looks up `key`.
-    // chainiq-analyze: hot
     #[inline]
     pub fn get(&self, key: u64) -> Option<V> {
         if self.keys.is_empty() {
@@ -116,7 +113,6 @@ impl<V: Copy + Default> TagMap<V> {
     }
 
     /// Looks up `key` for in-place mutation.
-    // chainiq-analyze: hot
     #[inline]
     pub fn get_mut(&mut self, key: u64) -> Option<&mut V> {
         if self.keys.is_empty() {
@@ -136,7 +132,6 @@ impl<V: Copy + Default> TagMap<V> {
 
     /// Removes `key`, backward-shifting the probe run to keep lookups
     /// tombstone-free.
-    // chainiq-analyze: hot
     pub fn remove(&mut self, key: u64) -> Option<V> {
         if self.keys.is_empty() {
             return None;

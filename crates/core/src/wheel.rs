@@ -9,7 +9,6 @@
 //! revolution) until their cycle actually arrives — no overflow
 //! structure, no sorting, deterministic drain order (ascending cycle,
 //! insertion order within a cycle).
-// chainiq-analyze: hot-path
 
 use chainiq_isa::Cycle;
 
@@ -44,7 +43,6 @@ impl<T: Copy> Wheel<T> {
 
     /// Schedules `item` to be returned by the drain covering `cycle`.
     /// `cycle` must be strictly after the last drained cycle.
-    // chainiq-analyze: hot
     #[inline]
     pub fn schedule(&mut self, cycle: Cycle, item: T) {
         debug_assert!(cycle > self.last, "scheduling into the past");
@@ -55,7 +53,6 @@ impl<T: Copy> Wheel<T> {
     /// Advances to `now`, appending every record with `cycle <= now` to
     /// `out` (ascending cycle, insertion order within a cycle). Records
     /// a full revolution or more ahead stay put.
-    // chainiq-analyze: hot
     pub fn drain_into(&mut self, now: Cycle, out: &mut Vec<T>) {
         if now <= self.last {
             return;
@@ -106,7 +103,6 @@ impl<T: Copy> Wheel<T> {
     /// still count, so the answer may be early but never late. Probes
     /// at most one revolution of buckets before falling back to a scan
     /// of the far-future records.
-    // chainiq-analyze: hot
     pub fn next_due(&self, bound: Cycle) -> Cycle {
         if self.len == 0 {
             return bound;

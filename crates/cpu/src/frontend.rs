@@ -87,7 +87,6 @@ impl Frontend {
     /// The first cycle after `now` at which fetch may do more than count a
     /// stall. Behind a mispredicted branch that is never on its own: only
     /// the branch's issue ends the stall.
-    // chainiq-analyze: hot
     pub(crate) fn next_fetch(&self, now: Cycle) -> Cycle {
         if self.stalled {
             Cycle::MAX
@@ -98,7 +97,6 @@ impl Frontend {
 
     /// Counts `k` more stalled fetch cycles, of whichever kind fetch is
     /// stalled on.
-    // chainiq-analyze: hot
     pub(crate) fn count_stalls(&mut self, k: u64) {
         if self.stalled {
             self.stats.mispredict_stall_cycles += k;

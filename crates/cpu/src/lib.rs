@@ -40,6 +40,9 @@
 //! ```
 
 #![deny(missing_docs)]
+// T1 (DESIGN.md §8): no clock, environment or thread-identity read, and
+// no site may exempt itself, since `forbid` rejects a local `#[expect]`.
+#![forbid(clippy::disallowed_types, clippy::disallowed_methods)]
 
 mod config;
 mod frontend;

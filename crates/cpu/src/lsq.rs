@@ -207,7 +207,6 @@ impl Lsq {
     /// Counts `k` repeats of the last [`Lsq::cycle`], which resolved
     /// nothing: the same refused retries and disambiguation stalls each
     /// time.
-    // chainiq-analyze: hot
     pub(crate) fn repeat_cycle(&mut self, k: u64, mem: &mut Hierarchy) {
         self.stats.mshr_retries += k * self.last_retries;
         self.stats.disambiguation_stalls += k * self.last_stalls;
@@ -221,7 +220,6 @@ impl Lsq {
     /// may also unblock younger loads) or a refused access reaching its
     /// MSHR horizon. Everything else that frees an access — an address
     /// computed, a store committed — comes from the pipeline.
-    // chainiq-analyze: hot
     pub(crate) fn next_event(&self, now: Cycle) -> Cycle {
         let mut at = Cycle::MAX;
         for e in &self.entries {

@@ -245,7 +245,6 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
     /// Jumps from a quiet step to the cycle before the earliest one at
     /// which any component could act on its own (and before `limit`),
     /// adding what the skipped repeats of the step would have counted.
-    // chainiq-analyze: hot
     fn fast_forward(&mut self, quiet: &QuietStep, limit: Cycle) {
         let now = self.now;
         let next = now + 1;
@@ -477,9 +476,9 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
             };
             let inst = fetched.inst;
             let tag = InstTag(self.next_tag);
-            let regs = inst.srcs();
-            let src0 = regs.first().map(|&r| ctx.rename.src(r));
-            let mut src1 = regs.get(1).map(|&r| ctx.rename.src(r));
+            let mut regs = inst.srcs();
+            let src0 = regs.next().map(|r| ctx.rename.src(r));
+            let mut src1 = regs.next().map(|r| ctx.rename.src(r));
             // A store's IQ entry is its address generation (base operand
             // only); the data operand is tracked by the pipeline and
             // gates completion, not address issue.

@@ -286,18 +286,22 @@ macro_rules! prop_check {
 /// message) so the harness can shrink and report it.
 #[macro_export]
 macro_rules! prop_assert {
-    ($cond:expr $(,)?) => {
-        if !$cond {
+    // `$cond` is bound first so that a float comparison is never negated
+    // in place (clippy's `neg_cmp_op_on_partial_ord`).
+    ($cond:expr $(,)?) => {{
+        let held: bool = $cond;
+        if !held {
             return ::core::result::Result::Err(
                 ::std::format!("assertion failed: {}", stringify!($cond)),
             );
         }
-    };
-    ($cond:expr, $($fmt:tt)+) => {
-        if !$cond {
+    }};
+    ($cond:expr, $($fmt:tt)+) => {{
+        let held: bool = $cond;
+        if !held {
             return ::core::result::Result::Err(::std::format!($($fmt)+));
         }
-    };
+    }};
 }
 
 /// Equality assertion for [`prop_check!`] bodies.

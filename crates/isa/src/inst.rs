@@ -41,7 +41,7 @@ pub struct BranchInfo {
 /// let ld = Inst::load(0x4000, ArchReg::int(1), ArchReg::int(2), 0x1_0000);
 /// assert_eq!(ld.op, OpClass::Load);
 /// assert_eq!(ld.mem.unwrap().addr, 0x1_0000);
-/// assert_eq!(ld.srcs(), vec![ArchReg::int(2)]);
+/// assert!(ld.srcs().eq([ArchReg::int(2)]));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Inst {
@@ -148,9 +148,8 @@ impl Inst {
     }
 
     /// The source operands that are present, in operand order.
-    #[must_use]
-    pub fn srcs(&self) -> Vec<ArchReg> {
-        self.src1.into_iter().chain(self.src2).collect()
+    pub fn srcs(&self) -> impl Iterator<Item = ArchReg> {
+        self.src1.into_iter().chain(self.src2)
     }
 
     /// Number of source operands.
@@ -191,7 +190,7 @@ impl fmt::Display for Inst {
         if let Some(d) = self.dest {
             write!(f, " {d}")?;
         }
-        for (i, s) in self.srcs().iter().enumerate() {
+        for (i, s) in self.srcs().enumerate() {
             let sep = if i == 0 && self.dest.is_none() { ' ' } else { ',' };
             write!(f, "{sep}{s}")?;
         }
@@ -219,7 +218,7 @@ mod tests {
         let i2 =
             Inst::compute(0, OpClass::FpAdd, ArchReg::fp(0), &[ArchReg::fp(1), ArchReg::fp(2)]);
         assert_eq!(i2.num_srcs(), 2);
-        assert_eq!(i2.srcs(), vec![ArchReg::fp(1), ArchReg::fp(2)]);
+        assert!(i2.srcs().eq([ArchReg::fp(1), ArchReg::fp(2)]));
     }
 
     #[test]
@@ -240,7 +239,7 @@ mod tests {
         let ld = Inst::load(8, ArchReg::int(4), ArchReg::int(5), 0xAB0);
         assert!(ld.is_load());
         assert_eq!(ld.dest, Some(ArchReg::int(4)));
-        assert_eq!(ld.srcs(), vec![ArchReg::int(5)]);
+        assert!(ld.srcs().eq([ArchReg::int(5)]));
         assert_eq!(ld.mem, Some(MemInfo { addr: 0xAB0, size: 8 }));
     }
 

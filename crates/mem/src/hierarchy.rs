@@ -207,7 +207,6 @@ impl Hierarchy {
     /// nothing but [`MemStats::mshr_rejections`] — a caller may count
     /// those retries with [`Hierarchy::count_rejections`] instead of
     /// presenting them.
-    // chainiq-analyze: hot
     #[must_use]
     pub fn retry_at(&self, now: Cycle, kind: AccessKind, reason: RejectReason) -> Cycle {
         let file = match (reason, kind) {
@@ -220,7 +219,6 @@ impl Hierarchy {
 
     /// Counts `n` rejected retries that were not presented (see
     /// [`Hierarchy::retry_at`]).
-    // chainiq-analyze: hot
     pub fn count_rejections(&mut self, n: u64) {
         self.stats.mshr_rejections += n;
     }

@@ -133,7 +133,6 @@ impl MshrFile {
 
     /// The first cycle after `now` at which an in-flight entry fills and
     /// frees its register, or `None` if nothing is in flight.
-    // chainiq-analyze: hot
     #[must_use]
     pub fn next_fill(&self, now: Cycle) -> Option<Cycle> {
         self.entries.iter().map(|e| e.fill_at).filter(|&at| at > now).min()

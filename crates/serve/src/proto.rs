@@ -245,10 +245,9 @@ pub fn entry_name(key: u64) -> String {
 
 /// Daemon counters, returned over the wire by [`ServerMsg::Stats`].
 ///
-/// These methods are determinism sinks under `chainiq-analyze` rule T1:
-/// nothing here may reach a wall-clock or environment read, so the
-/// numbers a client sees are a pure function of the submissions the
-/// server handled.
+/// Nothing here reads a wall clock or the environment (`clippy.toml`
+/// bans both, and this crate exempts no site), so the numbers a client
+/// sees are a pure function of the submissions the server handled.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServeStats {
     /// Specs received inside accepted (non-Busy) grids.

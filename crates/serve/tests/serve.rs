@@ -18,7 +18,7 @@ use chainiq_bench::{ideal, segmented, PredictorConfig, RunSpec, DEFAULT_SEED};
 use chainiq_serve::{spec_key, Client, Server, ServerConfig, Submission};
 
 fn spec(bench: Bench, i: u64) -> RunSpec {
-    let iq = if i % 2 == 0 { segmented(256, Some(64)) } else { ideal(128) };
+    let iq = if i.is_multiple_of(2) { segmented(256, Some(64)) } else { ideal(128) };
     RunSpec::new(bench, iq, PredictorConfig::ALL[i as usize % 4], 2_000).with_seed(DEFAULT_SEED + i)
 }
 

@@ -570,7 +570,7 @@ mod tests {
         assert_eq!(accs.len(), 2);
         // The accumulator is both source and destination.
         for a in accs {
-            assert!(a.srcs().contains(&a.dest.unwrap()));
+            assert!(a.srcs().any(|s| Some(s) == a.dest));
         }
     }
 

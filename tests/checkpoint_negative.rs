@@ -85,9 +85,12 @@ fn committed_fixtures_match_corpus_builder() {
     }
 }
 
+/// Whether a rejection is the one a fixture expects.
+type ErrorCheck = fn(&CkptError) -> bool;
+
 #[test]
 fn fixture_corpus_is_rejected_with_typed_errors() {
-    let expect: &[(&str, fn(&CkptError) -> bool)] = &[
+    let expect: &[(&str, ErrorCheck)] = &[
         ("empty.ckpt", |e| matches!(e, CkptError::Truncated { .. })),
         ("truncated-header.ckpt", |e| matches!(e, CkptError::Truncated { .. })),
         ("bad-magic.ckpt", |e| matches!(e, CkptError::BadMagic)),

@@ -2,8 +2,7 @@
 //! several workloads.
 
 use chainiq::{
-    run_one, Bench, IdealIq, IqKind, Pipeline, PrescheduleConfig, SegmentedIqConfig, SimConfig,
-    SyntheticWorkload,
+    run_one, Bench, IqKind, PrescheduleConfig, SegmentedIqConfig, SimConfig, SyntheticWorkload,
 };
 
 const SAMPLE: u64 = 8_000;
@@ -106,17 +105,6 @@ fn statistics_are_internally_consistent() {
     let seg = r.segmented.unwrap();
     assert!(seg.chains.peak_live as u64 >= 1);
     assert!(seg.chains.mean_live() <= seg.chains.peak_live as f64);
-}
-
-#[test]
-fn generic_pipeline_accepts_boxed_queues() {
-    // The harness uses concrete types; the public API also supports
-    // dyn-dispatch for runtime-chosen designs.
-    let workload = SyntheticWorkload::from_profile(Bench::Twolf.profile(), SEED);
-    let boxed: Box<dyn chainiq::IssueQueue> = Box::new(IdealIq::new(64));
-    let mut sim = Pipeline::new(SimConfig::default().rob_for_iq(64), boxed, workload);
-    let stats = sim.run(2_000);
-    assert!(stats.committed >= 2_000);
 }
 
 #[test]

@@ -309,24 +309,22 @@ impl IssueQueue for PrescheduledIq {
         self.stats.occupancy_accum += self.by_tag.len() as u64;
         self.last_now = now;
 
-        // Pull newly due rows off the wheel into the slipped backlog; the
-        // sort restores the `(row, tag)` admission order the old ordered
+        // Merge newly due rows off the wheel into the slipped backlog at
+        // their `(row, tag)` admission order, the order the old ordered
         // tree gave (recirculated records can arrive tag-out-of-order
         // within a row).
         let mut drained = std::mem::take(&mut self.drain_scratch);
         drained.clear();
         self.due_wheel.drain_into(now, &mut drained);
-        if !drained.is_empty() {
-            for &(sched, tag) in &drained {
-                let live = self.by_tag.get(tag.0).is_some_and(|slot| {
-                    let e = &self.slots[slot as usize];
-                    e.entered_buffer_at == Cycle::MAX && e.scheduled_at == sched
-                });
-                if live {
-                    self.overdue.push((sched, tag));
-                }
+        for &(sched, tag) in &drained {
+            let live = self.by_tag.get(tag.0).is_some_and(|slot| {
+                let e = &self.slots[slot as usize];
+                e.entered_buffer_at == Cycle::MAX && e.scheduled_at == sched
+            });
+            if live {
+                let pos = self.overdue.partition_point(|&r| r < (sched, tag));
+                self.overdue.insert(pos, (sched, tag));
             }
-            self.overdue.sort_unstable();
         }
         self.drain_scratch = drained;
 
@@ -345,19 +343,17 @@ impl IssueQueue for PrescheduledIq {
             // Recirculation: if nothing in the buffer is ready and an
             // older due instruction waits outside, swap it with the
             // youngest unready buffer entry so the machine cannot wedge.
+            // A ready buffer entry rules it out, so look for one first.
+            if self.buffer.iter().any(|&t| self.entry(t).is_some_and(|e| e.ready(now))) {
+                return;
+            }
             let oldest_due =
                 self.overdue.iter().copied().enumerate().min_by_key(|&(_, (_, tag))| tag);
-            let buffer_has_ready =
-                self.buffer.iter().any(|&t| self.entry(t).is_some_and(|e| e.ready(now)));
             if let Some((due_idx, (due_sched, due_tag))) = oldest_due {
-                let youngest_buf = self
-                    .buffer
-                    .iter()
-                    .rev()
-                    .copied()
-                    .find(|&t| self.entry(t).is_some_and(|e| !e.ready(now)));
-                if let Some(buf_tag) = youngest_buf {
-                    if !buffer_has_ready && due_tag < buf_tag {
+                // Nothing buffered is ready, so the youngest unready entry
+                // is the youngest entry.
+                if let Some(&buf_tag) = self.buffer.last() {
+                    if due_tag < buf_tag {
                         // Send the young unready entry back to the array,
                         // rescheduled one cycle out, and admit the older
                         // one.
@@ -914,6 +910,54 @@ mod tests {
             "the ready old instruction must get through the clogged buffer"
         );
         assert!(iq.recirculations() > 0);
+    }
+
+    #[test]
+    fn recirculated_record_merges_into_the_backlog_in_row_tag_order() {
+        let cfg = PrescheduleConfig {
+            issue_buffer_size: 2,
+            num_lines: 8,
+            line_width: 2,
+            predicted_load_latency: 4,
+        };
+        let mut iq = PrescheduledIq::new(cfg);
+        let mut fus = FuPool::table1();
+        // Rows of two: 5 and 6 (never ready) in row 1; the older, ready 1
+        // and 7 in row 2; ready 8 spills to row 3.
+        for (tag, srcs) in
+            [(5, vec![dep(2, 99)]), (6, vec![dep(2, 99)]), (1, vec![]), (7, vec![]), (8, vec![])]
+        {
+            iq.dispatch(
+                0,
+                DispatchInfo::compute(InstTag(tag), OpClass::IntAlu, ArchReg::int(3), &srcs),
+            )
+            .unwrap();
+        }
+        assert_eq!(iq.sched_row(InstTag(8)), 3);
+        let mut step = |iq: &mut PrescheduledIq, now| {
+            iq.tick(now, false);
+            let issued: Vec<u64> = iq.select_issue(now, &mut fus).iter().map(|i| i.tag.0).collect();
+            fus.next_cycle();
+            issued
+        };
+        step(&mut iq, 1);
+        // Row 2 is blocked behind the unready 5 and 6: 6 goes back to the
+        // array one row out (row 3, after 8's record) and 1 takes its slot.
+        step(&mut iq, 2);
+        assert_eq!(iq.recirculations(), 1);
+        assert_eq!(iq.sched_row(InstTag(6)), 3);
+        // Row 3 drains 8 then 6; the backlog holds them by tag within the
+        // row, behind row 2's slipped 7.
+        assert_eq!(step(&mut iq, 3), vec![1]);
+        let backlog: Vec<(Cycle, u64)> = iq.overdue.iter().map(|&(r, t)| (r, t.0)).collect();
+        assert_eq!(backlog, vec![(2, 7), (3, 6), (3, 8)]);
+        // Admission follows that order: 7 at cycle 4, 6 once 7 has issued.
+        assert!(step(&mut iq, 4).is_empty());
+        assert_eq!(iq.entry(InstTag(7)).unwrap().entered_buffer_at, 4);
+        assert_eq!(step(&mut iq, 5), vec![7]);
+        step(&mut iq, 6);
+        assert_eq!(iq.entry(InstTag(6)).unwrap().entered_buffer_at, 6);
+        assert_eq!(iq.overdue, vec![(3, InstTag(8))]);
     }
 
     #[test]

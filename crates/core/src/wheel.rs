@@ -122,6 +122,26 @@ impl<T: Copy> Wheel<T> {
         self.buckets.iter().flatten().map(|&(at, _)| at).min().map_or(bound, |at| at.min(bound))
     }
 
+    /// Withdraws one pending `(cycle, item)` record, keeping the
+    /// insertion order of the rest; returns whether one was pending.
+    /// For consumers whose [`next_due`](Wheel::next_due) answers must be
+    /// exact, so that no stale record may linger.
+    pub fn cancel(&mut self, cycle: Cycle, item: T) -> bool
+    where
+        T: PartialEq,
+    {
+        if cycle <= self.last {
+            return false;
+        }
+        let b = &mut self.buckets[(cycle & self.mask) as usize];
+        let Some(i) = b.iter().position(|&(c, it)| c == cycle && it == item) else {
+            return false;
+        };
+        b.remove(i);
+        self.len -= 1;
+        true
+    }
+
     /// Empties the wheel and rebases the drain clock to `now` (flush /
     /// snapshot-restore rebuilds).
     pub fn reset(&mut self, now: Cycle) {
@@ -228,6 +248,26 @@ mod tests {
         w.drain_into(7, &mut out);
         assert_eq!(out, vec![2]);
         assert_eq!(w.next_due(100), 41);
+    }
+
+    #[test]
+    fn cancel_withdraws_one_pending_record() {
+        let mut w: Wheel<u32> = Wheel::new(4);
+        w.schedule(3, 7);
+        w.schedule(3, 8);
+        w.schedule(3 + 4, 7); // same bucket, a revolution later
+        assert!(w.cancel(3, 7));
+        assert!(!w.cancel(3, 7), "only one record was pending");
+        assert!(!w.cancel(5, 8), "no record at that cycle");
+        assert_eq!(w.len(), 2);
+        assert_eq!(w.next_due(100), 3);
+        let mut out = Vec::new();
+        w.drain_into(3, &mut out);
+        assert_eq!(out, vec![8]);
+        assert!(!w.cancel(3, 8), "a drained record is no longer pending");
+        assert!(w.cancel(7, 7));
+        assert!(w.is_empty());
+        assert_eq!(w.next_due(100), 100);
     }
 
     prop_check! {

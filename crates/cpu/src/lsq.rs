@@ -333,7 +333,10 @@ impl Lsq {
                 continue;
             }
             let (tag, pc, addr, predicted_hit) = (e.tag, e.pc, e.addr, e.predicted_hit);
-            if self.store_addrs.contains(&addr) {
+            // A load refused by the MSHRs found every older store resolved
+            // and none at its address; stores only enter younger and
+            // leave older, so until its retry it cannot forward either.
+            if now >= e.retry_at && self.store_addrs.contains(&addr) {
                 // Store-to-load forwarding at L1-hit latency.
                 self.stats.forwards += 1;
                 self.stats.loads_issued += 1;

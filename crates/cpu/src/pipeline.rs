@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 
+use chainiq_core::slab_list::{self, Link, ListHead};
 use chainiq_core::{
     DispatchInfo, FuPool, InstTag, IssueQueue, IssuedInst, OperandPick, QuietCycle, SrcOperand,
     TagMap, Wheel,
@@ -49,6 +50,71 @@ struct QuietStep {
     /// PC of the refused instruction, when its retry repeats a left/right
     /// prediction.
     lrp_pc: Option<u64>,
+}
+
+/// Stores parked until their data producer announces: one intrusive list
+/// per producer, in parking order, over recycled nodes.
+#[derive(Debug, Clone, Default)]
+struct ParkedStores {
+    heads: TagMap<ListHead>,
+    links: Vec<Link>,
+    /// The store each node holds.
+    stores: Vec<InstTag>,
+    free: Vec<u32>,
+}
+
+impl ParkedStores {
+    fn park(&mut self, producer: InstTag, store: InstTag) {
+        let node = if let Some(n) = self.free.pop() {
+            self.stores[n as usize] = store;
+            n
+        } else {
+            self.stores.push(store);
+            self.links.push(Link::default());
+            (self.stores.len() - 1) as u32
+        };
+        let mut head = self.heads.get(producer.0).unwrap_or(ListHead::EMPTY);
+        slab_list::push_back(&mut head, &mut self.links, node);
+        self.heads.insert(producer.0, head);
+    }
+
+    /// Unparks the first store parked on `producer`.
+    fn pop(&mut self, producer: InstTag) -> Option<InstTag> {
+        let head = self.heads.get_mut(producer.0)?;
+        let node = head.head;
+        slab_list::remove(head, &mut self.links, node);
+        if head.is_empty() {
+            self.heads.remove(producer.0);
+        }
+        self.free.push(node);
+        Some(self.stores[node as usize])
+    }
+
+    /// The image form: producers ascending, each with its stores in
+    /// parking order.
+    fn to_map(&self) -> BTreeMap<InstTag, Vec<InstTag>> {
+        let mut map = BTreeMap::new();
+        for (producer, head) in self.heads.to_sorted_vec() {
+            let mut stores = Vec::new();
+            let mut cur = head.head;
+            while cur != slab_list::NIL {
+                stores.push(self.stores[cur as usize]);
+                cur = self.links[cur as usize].next;
+            }
+            map.insert(InstTag(producer), stores);
+        }
+        map
+    }
+
+    fn from_map(map: BTreeMap<InstTag, Vec<InstTag>>) -> Self {
+        let mut parked = ParkedStores::default();
+        for (producer, stores) in map {
+            for store in stores {
+                parked.park(producer, store);
+            }
+        }
+        parked
+    }
 }
 
 /// Per-thread machine state. Threads do not share memory; feed each one
@@ -120,11 +186,12 @@ pub struct Pipeline<Q, W> {
     commit_share: usize,
     /// Store-data dependences: the IQ schedules only a store's
     /// address-generation (sim-outorder style), so the data operand is
-    /// tracked here and gates the store's completion.
-    store_value: BTreeMap<InstTag, SrcOperand>,
+    /// tracked here and gates the store's completion. (`None` is only
+    /// the map's empty-slot value.)
+    store_value: TagMap<Option<SrcOperand>>,
     /// Stores whose data producer has not yet announced, keyed by
     /// producer.
-    waiting_stores: BTreeMap<InstTag, Vec<InstTag>>,
+    waiting_stores: ParkedStores,
     stats: SimStats,
 }
 
@@ -189,8 +256,8 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
             fetch_rr: 0,
             dispatch_rr: 0,
             commit_share: config.commit_width.div_ceil(n),
-            store_value: BTreeMap::new(),
-            waiting_stores: BTreeMap::new(),
+            store_value: TagMap::new(),
+            waiting_stores: ParkedStores::default(),
             stats: SimStats::default(),
             config,
         }
@@ -327,12 +394,8 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
             self.threads[t].rename.announce(tag, ready_at);
         }
         self.completion_time.insert(tag.0, ready_at);
-        if !self.waiting_stores.is_empty() {
-            if let Some(stores) = self.waiting_stores.remove(&tag) {
-                for st in stores {
-                    self.schedule(ready_at, Event::Complete(st));
-                }
-            }
+        while let Some(st) = self.waiting_stores.pop(tag) {
+            self.schedule(ready_at, Event::Complete(st));
         }
     }
 
@@ -431,7 +494,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
                         match self.store_value_ready_at(sel.tag) {
                             Ok(at) => self.schedule(at.max(now + 1), Event::Complete(sel.tag)),
                             Err(producer) => {
-                                self.waiting_stores.entry(producer).or_default().push(sel.tag);
+                                self.waiting_stores.park(producer, sel.tag);
                             }
                         }
                     }
@@ -525,7 +588,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
                 ctx.lsq.push(tag, inst.pc, mem.addr, inst.is_store(), predicted_hit);
             }
             if let Some(data) = store_data {
-                self.store_value.insert(tag, data);
+                self.store_value.insert(tag.0, Some(data));
             }
             if let Some(dest) = inst.dest {
                 ctx.rename.define(dest, tag);
@@ -552,7 +615,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
                 self.completion_time.remove(e.tag.0);
                 // Only stores ever park a data operand here.
                 if e.inst.is_store() {
-                    self.store_value.remove(&e.tag);
+                    self.store_value.remove(e.tag.0);
                 }
                 if n > 1 {
                     self.thread_of.remove(e.tag.0);
@@ -576,7 +639,7 @@ impl<Q: IssueQueue, W: Iterator<Item = Inst>> Pipeline<Q, W> {
     /// instruction has not announced its result yet (the store must park
     /// in `waiting_stores` keyed by that producer).
     fn store_value_ready_at(&self, tag: InstTag) -> Result<Cycle, InstTag> {
-        let Some(data) = self.store_value.get(&tag) else {
+        let Some(data) = self.store_value.get(tag.0).flatten() else {
             return Ok(self.now + 1); // no data dependence recorded
         };
         let Some(producer) = data.producer else {
@@ -689,8 +752,16 @@ where
         self.next_tag.pack(w);
         self.fetch_rr.pack(w);
         self.dispatch_rr.pack(w);
-        self.store_value.pack(w);
-        self.waiting_stores.pack(w);
+        // Both maps are written as key-sorted pairs, this section's
+        // layout for them.
+        let store_value: Vec<(u64, SrcOperand)> = self
+            .store_value
+            .to_sorted_vec()
+            .into_iter()
+            .filter_map(|(k, v)| Some((k, v?)))
+            .collect();
+        store_value.pack(w);
+        self.waiting_stores.to_map().pack(w);
         self.stats.pack(w);
     }
 
@@ -731,7 +802,7 @@ where
         let next_tag: u64 = Pack::unpack(r)?;
         let fetch_rr: usize = Pack::unpack(r)?;
         let dispatch_rr: usize = Pack::unpack(r)?;
-        let store_value: BTreeMap<InstTag, SrcOperand> = Pack::unpack(r)?;
+        let store_value: Vec<(u64, SrcOperand)> = Pack::unpack(r)?;
         let waiting_stores: BTreeMap<InstTag, Vec<InstTag>> = Pack::unpack(r)?;
         let stats: SimStats = Pack::unpack(r)?;
         if fetch_rr >= threads
@@ -767,8 +838,11 @@ where
         self.next_tag = next_tag;
         self.fetch_rr = fetch_rr;
         self.dispatch_rr = dispatch_rr;
-        self.store_value = store_value;
-        self.waiting_stores = waiting_stores;
+        self.store_value.clear();
+        for (k, v) in store_value {
+            self.store_value.insert(k, Some(v));
+        }
+        self.waiting_stores = ParkedStores::from_map(waiting_stores);
         self.stats = stats;
         Ok(())
     }

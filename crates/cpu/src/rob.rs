@@ -75,8 +75,16 @@ impl Rob {
     }
 
     /// Position of `tag`: entries are pushed in dispatch order, so the
-    /// deque is sorted by tag.
+    /// deque is sorted by tag. With one thread the tags are consecutive
+    /// and the offset from the head is the position; threads sharing the
+    /// tag space interleave, and a binary search finds it.
     fn find(&self, tag: InstTag) -> Option<usize> {
+        let offset = tag.0.checked_sub(self.entries.front()?.tag.0)?;
+        if let Some(e) = self.entries.get(offset as usize) {
+            if e.tag == tag {
+                return Some(offset as usize);
+            }
+        }
         self.entries.binary_search_by_key(&tag.0, |e| e.tag.0).ok()
     }
 
@@ -233,6 +241,20 @@ mod tests {
         assert_eq!(rob.get(InstTag(9)).map(|e| e.state), Some(RobState::Dispatched));
         assert!(rob.get(InstTag(4)).is_none());
         assert!(rob.get(InstTag(10)).is_none());
+        assert!(rob.get(InstTag(2)).is_none(), "older than the head");
+
+        // Consecutive tags behind a committed head: found by offset.
+        let mut rob = Rob::new(8);
+        for tag in 10..15 {
+            rob.push(entry(tag));
+        }
+        rob.mark(InstTag(10), RobState::Completed);
+        rob.commit(8, &mut Vec::new());
+        rob.mark(InstTag(13), RobState::Issued);
+        assert_eq!(rob.get(InstTag(13)).map(|e| e.state), Some(RobState::Issued));
+        assert_eq!(rob.get(InstTag(11)).map(|e| e.tag), Some(InstTag(11)));
+        assert!(rob.get(InstTag(10)).is_none(), "committed");
+        assert!(rob.get(InstTag(15)).is_none());
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The dynamic-stream generator.
 
-use std::collections::VecDeque;
-
 use chainiq_isa::{Inst, OpClass};
 use chainiq_rng::Rng;
 
@@ -32,7 +30,10 @@ pub struct SyntheticWorkload {
     rotation_pos: usize,
     burst_iterations: Vec<u32>,
     rng: Rng,
-    buffer: VecDeque<Inst>,
+    /// The current burst, yielded from `pos` on; refilled in place once
+    /// drained, so its storage is reused.
+    buffer: Vec<Inst>,
+    pos: usize,
     emitted: u64,
 }
 
@@ -59,7 +60,8 @@ impl SyntheticWorkload {
             rotation_pos: 0,
             burst_iterations,
             rng: Rng::seed_from_u64(seed),
-            buffer: VecDeque::new(),
+            buffer: Vec::new(),
+            pos: 0,
             emitted: 0,
         }
     }
@@ -80,11 +82,11 @@ impl SyntheticWorkload {
         let phase = self.rotation[self.rotation_pos];
         self.rotation_pos = (self.rotation_pos + 1) % self.rotation.len();
         let iters = self.burst_iterations[phase];
-        let mut batch = Vec::new();
+        self.buffer.clear();
+        self.pos = 0;
         for i in 0..iters {
-            self.kernels[phase].emit_iteration(i + 1 < iters, &mut batch, &mut self.rng);
+            self.kernels[phase].emit_iteration(i + 1 < iters, &mut self.buffer, &mut self.rng);
         }
-        self.buffer.extend(batch);
     }
 }
 
@@ -92,11 +94,13 @@ impl Iterator for SyntheticWorkload {
     type Item = Inst;
 
     fn next(&mut self) -> Option<Inst> {
-        while self.buffer.is_empty() {
+        while self.pos == self.buffer.len() {
             self.refill();
         }
+        let inst = self.buffer[self.pos];
+        self.pos += 1;
         self.emitted += 1;
-        self.buffer.pop_front()
+        Some(inst)
     }
 }
 
@@ -275,7 +279,12 @@ impl chainiq_ckpt::Snapshot for SyntheticWorkload {
         self.rotation_pos.pack(w);
         self.burst_iterations.pack(w);
         self.rng.pack(w);
-        self.buffer.pack(w);
+        // The instructions still to come, as a length-prefixed sequence.
+        let rest = &self.buffer[self.pos..];
+        w.put_u64(rest.len() as u64);
+        for inst in rest {
+            inst.pack(w);
+        }
         self.emitted.pack(w);
     }
 
@@ -308,6 +317,7 @@ impl chainiq_ckpt::Snapshot for SyntheticWorkload {
         }
         self.rng = Pack::unpack(r)?;
         self.buffer = Pack::unpack(r)?;
+        self.pos = 0;
         self.emitted = Pack::unpack(r)?;
         Ok(())
     }

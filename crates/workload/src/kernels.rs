@@ -180,19 +180,17 @@ impl KernelState {
         // i = i + 1 — the only loop-carried dependence.
         out.push(Inst::alu(pc.take(), ri, &[ri]));
         let offset = (self.iter * stride) % working_set.max(stride);
-        let mut loaded = Vec::new();
+        // Array `a` loads into `fp(a)`.
         for a in 0..arrays {
-            let dst = regs::fp(a);
             let addr = self.region + u64::from(a) * working_set + offset;
-            out.push(Inst::load(pc.take(), dst, ri, addr));
-            loaded.push(dst);
+            out.push(Inst::load(pc.take(), regs::fp(a), ri, addr));
         }
         // Combine the loaded values with a short FP tree, then lengthen
         // the chain with fp_ops extra ops.
-        let mut acc = loaded[0];
-        for (k, &l) in loaded.iter().enumerate().skip(1) {
-            let dst = regs::fp(arrays + k as u8);
-            out.push(Inst::compute(pc.take(), OpClass::FpAdd, dst, &[acc, l]));
+        let mut acc = regs::fp(0);
+        for k in 1..arrays {
+            let dst = regs::fp(arrays + k);
+            out.push(Inst::compute(pc.take(), OpClass::FpAdd, dst, &[acc, regs::fp(k)]));
             acc = dst;
         }
         for k in 0..fp_ops {
@@ -201,7 +199,7 @@ impl KernelState {
             // Two-source ops: the running value combined with one of the
             // loaded operands, as real FP kernels do. This is what makes
             // instructions with two outstanding operands (§4.3) common.
-            let other = loaded[(k as usize) % loaded.len()];
+            let other = regs::fp(k % arrays);
             out.push(Inst::compute(pc.take(), op, dst, &[acc, other]));
             acc = dst;
         }
@@ -223,25 +221,23 @@ impl KernelState {
         out.push(Inst::alu(pc.take(), ri, &[ri]));
         let elem = 8u64;
         let offset = (self.iter * elem) % working_set.max(elem);
-        let mut loaded = Vec::new();
+        // Tap `t` loads into `fp(t)`.
         for t in 0..taps {
             // Taps read the current element and its predecessors: heavy
             // line reuse, so most taps hit in the L1.
             let tap_off = offset.saturating_sub(u64::from(t) * elem);
-            let dst = regs::fp(t);
-            out.push(Inst::load(pc.take(), dst, ri, self.region + tap_off));
-            loaded.push(dst);
+            out.push(Inst::load(pc.take(), regs::fp(t), ri, self.region + tap_off));
         }
-        let mut acc = loaded[0];
-        for (k, &l) in loaded.iter().enumerate().skip(1) {
-            let dst = regs::fp(taps + k as u8);
-            out.push(Inst::compute(pc.take(), OpClass::FpAdd, dst, &[acc, l]));
+        let mut acc = regs::fp(0);
+        for k in 1..taps {
+            let dst = regs::fp(taps + k);
+            out.push(Inst::compute(pc.take(), OpClass::FpAdd, dst, &[acc, regs::fp(k)]));
             acc = dst;
         }
         for k in 0..fp_ops {
             let dst = regs::fp(taps * 2 + k);
             let op = if k % 3 == 0 { OpClass::FpMul } else { OpClass::FpAdd };
-            let other = loaded[(k as usize) % loaded.len()];
+            let other = regs::fp(k % taps);
             out.push(Inst::compute(pc.take(), op, dst, &[acc, other]));
             acc = dst;
         }

@@ -22,6 +22,15 @@ for manifest in crates/*/Cargo.toml; do
         || { echo "ci.sh: $manifest lacks [lints] workspace = true" >&2; exit 1; }
 done
 
+echo "== crate manifests: no cargo features"
+# A feature is a second build of a production kernel. Test-only switches
+# belong in test code: a reference model lives beside the tests that run
+# it (crates/cpu/tests/scan_iq), not behind a flag inside the kernel.
+if grep -n '^\[features\]' crates/*/Cargo.toml; then
+    echo "ci.sh: a crate manifest declares [features]; keep test-only switches in test code" >&2
+    exit 1
+fi
+
 echo "== cargo build --release --offline"
 cargo build --release --offline --workspace
 

@@ -130,8 +130,9 @@ pub struct PrescheduledIq {
     waiter_heads: TagMap<ListHead>,
     wait_links: Vec<Link>,
     /// Array rows still in the future, as `(row, tag)` records keyed by
-    /// row cycle. Records go stale only if the entry is squashed while
-    /// array-resident; the drain revalidates against the live entry.
+    /// row cycle. Each record names an entry still waiting in the array
+    /// at that row: an entry leaves the array only through this drain,
+    /// and a flush resets the wheel with every other index.
     due_wheel: Wheel<(Cycle, InstTag)>,
     /// Due records the issue buffer could not absorb, sorted by
     /// `(row, tag)` — the canonical admission order the old ordered-tree
@@ -246,7 +247,8 @@ impl PrescheduledIq {
         }
     }
 
-    /// Removes an issued (or squashed) entry from every index.
+    /// Removes an issued entry from every index. Only buffered entries
+    /// issue; a squash clears every index wholesale in `flush`.
     fn remove_entry(&mut self, tag: InstTag) {
         let Some(slot) = self.by_tag.remove(tag.0) else { return };
         let s = slot as usize;
@@ -262,14 +264,9 @@ impl PrescheduledIq {
         }
         let e = &mut self.slots[s];
         e.live = false;
-        if e.entered_buffer_at != Cycle::MAX {
-            if let Ok(pos) = self.buffer.binary_search(&tag) {
-                self.buffer.remove(pos);
-            }
-        } else {
-            // Squashed while array-resident: drop any slipped record; a
-            // wheel record goes stale and is dropped at drain time.
-            self.overdue.retain(|&(_, t)| t != tag);
+        debug_assert!(e.entered_buffer_at != Cycle::MAX, "only buffered entries are removed");
+        if let Ok(pos) = self.buffer.binary_search(&tag) {
+            self.buffer.remove(pos);
         }
         self.free_slots.push(slot);
     }
@@ -317,14 +314,15 @@ impl IssueQueue for PrescheduledIq {
         drained.clear();
         self.due_wheel.drain_into(now, &mut drained);
         for &(sched, tag) in &drained {
-            let live = self.by_tag.get(tag.0).is_some_and(|slot| {
-                let e = &self.slots[slot as usize];
-                e.entered_buffer_at == Cycle::MAX && e.scheduled_at == sched
-            });
-            if live {
-                let pos = self.overdue.partition_point(|&r| r < (sched, tag));
-                self.overdue.insert(pos, (sched, tag));
-            }
+            debug_assert!(
+                self.by_tag.get(tag.0).is_some_and(|slot| {
+                    let e = &self.slots[slot as usize];
+                    e.entered_buffer_at == Cycle::MAX && e.scheduled_at == sched
+                }),
+                "due record names an entry not waiting in the array at its row"
+            );
+            let pos = self.overdue.partition_point(|&r| r < (sched, tag));
+            self.overdue.insert(pos, (sched, tag));
         }
         self.drain_scratch = drained;
 

@@ -26,11 +26,11 @@
 //!   ordered set; matured records are revalidated against the live
 //!   entry exactly as before.
 //!
-//! Every *write* path keeps the indexes coherent unconditionally; the
-//! `naive` flag only reroutes the *read* paths that have an indexed fast
-//! path through reference full scans (signal delivery, wakeup targeting,
-//! ready statistics, deadlock probing, and promotion eligibility), which
-//! is what the differential tests compare against.
+//! Every read path is served from these indexes, and every write path
+//! keeps them coherent. The kernel has one mode: its reference is
+//! `ScanSegmentedIq` in `crates/cpu/tests/scan_iq`, the pre-index scan
+//! kernel with its own data structures, which the differential tests run
+//! in lockstep with this queue on seeded traffic and in whole pipelines.
 
 use chainiq_isa::{Cycle, OpClass};
 
@@ -391,7 +391,7 @@ fn seg_splice_hinted(
 ///
 /// See the [crate-level docs](crate) for the design summary and a usage
 /// example, and [`SegmentedIqConfig`] for the switches. Beyond the
-/// [`IssueQueue`] contract it exposes [`SegmentedIq::segmented_stats`]
+/// [`IssueQueue`] contract it exposes [`SegmentedIq::full_stats`]
 /// (chain usage, promotion/pushdown/deadlock counters) used by the
 /// Table 2 experiments.
 #[derive(Debug, Clone)]
@@ -482,7 +482,7 @@ pub struct SegmentedIq {
     /// bucket. False positives (id aliasing) cost a wasted scan; false
     /// negatives cannot happen.
     sig_filter: Vec<[u64; 4]>,
-    /// Per-segment follower-wire summary, same 256-bit keying as
+    /// The chain-wire allocator.
     chains: ChainTable,
     /// One register information table per hardware thread context,
     /// grown on demand (index = `DispatchInfo::thread`).
@@ -499,10 +499,6 @@ pub struct SegmentedIq {
     scratch_wake: Vec<(InstTag, u32)>,
     scratch_cross: Vec<u32>,
     scratch_slots: Vec<u32>,
-    /// Route the read paths through the reference full scans instead of
-    /// the indexes (the write paths maintain the indexes either way).
-    /// Differential testing only; never set in production.
-    naive: bool,
 }
 
 impl SegmentedIq {
@@ -548,30 +544,13 @@ impl SegmentedIq {
             scratch_wake: Vec::new(),
             scratch_cross: Vec::new(),
             scratch_slots: Vec::new(),
-            naive: false,
         }
-    }
-
-    /// Routes every read path through the reference full-scan kernel
-    /// (the indexes stay maintained either way). The differential tests
-    /// drive one queue in each mode and demand identical behavior; the
-    /// flag does not exist for production use.
-    #[cfg(any(test, feature = "naive_kernel"))]
-    pub fn set_naive_kernel(&mut self, naive: bool) {
-        self.naive = naive;
     }
 
     /// The configuration in force.
     #[must_use]
     pub fn config(&self) -> &SegmentedIqConfig {
         &self.config
-    }
-
-    /// Segmented-specific statistics (chain usage, promotions, deadlock
-    /// recoveries, …).
-    #[must_use]
-    pub fn segmented_stats(&self) -> &SegmentedStats {
-        &self.stats
     }
 
     /// Chains currently live.
@@ -678,7 +657,7 @@ impl SegmentedIq {
     /// Recomputes the promotion-eligibility bit of an attached `slot`
     /// and (re)schedules its time-only crossing. Idempotent: if nothing
     /// changed, neither the mask nor the wheel is touched — safe to call
-    /// redundantly (the naive delivery path calls it for bystanders).
+    /// redundantly.
     fn recompute_elig(&mut self, slot: u32) {
         let e = &self.slots[slot as usize];
         let seg = e.seg;
@@ -887,49 +866,36 @@ impl SegmentedIq {
         self.scratch_wake = matured;
     }
 
-    /// Delivers `sig` to the entries of its segment: through the wire's
-    /// follower list normally, or to every resident in naive mode (the
-    /// per-operand chain check makes the two target sets equivalent).
-    /// Eligibility is recomputed wherever the signal changed operand
-    /// state; a no-op application leaves the mask and wheel untouched by
-    /// definition, so skipping the recompute keeps both modes'
-    /// masks identical (naive recomputes unconditionally, including
-    /// bystanders — the reference stays maximally simple).
+    /// Delivers `sig` to the entries of its segment through the wire's
+    /// follower list. Eligibility is recomputed wherever the signal
+    /// changed operand state; a no-op application leaves the mask and
+    /// wheel untouched by definition, so it skips the recompute.
     fn deliver_to_segment(&mut self, sig: WireSignal) {
         let epoch = self.countdown_epoch;
-        if self.naive {
-            let mut cur = self.seg_list[sig.segment].head;
-            while cur != NIL {
-                self.slots[cur as usize].apply_signal_at(sig.chain, sig.kind, epoch);
-                self.recompute_elig(cur);
-                cur = self.seg_link[cur as usize].next;
+        let id = sig.chain.id as usize;
+        // One dense word answers "any subscriber here?" for the common
+        // all-empty hop without touching the list heads.
+        match self.fol_live.get(id) {
+            Some(live) if live & (1u64 << (sig.segment & 63)) != 0 => {}
+            _ => {
+                return; // no subscriber of this wire in this segment
             }
-        } else {
-            let id = sig.chain.id as usize;
-            // One dense word answers "any subscriber here?" for the
-            // common all-empty hop without touching the list heads.
-            match self.fol_live.get(id) {
-                Some(live) if live & (1u64 << (sig.segment & 63)) != 0 => {}
-                _ => {
-                    return; // no subscriber of this wire in this segment
+        }
+        let Some(&head) = self.fol_heads[sig.segment].get(id) else {
+            return; // no subscriber has ever touched this wire here
+        };
+        let mut cur = head.head;
+        while cur != NIL {
+            // Exact-generation match: a subscriber of a released and
+            // recycled wire must not be hit by the new chain's signals
+            // twice through its two nodes.
+            if self.fol_chain[cur as usize] == sig.chain {
+                let slot = cur >> 1;
+                if self.slots[slot as usize].apply_signal_at(sig.chain, sig.kind, epoch) {
+                    self.recompute_elig(slot);
                 }
             }
-            let Some(&head) = self.fol_heads[sig.segment].get(id) else {
-                return; // no subscriber has ever touched this wire here
-            };
-            let mut cur = head.head;
-            while cur != NIL {
-                // Exact-generation match: a subscriber of a released and
-                // recycled wire must not be hit by the new chain's
-                // signals twice through its two nodes.
-                if self.fol_chain[cur as usize] == sig.chain {
-                    let slot = cur >> 1;
-                    if self.slots[slot as usize].apply_signal_at(sig.chain, sig.kind, epoch) {
-                        self.recompute_elig(slot);
-                    }
-                }
-                cur = self.fol_links[cur as usize].next;
-            }
+            cur = self.fol_links[cur as usize].next;
         }
     }
 
@@ -1015,24 +981,11 @@ impl SegmentedIq {
 
     /// Selects up to `budget` entries of `seg` for promotion: eligible
     /// (delay below the destination threshold) oldest-first, then — if
-    /// pushdown applies — oldest ineligible entries. The naive kernel
-    /// walks the age list recomputing every delay (the reference); the
-    /// indexed kernel reads the incrementally-maintained eligibility
-    /// mask, whose bits are exactly `delay < threshold` at the current
-    /// epoch, and age-orders the set bits by tag.
+    /// pushdown applies — oldest ineligible entries. It reads the
+    /// incrementally-maintained eligibility mask, whose bits are exactly
+    /// `delay < threshold` at the current epoch, in age-list order.
     fn choose_promotions_into(&self, seg: usize, budget: usize, picks: &mut Vec<(InstTag, u32)>) {
-        let threshold = self.config.threshold(seg - 1);
-        let epoch = self.countdown_epoch;
-        if self.naive {
-            let mut cur = self.seg_list[seg].head;
-            while cur != NIL && picks.len() < budget {
-                let e = &self.slots[cur as usize];
-                if e.delay_at(epoch) < threshold {
-                    picks.push((e.tag, cur));
-                }
-                cur = self.seg_link[cur as usize].next;
-            }
-        } else if self.elig[seg].any() {
+        if self.elig[seg].any() {
             // The eligible set routinely exceeds the budget (free space
             // in the destination, not eligibility, is the usual limit),
             // so walking the tag-ordered age list probing bits — and
@@ -1050,12 +1003,7 @@ impl SegmentedIq {
             let mut room = (budget - picks.len()).min(self.config.promote_width);
             let mut cur = self.seg_list[seg].head;
             while cur != NIL && room > 0 {
-                let ineligible = if self.naive {
-                    self.slots[cur as usize].delay_at(epoch) >= threshold
-                } else {
-                    !self.elig[seg].get(cur)
-                };
-                if ineligible {
+                if !self.elig[seg].get(cur) {
                     picks.push((self.slot_tags[cur as usize], cur));
                     room -= 1;
                 }
@@ -1090,7 +1038,7 @@ impl SegmentedIq {
         // is position-independent, so it happens before the move.
         let epoch = self.countdown_epoch;
         let ops = self.slots[slot as usize].sched_ops;
-        if self.naive || Self::filter_hits(&self.sig_filter[seg - 1], &ops) {
+        if Self::filter_hits(&self.sig_filter[seg - 1], &ops) {
             for i in 0..self.sig_bufs[seg - 1].len() {
                 let b = self.sig_bufs[seg - 1][i];
                 self.slots[slot as usize].apply_signal_at(b.chain, b.kind, epoch);
@@ -1145,21 +1093,7 @@ impl SegmentedIq {
         // If the issue buffer is full of unready instructions, recycle
         // the youngest back to the top.
         let mut recycled: Option<u32> = None;
-        let seg0_has_ready = if self.naive {
-            let mut found = false;
-            let mut cur = self.seg_list[0].head;
-            while cur != NIL {
-                if self.slots[cur as usize].data_ready(now) {
-                    found = true;
-                    break;
-                }
-                cur = self.seg_link[cur as usize].next;
-            }
-            found
-        } else {
-            self.ready_count[0] > 0
-        };
-        if self.free(0) == 0 && !seg0_has_ready {
+        if self.free(0) == 0 && self.ready_count[0] == 0 {
             // The age list is tag-ordered, so the youngest is the tail.
             let slot = self.seg_list[0].tail;
             if slot != NIL {
@@ -1206,10 +1140,9 @@ impl SegmentedIq {
     }
 
     /// Adds `cycles` samples of the per-cycle statistics, each of the
-    /// state as it stands at `now`: the maintained counters, or the
-    /// reference full scan in naive mode (the scan kernel recomputed
-    /// readiness per entry every cycle).
-    fn sample_stats(&mut self, now: Cycle, cycles: u64) {
+    /// state as it stands now, from the maintained counters (`drain_ready`
+    /// has already brought the ready counts up to the current cycle).
+    fn sample_stats(&mut self, cycles: u64) {
         let mut occupancy = 0u64;
         let mut empty = 0u64;
         for &len in &self.seg_len {
@@ -1218,38 +1151,15 @@ impl SegmentedIq {
                 empty += 1;
             }
         }
-        let (ready0, ready_all) = if self.naive {
-            self.ready_scan_naive(now)
-        } else {
-            (self.ready_count[0], self.ready_count.iter().sum())
-        };
+        let ready_all: u64 = self.ready_count.iter().sum();
         self.stats.iq.cycles += cycles;
         self.stats.iq.occupancy_accum += cycles * occupancy;
         self.stats.seg0_occupancy_accum += cycles * self.seg_len[0] as u64;
         self.stats.num_segments = self.config.num_segments;
         self.stats.empty_segment_cycles += cycles * empty;
-        self.stats.ready_in_seg0_accum += cycles * ready0;
+        self.stats.ready_in_seg0_accum += cycles * self.ready_count[0];
         self.stats.ready_total_accum += cycles * ready_all;
         self.chains.sample(cycles);
-    }
-
-    /// Reference ready-count sample by full scan (naive mode).
-    fn ready_scan_naive(&self, now: Cycle) -> (u64, u64) {
-        let mut ready0 = 0u64;
-        let mut ready_all = 0u64;
-        for k in 0..self.config.num_segments {
-            let mut cur = self.seg_list[k].head;
-            while cur != NIL {
-                if self.slots[cur as usize].data_ready(now) {
-                    ready_all += 1;
-                    if k == 0 {
-                        ready0 += 1;
-                    }
-                }
-                cur = self.seg_link[cur as usize].next;
-            }
-        }
-        (ready0, ready_all)
     }
 
     /// Builds the scheduling operand for one source register, from the
@@ -1324,7 +1234,7 @@ impl IssueQueue for SegmentedIq {
             self.free_prev[k] = self.free(k);
         }
         self.drain_ready(now);
-        self.sample_stats(now, 1);
+        self.sample_stats(1);
 
         // 1. Signals asserted last cycle move one segment up (delivered
         //    against the previous cycle's epoch: suspends gate this
@@ -1531,7 +1441,7 @@ impl IssueQueue for SegmentedIq {
         // applied them).
         let epoch = self.countdown_epoch;
         for s in (target..self.top()).rev() {
-            if !self.naive && !Self::filter_hits(&self.sig_filter[s], &entry.sched_ops) {
+            if !Self::filter_hits(&self.sig_filter[s], &entry.sched_ops) {
                 continue;
             }
             for sig in &self.sig_bufs[s] {
@@ -1576,16 +1486,14 @@ impl IssueQueue for SegmentedIq {
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         self.drain_ready(now);
         // With no data-ready entry in the issue buffer nothing can issue,
-        // so the indexed kernel skips the walk; the naive reference keeps
-        // it, which is what the differential tests compare against.
-        if !self.naive && self.ready_count[0] == 0 {
+        // so the walk is skipped.
+        if self.ready_count[0] == 0 {
             return;
         }
         let mut ready = std::mem::take(&mut self.scratch_pairs);
         ready.clear();
-        // Tag-order walk of the issue buffer's age list, preserving the
-        // scan kernel's oldest-first selection (the buffer is one
-        // segment — the walk is the fast path and the reference at once).
+        // Tag-order walk of the issue buffer's age list: oldest-first
+        // selection, as the scan reference sorts its candidates.
         let mut cur = self.seg_list[0].head;
         while cur != NIL {
             let e = &self.slots[cur as usize];
@@ -1619,15 +1527,7 @@ impl IssueQueue for SegmentedIq {
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
         let mut targets = std::mem::take(&mut self.scratch_pairs);
         targets.clear();
-        if self.naive {
-            for k in 0..self.config.num_segments {
-                let mut cur = self.seg_list[k].head;
-                while cur != NIL {
-                    targets.push((self.slots[cur as usize].tag, cur));
-                    cur = self.seg_link[cur as usize].next;
-                }
-            }
-        } else if let Some(head) = self.waiter_heads.get(producer.0) {
+        if let Some(head) = self.waiter_heads.get(producer.0) {
             // One node per (producer, entry): dispatch deduplicates
             // same-producer operand pairs, so no slot repeats here.
             let mut cur = head.head;
@@ -1747,7 +1647,7 @@ impl IssueQueue for SegmentedIq {
     fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
         let to = quiet.now + k;
         // `k` ticks with nothing due all sample the state as it stands.
-        self.sample_stats(quiet.now, k);
+        self.sample_stats(k);
         for seg in 0..self.config.num_segments {
             self.free_prev[seg] = self.free(seg);
         }
@@ -1883,9 +1783,8 @@ impl chainiq_ckpt::Snapshot for SegmentedIq {
         // the clocks and the wire/chain/register machinery. Every index —
         // age lists, follower and waiter lists, eligibility masks, both
         // wheels, ready counts — is a pure function of that state and is
-        // rebuilt on restore. Scratch buffers are transient and the
-        // `naive` kernel-mode flag is a property of the running queue,
-        // not of the simulated state; neither is serialized.
+        // rebuilt on restore. Scratch buffers are transient and are not
+        // serialized.
         self.config.pack(w);
         self.slots.pack(w);
         self.free_slots.pack(w);
@@ -3034,220 +2933,5 @@ mod tests {
         iq.dispatch(0, DispatchInfo::compute(InstTag(0), OpClass::IntAlu, ArchReg::int(1), &[]))
             .unwrap();
         assert_eq!(iq.occupancy(), 1);
-    }
-}
-
-/// Differential tests: the indexed kernel against the naive full-scan
-/// reference. Both modes share every write path (the indexes are always
-/// maintained); these tests drive both over random programs, cache-miss
-/// traffic and mid-run flushes, and demand cycle-identical issue
-/// schedules and statistics.
-#[cfg(test)]
-mod differential {
-    use super::*;
-    use crate::tag::SrcOperand;
-    use chainiq_devtest::{prop_assert_eq, prop_check, Gen};
-    use chainiq_isa::ArchReg;
-
-    #[derive(Debug, Clone)]
-    struct RandInst {
-        op_pick: u8,
-        dest: u8,
-        src1: Option<u8>,
-        src2: Option<u8>,
-        predicted_hit: bool,
-    }
-
-    fn rand_inst(g: &mut Gen) -> RandInst {
-        RandInst {
-            op_pick: g.u8(0..6),
-            dest: g.u8(0..24),
-            src1: g.option(|g| g.u8(0..24)),
-            src2: g.option(|g| g.u8(0..24)),
-            predicted_hit: g.bool(),
-        }
-    }
-
-    fn op_of(pick: u8) -> OpClass {
-        match pick {
-            0 | 1 => OpClass::IntAlu,
-            2 => OpClass::IntMul,
-            3 => OpClass::FpAdd,
-            4 => OpClass::FpMul,
-            _ => OpClass::Load,
-        }
-    }
-
-    fn rand_cfg(g: &mut Gen) -> SegmentedIqConfig {
-        SegmentedIqConfig {
-            num_segments: g.usize(1..6),
-            segment_size: [4, 8, 16][g.usize(0..3)],
-            promote_width: g.usize(1..5),
-            max_chains: g.option(|g| g.usize(2..48)),
-            pushdown: g.bool(),
-            bypass: g.bool(),
-            two_chain_tracking: g.bool(),
-            deadlock_recovery: g.bool(),
-            predicted_load_latency: 4,
-            countdown_includes_descent: g.bool(),
-        }
-    }
-
-    /// Drives one queue through a fully deterministic script: random
-    /// dependence graph, every third load misses (fill + writeback 12
-    /// cycles later), optional mid-run flush. Returns the issue schedule
-    /// `(cycle, tag)` and the final statistics.
-    fn drive(
-        iq: &mut SegmentedIq,
-        program: &[RandInst],
-        limit: u64,
-        flush_at: Option<u64>,
-        ckpt_at: Option<u64>,
-    ) -> (Vec<(u64, InstTag)>, SegmentedStats) {
-        let mut fus = FuPool::table1();
-        let mut last_writer: [Option<InstTag>; 32] = [None; 32];
-        let mut completed: Vec<bool> = vec![false; program.len()];
-        let mut dispatched: Vec<bool> = vec![false; program.len()];
-        let mut fills: Vec<(u64, InstTag)> = Vec::new();
-        let mut next = 0usize;
-        let mut schedule = Vec::new();
-
-        for now in 1..=limit {
-            // Mid-run snapshot: serialize the queue and carry on in a
-            // freshly constructed replacement restored from the bytes.
-            // Everything observable afterwards must be unchanged.
-            if ckpt_at == Some(now) {
-                let mut w = chainiq_ckpt::Writer::new();
-                chainiq_ckpt::save_section(&mut w, iq);
-                let bytes = w.into_bytes();
-                let mut fresh = SegmentedIq::new(iq.config);
-                let mut r = chainiq_ckpt::Reader::new(&bytes);
-                chainiq_ckpt::restore_section(&mut r, &mut fresh)
-                    .expect("mid-run snapshot must restore");
-                *iq = fresh;
-            }
-            let mut k = 0;
-            while k < fills.len() {
-                if fills[k].0 == now {
-                    let (_, tag) = fills.swap_remove(k);
-                    iq.on_load_fill(tag);
-                    iq.announce_ready(tag, now);
-                    iq.on_writeback(tag);
-                    completed[tag.0 as usize] = true;
-                } else {
-                    k += 1;
-                }
-            }
-            iq.tick(now, schedule.len() == program.len());
-            for sel in iq.select_issue(now, &mut fus) {
-                if sel.op == OpClass::Load && sel.tag.0 % 3 == 0 {
-                    iq.on_load_miss(sel.tag);
-                    iq.announce_ready(sel.tag, now + 12);
-                    fills.push((now + 12, sel.tag));
-                } else {
-                    iq.announce_ready(sel.tag, now + u64::from(sel.op.exec_latency()));
-                    iq.on_writeback(sel.tag);
-                    completed[sel.tag.0 as usize] = true;
-                }
-                schedule.push((now, sel.tag));
-            }
-            fus.next_cycle();
-            for _ in 0..4 {
-                if next >= program.len() {
-                    break;
-                }
-                let r = &program[next];
-                let tag = InstTag(next as u64);
-                let src = |s: Option<u8>| {
-                    s.map(|reg| SrcOperand {
-                        reg: ArchReg::int(reg),
-                        producer: last_writer[reg as usize].filter(|p| !completed[p.0 as usize]),
-                        known_ready_at: if last_writer[reg as usize]
-                            .map(|p| completed[p.0 as usize])
-                            .unwrap_or(true)
-                        {
-                            Some(0)
-                        } else {
-                            None
-                        },
-                    })
-                };
-                let info = DispatchInfo {
-                    tag,
-                    op: op_of(r.op_pick),
-                    dest: Some(ArchReg::int(r.dest)),
-                    srcs: [src(r.src1), src(r.src2)],
-                    predicted_hit: r.predicted_hit,
-                    lrp_pick: None,
-                    thread: 0,
-                };
-                match iq.dispatch(now, info) {
-                    Ok(()) => {
-                        last_writer[r.dest as usize] = Some(tag);
-                        dispatched[next] = true;
-                        next += 1;
-                    }
-                    Err(DispatchStall::QueueFull | DispatchStall::NoChainWire) => break,
-                }
-            }
-            if flush_at == Some(now) {
-                iq.flush();
-                fills.clear();
-                // Model a squash: values of discarded in-flight producers
-                // are treated as ready for everything dispatched later.
-                for i in 0..program.len() {
-                    if dispatched[i] {
-                        completed[i] = true;
-                    }
-                }
-            }
-        }
-        (schedule, iq.full_stats())
-    }
-
-    prop_check! {
-        /// The indexed read paths (follower lists, ready sets, active
-        /// countdown sets) must reproduce the naive full-scan kernel
-        /// cycle for cycle: identical issue schedules, identical final
-        /// statistics, for any program, geometry and feature mix.
-        fn indexed_kernel_matches_naive_reference(g, cases = 40) {
-            let program = g.vec(1..100, rand_inst);
-            let cfg = rand_cfg(g);
-            let limit = 1500;
-            let flush_at = if g.bool() { Some(limit / 2) } else { None };
-            let mut fast = SegmentedIq::new(cfg);
-            let mut naive = SegmentedIq::new(cfg);
-            naive.set_naive_kernel(true);
-            let (sched_fast, stats_fast) = drive(&mut fast, &program, limit, flush_at, None);
-            let (sched_naive, stats_naive) = drive(&mut naive, &program, limit, flush_at, None);
-            prop_assert_eq!(sched_fast, sched_naive, "issue schedules diverge");
-            prop_assert_eq!(
-                format!("{stats_fast:?}"),
-                format!("{stats_naive:?}"),
-                "final statistics diverge"
-            );
-            prop_assert_eq!(fast.occupancy(), naive.occupancy());
-        }
-
-        /// Snapshot-at-N then restore into a freshly constructed queue
-        /// must be observationally identical to running straight through:
-        /// same issue schedule, same final statistics, same occupancy.
-        fn queue_restore_equals_continuous(g, cases = 30) {
-            let program = g.vec(1..100, rand_inst);
-            let cfg = rand_cfg(g);
-            let limit = 1200;
-            let ckpt_at = g.usize(1..1200) as u64;
-            let mut cont = SegmentedIq::new(cfg);
-            let mut snap = SegmentedIq::new(cfg);
-            let (sched_c, stats_c) = drive(&mut cont, &program, limit, None, None);
-            let (sched_s, stats_s) = drive(&mut snap, &program, limit, None, Some(ckpt_at));
-            prop_assert_eq!(sched_c, sched_s, "issue schedules diverge after restore");
-            prop_assert_eq!(
-                format!("{stats_c:?}"),
-                format!("{stats_s:?}"),
-                "final statistics diverge after restore"
-            );
-            prop_assert_eq!(cont.occupancy(), snap.occupancy());
-        }
     }
 }

@@ -1,73 +1,330 @@
-//! Whole-pipeline differential tests.
+//! Differential tests.
 //!
-//! A full out-of-order core built around the segmented queue must behave
-//! identically whether the queue serves its read paths from the
-//! maintained indexes (production) or from naive full scans (the
-//! reference the indexes were derived from). Both modes share every
-//! write path, so any divergence is an indexing bug, not a modeling
-//! choice.
+//! The segmented queue runs in lockstep with `ScanSegmentedIq` (the
+//! `scan_iq` module): the same queue as a plain scan kernel, with its own
+//! segment vectors, chain table and register tables, sharing no data
+//! structure or write path with the indexed production kernel. Both must
+//! produce identical issue schedules and statistics, first on seeded
+//! queue traffic, then inside whole single-thread and SMT pipelines. The
+//! reference keeps the default `next_event`, so its pipelines step every
+//! cycle while the production ones fast-forward.
 //!
 //! A one-thread [`SmtPipeline`] must also run exactly the single-thread
 //! [`Pipeline`]: SMT is only more threads over the same machine (§7).
 //!
 //! And a run that fast-forwards over quiet cycles must be exactly a run
-//! that steps every one of them.
+//! that steps every one of them, checkpoint images included.
+
+mod scan_iq;
 
 use chainiq_baseline::{DistanceConfig, DistanceIq, IdealIq, PrescheduleConfig, PrescheduledIq};
-use chainiq_ckpt::{save_section, CkptError, Reader, Snapshot, Writer};
+use chainiq_ckpt::{restore_section, save_section, CkptError, Reader, Snapshot, Writer};
 use chainiq_core::{
     DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, SegmentedIq,
-    SegmentedIqConfig,
+    SegmentedIqConfig, SrcOperand,
 };
 use chainiq_cpu::{Pipeline, SimConfig, SimStats, SmtPipeline};
-use chainiq_isa::Cycle;
-use chainiq_workload::{Bench, SyntheticWorkload};
+use chainiq_devtest::{prop_assert_eq, prop_check, Gen};
+use chainiq_isa::{ArchReg, Cycle, OpClass};
+use chainiq_workload::{AddressSpace, Bench, SyntheticWorkload};
+use scan_iq::ScanSegmentedIq;
 
-/// Runs one benchmark profile twice — indexed and naive — through the
-/// whole pipeline and compares the full `Debug` render of the machine
-/// statistics and of the queue's own statistics.
-fn check_bench(bench: Bench, qc: SegmentedIqConfig, max_insts: u64, seed: u64) {
-    let mut config = SimConfig::default().rob_for_iq(qc.capacity());
-    config.extra_dispatch_cycle = true;
+#[derive(Debug, Clone)]
+struct RandInst {
+    op_pick: u8,
+    dest: u8,
+    src1: Option<u8>,
+    src2: Option<u8>,
+    predicted_hit: bool,
+}
 
-    let run = |naive: bool| {
-        let mut iq = SegmentedIq::new(qc);
-        iq.set_naive_kernel(naive);
-        let workload = SyntheticWorkload::from_profile(bench.profile(), seed);
-        let mut sim = Pipeline::new(config, iq, workload);
-        let stats = sim.run(max_insts);
-        (format!("{stats:?}"), format!("{:?}", sim.iq().full_stats()))
-    };
+fn rand_inst(g: &mut Gen) -> RandInst {
+    RandInst {
+        op_pick: g.u8(0..6),
+        dest: g.u8(0..24),
+        src1: g.option(|g| g.u8(0..24)),
+        src2: g.option(|g| g.u8(0..24)),
+        predicted_hit: g.bool(),
+    }
+}
 
-    let (stats_fast, seg_fast) = run(false);
-    let (stats_naive, seg_naive) = run(true);
-    assert_eq!(stats_fast, stats_naive, "{bench:?}: machine statistics diverge");
-    assert_eq!(seg_fast, seg_naive, "{bench:?}: queue statistics diverge");
+fn op_of(pick: u8) -> OpClass {
+    match pick {
+        0 | 1 => OpClass::IntAlu,
+        2 => OpClass::IntMul,
+        3 => OpClass::FpAdd,
+        4 => OpClass::FpMul,
+        _ => OpClass::Load,
+    }
+}
+
+fn rand_cfg(g: &mut Gen) -> SegmentedIqConfig {
+    SegmentedIqConfig {
+        num_segments: g.usize(1..6),
+        segment_size: [4, 8, 16][g.usize(0..3)],
+        promote_width: g.usize(1..5),
+        max_chains: g.option(|g| g.usize(2..48)),
+        pushdown: g.bool(),
+        bypass: g.bool(),
+        two_chain_tracking: g.bool(),
+        deadlock_recovery: g.bool(),
+        predicted_load_latency: 4,
+        countdown_includes_descent: g.bool(),
+    }
+}
+
+/// Drives one queue through a fully deterministic script: random
+/// dependence graph, every third load misses (fill + writeback 12 cycles
+/// later), optional mid-run flush. `before_cycle` sees the queue at the
+/// start of every cycle. Returns the issue schedule `(cycle, tag)`.
+fn drive<Q: IssueQueue>(
+    iq: &mut Q,
+    program: &[RandInst],
+    limit: u64,
+    flush_at: Option<u64>,
+    mut before_cycle: impl FnMut(&mut Q, Cycle),
+) -> Vec<(Cycle, InstTag)> {
+    let mut fus = FuPool::table1();
+    let mut last_writer: [Option<InstTag>; 32] = [None; 32];
+    let mut completed: Vec<bool> = vec![false; program.len()];
+    let mut dispatched: Vec<bool> = vec![false; program.len()];
+    let mut fills: Vec<(u64, InstTag)> = Vec::new();
+    let mut next = 0usize;
+    let mut schedule = Vec::new();
+
+    for now in 1..=limit {
+        before_cycle(iq, now);
+        let mut k = 0;
+        while k < fills.len() {
+            if fills[k].0 == now {
+                let (_, tag) = fills.swap_remove(k);
+                iq.on_load_fill(tag);
+                iq.announce_ready(tag, now);
+                iq.on_writeback(tag);
+                completed[tag.0 as usize] = true;
+            } else {
+                k += 1;
+            }
+        }
+        iq.tick(now, schedule.len() == program.len());
+        for sel in iq.select_issue(now, &mut fus) {
+            if sel.op == OpClass::Load && sel.tag.0 % 3 == 0 {
+                iq.on_load_miss(sel.tag);
+                iq.announce_ready(sel.tag, now + 12);
+                fills.push((now + 12, sel.tag));
+            } else {
+                iq.announce_ready(sel.tag, now + u64::from(sel.op.exec_latency()));
+                iq.on_writeback(sel.tag);
+                completed[sel.tag.0 as usize] = true;
+            }
+            schedule.push((now, sel.tag));
+        }
+        fus.next_cycle();
+        for _ in 0..4 {
+            if next >= program.len() {
+                break;
+            }
+            let r = &program[next];
+            let tag = InstTag(next as u64);
+            let src = |s: Option<u8>| {
+                s.map(|reg| {
+                    let writer = last_writer[reg as usize];
+                    let done = writer.is_none_or(|p| completed[p.0 as usize]);
+                    SrcOperand {
+                        reg: ArchReg::int(reg),
+                        producer: writer.filter(|_| !done),
+                        known_ready_at: done.then_some(0),
+                    }
+                })
+            };
+            let info = DispatchInfo {
+                tag,
+                op: op_of(r.op_pick),
+                dest: Some(ArchReg::int(r.dest)),
+                srcs: [src(r.src1), src(r.src2)],
+                predicted_hit: r.predicted_hit,
+                lrp_pick: None,
+                thread: 0,
+            };
+            match iq.dispatch(now, info) {
+                Ok(()) => {
+                    last_writer[r.dest as usize] = Some(tag);
+                    dispatched[next] = true;
+                    next += 1;
+                }
+                Err(DispatchStall::QueueFull | DispatchStall::NoChainWire) => break,
+            }
+        }
+        if flush_at == Some(now) {
+            iq.flush();
+            fills.clear();
+            // Model a squash: values of discarded in-flight producers are
+            // treated as ready for everything dispatched later.
+            for i in 0..program.len() {
+                if dispatched[i] {
+                    completed[i] = true;
+                }
+            }
+        }
+    }
+    schedule
+}
+
+prop_check! {
+    /// The indexed kernel must reproduce the scan reference cycle for
+    /// cycle: identical issue schedules, final statistics and occupancy,
+    /// for any program, geometry and feature mix, with and without a
+    /// mid-run flush.
+    fn indexed_kernel_matches_scan_reference(g, cases = 40) {
+        let program = g.vec(1..400, rand_inst);
+        let cfg = rand_cfg(g);
+        let limit = 1500;
+        let flush_at = if g.bool() { Some(limit / 2) } else { None };
+        let mut fast = SegmentedIq::new(cfg);
+        let mut scan = ScanSegmentedIq::new(cfg);
+        let sched_fast = drive(&mut fast, &program, limit, flush_at, |_, _| {});
+        let sched_scan = drive(&mut scan, &program, limit, flush_at, |_, _| {});
+        prop_assert_eq!(sched_fast, sched_scan, "issue schedules diverge");
+        prop_assert_eq!(
+            format!("{:?}", fast.full_stats()),
+            format!("{:?}", scan.full_stats()),
+            "final statistics diverge"
+        );
+        prop_assert_eq!(fast.occupancy(), scan.occupancy());
+    }
+
+    /// Snapshot-at-N then restore into a freshly constructed queue must
+    /// be observationally identical to running straight through: same
+    /// issue schedule, same final statistics, same occupancy.
+    fn queue_restore_equals_continuous(g, cases = 30) {
+        let program = g.vec(1..100, rand_inst);
+        let cfg = rand_cfg(g);
+        let limit = 1200;
+        let ckpt_at = g.usize(1..1200) as u64;
+        let restore_at_ckpt = |iq: &mut SegmentedIq, now: Cycle| {
+            if now != ckpt_at {
+                return;
+            }
+            let mut w = Writer::new();
+            save_section(&mut w, &*iq);
+            let bytes = w.into_bytes();
+            let mut fresh = SegmentedIq::new(cfg);
+            restore_section(&mut Reader::new(&bytes), &mut fresh)
+                .expect("mid-run snapshot must restore");
+            *iq = fresh;
+        };
+        let mut cont = SegmentedIq::new(cfg);
+        let mut snap = SegmentedIq::new(cfg);
+        let sched_c = drive(&mut cont, &program, limit, None, |_, _| {});
+        let sched_s = drive(&mut snap, &program, limit, None, restore_at_ckpt);
+        prop_assert_eq!(sched_c, sched_s, "issue schedules diverge after restore");
+        prop_assert_eq!(
+            format!("{:?}", cont.full_stats()),
+            format!("{:?}", snap.full_stats()),
+            "final statistics diverge after restore"
+        );
+        prop_assert_eq!(cont.occupancy(), snap.occupancy());
+    }
+}
+
+/// The Figure 3 machine: hit/miss and left/right predictors on, one
+/// chain per instruction.
+fn hmp_lrp(mut config: SimConfig, qc: SegmentedIqConfig) -> (SimConfig, SegmentedIqConfig) {
+    config.use_hmp = true;
+    config.use_lrp = true;
+    (config, SegmentedIqConfig { two_chain_tracking: false, ..qc })
+}
+
+/// Runs one benchmark profile on the production queue and on the scan
+/// reference through the whole pipeline and compares the full `Debug`
+/// render of the machine statistics and of the queue statistics.
+fn check_bench(bench: Bench, qc: SegmentedIqConfig, predictors: bool, insts: u64, seed: u64) {
+    let config = SimConfig::default().rob_for_iq(qc.capacity()).with_extra_dispatch_cycle();
+    let (config, qc) = if predictors { hmp_lrp(config, qc) } else { (config, qc) };
+    let workload = || SyntheticWorkload::from_profile(bench.profile(), seed);
+    let mut fast = Pipeline::new(config, SegmentedIq::new(qc), workload());
+    let mut scan = Pipeline::new(config, ScanSegmentedIq::new(qc), workload());
+    let what = format!("{bench:?} {qc:?} predictors={predictors}");
+    assert_eq!(
+        format!("{:?}", fast.run(insts)),
+        format!("{:?}", scan.run(insts)),
+        "{what}: machine statistics diverge"
+    );
+    assert_eq!(
+        format!("{:?}", fast.iq().full_stats()),
+        format!("{:?}", scan.iq().full_stats()),
+        "{what}: queue statistics diverge"
+    );
 }
 
 #[test]
-fn pipeline_matches_naive_reference_across_benches() {
-    // Geometry mix: the paper's big queue, a small one that stresses
-    // promotion pressure and deadlock recovery, and a chain-starved one.
-    for (bench, qc, seed) in [
-        (Bench::Equake, SegmentedIqConfig::paper(128, Some(64)), 7),
-        (Bench::Gcc, SegmentedIqConfig::paper(64, Some(16)), 11),
-        (Bench::Swim, SegmentedIqConfig::paper(256, None), 13),
-        (Bench::Vortex, SegmentedIqConfig::small_for_tests(), 17),
+fn pipeline_matches_scan_reference_across_benches() {
+    // Every benchmark once, over the paper's four sizes and the small
+    // test queue (which stresses promotion pressure and deadlock
+    // recovery), on the base machine and on Figure 3's.
+    let paper = SegmentedIqConfig::paper;
+    for (bench, qc, predictors, seed) in [
+        (Bench::Ammp, paper(64, Some(16)), false, 3),
+        (Bench::Applu, paper(512, Some(128)), true, 5),
+        (Bench::Equake, paper(128, Some(64)), false, 7),
+        (Bench::Gcc, paper(64, Some(16)), true, 11),
+        (Bench::Mgrid, paper(256, Some(64)), true, 13),
+        (Bench::Swim, paper(256, None), false, 17),
+        (Bench::Twolf, SegmentedIqConfig::small_for_tests(), true, 19),
+        (Bench::Vortex, SegmentedIqConfig::small_for_tests(), false, 23),
     ] {
-        check_bench(bench, qc, 3_000, seed);
+        check_bench(bench, qc, predictors, 3_000, seed);
     }
 }
 
 #[test]
-fn pipeline_matches_naive_reference_with_features_off() {
-    // Pushdown/bypass/two-chain off exercises the other halves of the
-    // indexed eligibility predicates.
-    let mut qc = SegmentedIqConfig::paper(64, Some(32));
-    qc.pushdown = false;
-    qc.bypass = false;
-    qc.two_chain_tracking = false;
-    check_bench(Bench::Twolf, qc, 3_000, 23);
+fn pipeline_matches_scan_reference_with_features_off() {
+    // Pushdown, bypass and two-chain tracking off exercise the other
+    // halves of the promotion and dispatch paths.
+    let qc = SegmentedIqConfig {
+        pushdown: false,
+        bypass: false,
+        two_chain_tracking: false,
+        ..SegmentedIqConfig::paper(64, Some(32))
+    };
+    check_bench(Bench::Twolf, qc, false, 3_000, 29);
+}
+
+#[test]
+fn smt_pipeline_matches_scan_reference() {
+    // SMT never fast-forwards and keeps one register table per thread.
+    // Threads sit in disjoint address spaces, as in the `smt` binary.
+    let (config, qc) = hmp_lrp(
+        SimConfig::default().rob_for_iq(256).with_extra_dispatch_cycle(),
+        SegmentedIqConfig::paper(256, Some(64)),
+    );
+    for mix in
+        [&[Bench::Gcc, Bench::Gcc][..], &[Bench::Ammp, Bench::Swim, Bench::Equake, Bench::Twolf]]
+    {
+        let threads = || {
+            let space = |(t, b): (usize, &Bench)| {
+                let base = t as u64 * ((1 << 40) | 0x94_530);
+                AddressSpace::new(
+                    SyntheticWorkload::from_profile(b.profile(), 41 + t as u64),
+                    base,
+                    base,
+                )
+            };
+            mix.iter().enumerate().map(space).collect::<Vec<_>>()
+        };
+        let mut fast = SmtPipeline::new(config, SegmentedIq::new(qc), threads());
+        let mut scan = SmtPipeline::new(config, ScanSegmentedIq::new(qc), threads());
+        assert_eq!(
+            format!("{:?}", fast.run(4_000)),
+            format!("{:?}", scan.run(4_000)),
+            "{mix:?}: machine statistics diverge"
+        );
+        assert_eq!(
+            format!("{:?}", fast.iq().full_stats()),
+            format!("{:?}", scan.iq().full_stats()),
+            "{mix:?}: queue statistics diverge"
+        );
+    }
 }
 
 /// Runs `bench` through a one-thread [`SmtPipeline`] and a [`Pipeline`]

@@ -93,26 +93,26 @@ GRID_OUT="$(cd "$WORK_DIR" && CARGO_TARGET_DIR="$ROOT/target/benchmark" \
 { grep -q '"correct": true' <<<"$GRID_OUT" && grep -q '"failed": 0' <<<"$GRID_OUT"; } \
     || { echo "ci.sh: traced paper-grid at seed 7 failed: $GRID_OUT" >&2; exit 1; }
 
-echo "== sweep smoke: fig3 on 2 workers at a small sample"
-CHAINIQ_SAMPLE=2000 CHAINIQ_JOBS=2 \
-    cargo run -p chainiq-bench --release --bin fig3 --offline >/dev/null
-
-echo "== checkpoint smoke: snapshot, restore, compare (cold vs cached stdout)"
-# First cached run simulates cold and saves warmup images; the second
-# restores them (serial) and the third restores them concurrently. All
-# three must render byte-identical tables to the uncached run.
+echo "== sweep and checkpoint smoke: fig3 stdout at any worker count, cold or cached"
+# A second cold run on 2 workers checks the sweep executor; the first
+# cached run simulates cold and saves warmup images; the next restores
+# them (serial) and the last restores them concurrently. All four must
+# render byte-identical tables to the serial cold run.
 CKPT_CACHE="$WORK_DIR/ckpt-cache"
 run_fig3() {
     CHAINIQ_SAMPLE=2000 CHAINIQ_BENCH_DIR="$WORK_DIR" "$@" \
         cargo run -p chainiq-bench --release --bin fig3 --offline
 }
 run_fig3 env CHAINIQ_JOBS=1 > "$WORK_DIR/fig3-cold.txt"
+run_fig3 env CHAINIQ_JOBS=2 > "$WORK_DIR/fig3-cold-par.txt"
 run_fig3 env CHAINIQ_JOBS=1 CHAINIQ_CKPT=1 CHAINIQ_CKPT_DIR="$CKPT_CACHE" \
     > "$WORK_DIR/fig3-save.txt"
 run_fig3 env CHAINIQ_JOBS=1 CHAINIQ_CKPT=1 CHAINIQ_CKPT_DIR="$CKPT_CACHE" \
     > "$WORK_DIR/fig3-restore.txt"
 run_fig3 env CHAINIQ_JOBS=4 CHAINIQ_CKPT=1 CHAINIQ_CKPT_DIR="$CKPT_CACHE" \
     > "$WORK_DIR/fig3-restore-par.txt"
+cmp "$WORK_DIR/fig3-cold.txt" "$WORK_DIR/fig3-cold-par.txt" \
+    || { echo "ci.sh: 2-worker cold run diverged from 1-worker cold stdout" >&2; exit 1; }
 cmp "$WORK_DIR/fig3-cold.txt" "$WORK_DIR/fig3-save.txt" \
     || { echo "ci.sh: checkpoint-saving run diverged from cold stdout" >&2; exit 1; }
 cmp "$WORK_DIR/fig3-cold.txt" "$WORK_DIR/fig3-restore.txt" \

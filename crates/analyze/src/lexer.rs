@@ -1,7 +1,7 @@
 //! A tiny hand-rolled Rust lexer — just enough token structure for the
-//! analysis rules.
+//! item parser ([`crate::parser`]).
 //!
-//! This is deliberately *not* a parser: the rules only need to know
+//! This is deliberately *not* a parser: its callers only need to know
 //! whether a name like `HashMap` appears in *code* (as opposed to a
 //! string literal or a comment), on which line it appears, and what its
 //! immediate neighbours are (`.` before, `(` or `!` after). What the
@@ -62,7 +62,7 @@ fn is_ident_continue(b: u8) -> bool {
 
 /// Tokenizes `src`. Unterminated constructs (a string or block comment
 /// running to end of file) produce a final token covering the rest of
-/// the input rather than an error — the rules degrade gracefully and
+/// the input rather than an error — the parser degrades gracefully and
 /// `cargo check` will have rejected such a file anyway.
 #[must_use]
 pub fn lex(src: &str) -> Vec<Token<'_>> {

@@ -1,87 +1,78 @@
-//! A hand-rolled *item* parser over the [`crate::lexer`] token stream —
-//! just enough structure for the workspace call graph.
+//! A hand-rolled *item* parser over the [`crate::lexer`] token stream,
+//! left of the retired workspace analyzer and awaiting deletion.
 //!
-//! This is still not a full Rust parser. It recovers exactly the facts
-//! the flow rules ([`crate::flows`]) need:
+//! This is not a full Rust parser. It recovers, per file:
 //!
 //! * `fn` definitions — name, line, visibility, the enclosing `impl` /
-//!   `trait` block (self-type and trait names), test/hot markers;
+//!   `trait` block (self-type and trait names), the `hot` marker;
 //! * call expressions inside each function body — free calls
 //!   (`helper(…)`), method calls (`x.step(…)`), and path-qualified calls
 //!   (`Type::assoc(…)`, turbofish included), with `use … as …` aliases
 //!   resolved back to their original names;
-//! * per-body **facts**: allocation sites ([`ALLOC_METHODS`],
-//!   [`ALLOC_PATHS`], `vec!` and `format!`) and determinism-taint
+//! * per-body **facts**: allocation sites (`ALLOC_METHODS`,
+//!   `ALLOC_PATHS`, `vec!` and `format!`) and determinism-taint
 //!   sources (`std::time`/`Instant`/`SystemTime`, `env::var*`,
 //!   `HashMap`/`HashSet`, `thread::current`).
 //!
 //! Everything it cannot parse it skips without error: an unrecognized
-//! item contributes no functions and no edges, which keeps the analysis
-//! conservative-but-lossy rather than wrong. Comments are ignored, and
-//! items gated by `#[cfg(test)]` or `#[test]` are skipped whole: test
-//! code is exempt from every rule.
-//!
-//! The same walk yields the file's per-file findings: A0 for malformed
-//! marker comments and P3 for tree maps in a `hot-path` file.
+//! item contributes no functions and no calls. Comments are ignored
+//! except for the `hot` marker, and items gated by `#[cfg(test)]` or
+//! `#[test]` are skipped whole.
 
 use crate::lexer::{lex, TokKind, Token};
-use crate::rules::{self, Diagnostic, Markers, RuleId};
 use std::collections::BTreeMap;
 
 /// Everything the parser recovered from one source file.
 #[derive(Debug)]
-pub(crate) struct FileItems {
+pub struct FileItems {
     /// Crate directory name under `crates/`.
-    pub(crate) crate_name: String,
-    /// Workspace-relative path, as used in diagnostics.
-    pub(crate) file: String,
-    /// Whether this is a binary target (never a T1 sink).
-    pub(crate) is_bin: bool,
+    pub crate_name: String,
+    /// Workspace-relative path, e.g. `crates/core/src/wheel.rs`.
+    pub file: String,
+    /// Whether the file is the source of a binary target.
+    pub is_bin: bool,
     /// Functions defined in the file, in source order.
-    pub(crate) fns: Vec<FnItem>,
-    /// The file's marker comments (suppressions, hot markers).
-    pub(crate) markers: Markers,
-    /// Per-file findings: A0 and P3.
-    pub(crate) diags: Vec<Diagnostic>,
+    pub fns: Vec<FnItem>,
 }
 
 /// One `fn` definition.
 #[derive(Debug)]
-pub(crate) struct FnItem {
+pub struct FnItem {
     /// The function's bare name.
-    pub(crate) name: String,
+    pub name: String,
     /// 1-based line of the `fn` keyword.
-    pub(crate) line: u32,
+    pub line: u32,
     /// Self-type name of the enclosing `impl` block, if any.
-    pub(crate) impl_ty: Option<String>,
+    pub impl_ty: Option<String>,
     /// Trait name, for methods of `impl Trait for …` and `trait …` blocks.
-    pub(crate) trait_name: Option<String>,
+    pub trait_name: Option<String>,
     /// Defined inside an `impl` or `trait` block → method-call candidate.
-    pub(crate) in_container: bool,
+    pub in_container: bool,
     /// Carries a `pub` (any form: `pub`, `pub(crate)`, …).
-    pub(crate) is_pub: bool,
-    /// Carries the `hot` kernel marker comment.
-    pub(crate) is_hot: bool,
+    pub is_pub: bool,
+    /// Carries the `// chainiq-analyze: hot` marker comment, on the `fn`
+    /// line or the line directly above.
+    pub is_hot: bool,
     /// Call expressions in the body.
-    pub(crate) calls: Vec<Call>,
+    pub calls: Vec<Call>,
     /// Allocation facts in the body (the H2 family).
-    pub(crate) allocs: Vec<Fact>,
+    pub allocs: Vec<Fact>,
     /// Determinism-taint source facts in the body (the T1 family).
-    pub(crate) taints: Vec<Fact>,
+    pub taints: Vec<Fact>,
 }
 
 /// One call expression.
 #[derive(Debug)]
-pub(crate) struct Call {
+pub struct Call {
     /// Callee name, `use … as …` aliases resolved.
-    pub(crate) name: String,
+    pub name: String,
     /// How the call site is shaped, which drives candidate resolution.
-    pub(crate) kind: CallKind,
+    pub kind: CallKind,
 }
 
 /// Call-site shape.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum CallKind {
+pub enum CallKind {
     /// `name(…)` — resolves to free functions.
     Free,
     /// `x.name(…)`, or a qualified call whose qualifier is opaque
@@ -94,11 +85,11 @@ pub(crate) enum CallKind {
 
 /// A line-anchored body fact (allocation or taint source).
 #[derive(Debug)]
-pub(crate) struct Fact {
+pub struct Fact {
     /// Human-readable description of the offending construct.
-    pub(crate) what: String,
+    pub what: String,
     /// 1-based source line.
-    pub(crate) line: u32,
+    pub line: u32,
 }
 
 /// Rust keywords that can precede `(` without being a call.
@@ -121,50 +112,29 @@ const ALLOC_PATHS: &[(&str, &str)] = &[
     ("Vec", "with_capacity"),
 ];
 
+/// The comment marker that introduces the `hot` function marker.
+const MARKER: &str = "chainiq-analyze:";
+
 /// Parses one file. Never fails: unparseable constructs are skipped.
-pub(crate) fn parse_file(crate_name: &str, file: &str, src: &str, is_bin: bool) -> FileItems {
+pub fn parse_file(crate_name: &str, file: &str, src: &str, is_bin: bool) -> FileItems {
     let toks = lex(src);
-    let mut diags = Vec::new();
-    let markers = rules::collect_markers(file, &toks, &mut diags);
+    let hot_lines = toks
+        .iter()
+        .filter(|t| matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
+        .filter(|t| t.text.split_once(MARKER).is_some_and(|(_, rest)| rest.trim() == "hot"))
+        .map(|t| t.line)
+        .collect();
     let code: Vec<Token<'_>> = toks
         .into_iter()
         .filter(|t| !matches!(t.kind, TokKind::LineComment | TokKind::BlockComment))
         .collect();
 
-    let test = vec![false; code.len()];
-    let mut p = Parser { code, test, markers: &markers, aliases: BTreeMap::new(), fns: Vec::new() };
+    let mut p = Parser { code, hot_lines, aliases: BTreeMap::new(), fns: Vec::new() };
     p.collect_aliases();
     let end = p.code.len();
     p.parse_items(0, end, &Container::default(), None);
 
-    // P3: tree maps anywhere outside test items of a hot-path file.
-    for (t, _) in p.code.iter().zip(&p.test).filter(|&(_, &test)| markers.hot_path && !test) {
-        if t.kind == TokKind::Ident
-            && matches!(t.text, "BTreeMap" | "BTreeSet")
-            && !markers.suppressed(RuleId::P3, t.line)
-        {
-            diags.push(Diagnostic {
-                file: file.to_string(),
-                line: t.line,
-                rule: RuleId::P3,
-                message: format!(
-                    "{} in a hot-path-marked file: the kernel files were rebuilt on \
-                     slab-intrusive lists, bitsets and event wheels — keep tree maps out of \
-                     them (reference models belong in test code, which is exempt)",
-                    t.text
-                ),
-            });
-        }
-    }
-
-    FileItems {
-        crate_name: crate_name.to_string(),
-        file: file.to_string(),
-        is_bin,
-        fns: p.fns,
-        markers,
-        diags,
-    }
+    FileItems { crate_name: crate_name.to_string(), file: file.to_string(), is_bin, fns: p.fns }
 }
 
 /// The enclosing `impl` / `trait` context while walking items.
@@ -177,9 +147,8 @@ struct Container {
 
 struct Parser<'a> {
     code: Vec<Token<'a>>,
-    /// Tokens of skipped `#[cfg(test)]` / `#[test]` items.
-    test: Vec<bool>,
-    markers: &'a Markers,
+    /// Lines of the file's `hot` marker comments.
+    hot_lines: Vec<u32>,
     /// `use x::y as z;` → `z → y`.
     aliases: BTreeMap<String, String>,
     fns: Vec<FnItem>,
@@ -303,9 +272,7 @@ impl<'a> Parser<'a> {
                 let (next, gated) = self.skip_attrs(i);
                 i = next;
                 if gated {
-                    let item_end = self.item_end(i).min(end);
-                    self.test[i..item_end].iter_mut().for_each(|t| *t = true);
-                    i = item_end;
+                    i = self.item_end(i).min(end);
                 }
                 continue;
             }
@@ -418,7 +385,7 @@ impl<'a> Parser<'a> {
             trait_name: ctx.trait_name.clone(),
             in_container: ctx.in_container,
             is_pub: self.is_pub_before(i),
-            is_hot: self.markers.is_hot_fn_line(line),
+            is_hot: self.hot_lines.iter().any(|&l| l == line || l + 1 == line),
             calls: Vec::new(),
             allocs: Vec::new(),
             taints: Vec::new(),
@@ -692,6 +659,33 @@ mod tests {
         assert!(fn_named(&items, "tick").is_hot);
         assert!(!fn_named(&items, "helper").is_hot);
         assert!(items.fns.iter().all(|f| f.name != "t"), "test items are skipped");
+
+        let items = parse(
+            "fn on_line() { // chainiq-analyze: hot\n}\n\
+             // chainiq-analyze: hot path here\n\
+             fn trailing_words() {}\n",
+        );
+        assert!(fn_named(&items, "on_line").is_hot, "a marker on the fn line counts");
+        assert!(!fn_named(&items, "trailing_words").is_hot, "only the bare word is a marker");
+    }
+
+    #[test]
+    fn cfg_not_test_is_not_a_test_gate() {
+        let live = parse("#[cfg(not(test))]\nfn f() {}\n");
+        assert_eq!(live.fns.len(), 1, "cfg(not(test)) code is live code");
+    }
+
+    #[test]
+    fn gated_semicolon_item_is_skipped() {
+        let items = parse("#[cfg(test)]\nuse std::collections::BTreeMap;\nfn f() {}\n");
+        assert_eq!(items.fns.len(), 1, "a gated `;` item ends at its `;`");
+    }
+
+    #[test]
+    fn code_after_test_module_is_still_scanned() {
+        let items = parse("#[cfg(test)]\nmod tests { fn t() {} }\nfn g() {}\n");
+        let names: Vec<&str> = items.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["g"], "code after a test module is still parsed");
     }
 
     #[test]

@@ -186,21 +186,6 @@ impl FpHasher {
         self.write_bytes(&v.to_le_bytes());
     }
 
-    /// Folds an `i64` into the state.
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_u64(v as u64);
-    }
-
-    /// Folds a `bool` into the state.
-    pub fn write_bool(&mut self, v: bool) {
-        self.write_bytes(&[u8::from(v)]);
-    }
-
-    /// Folds an `f64` (bit pattern) into the state.
-    pub fn write_f64(&mut self, v: f64) {
-        self.write_u64(v.to_bits());
-    }
-
     /// Folds a length-prefixed string into the state (prefix keeps
     /// `"ab" + "c"` distinct from `"a" + "bc"`).
     pub fn write_str(&mut self, s: &str) {

@@ -90,20 +90,6 @@ impl SimConfig {
         self
     }
 
-    /// Enables the hit/miss predictor hook (§4.4).
-    #[must_use]
-    pub fn with_hmp(mut self) -> Self {
-        self.use_hmp = true;
-        self
-    }
-
-    /// Enables the left/right operand predictor hook (§4.3).
-    #[must_use]
-    pub fn with_lrp(mut self) -> Self {
-        self.use_lrp = true;
-        self
-    }
-
     /// Total front-end latency from fetch to dispatch, including the
     /// extra complexity cycle if configured.
     #[must_use]

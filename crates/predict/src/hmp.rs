@@ -63,7 +63,6 @@ pub struct HitMissPredictor {
     threshold: u8,
     mask: usize,
     stats: HmpStats,
-    wrong_by_pc: std::collections::BTreeMap<u64, u64>,
 }
 
 impl Default for HitMissPredictor {
@@ -92,7 +91,6 @@ impl HitMissPredictor {
             threshold,
             mask: entries - 1,
             stats: HmpStats::default(),
-            wrong_by_pc: std::collections::BTreeMap::new(),
         }
     }
 
@@ -131,9 +129,6 @@ impl HitMissPredictor {
     /// load's outcome with the prediction it actually dispatched under
     /// (many dynamic instances of one PC can be in flight at once).
     pub fn update(&mut self, pc: u64, was_hit: bool) {
-        if !was_hit && self.peek(pc) {
-            *self.wrong_by_pc.entry(pc).or_default() += 1;
-        }
         let idx = self.index(pc);
         if was_hit {
             self.table[idx].inc();
@@ -151,15 +146,6 @@ impl HitMissPredictor {
                 self.stats.predicted_hit_was_hit += 1;
             }
         }
-    }
-
-    /// Wrong hit-predictions per load PC, most offended first (diagnostic
-    /// aid for workload calibration).
-    #[must_use]
-    pub fn wrong_hit_predictions_by_pc(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.wrong_by_pc.iter().map(|(k, v)| (*k, *v)).collect();
-        v.sort_by_key(|(_, n)| std::cmp::Reverse(*n));
-        v
     }
 
     /// Accumulated accuracy/coverage counters.
@@ -189,14 +175,13 @@ impl chainiq_ckpt::Pack for HmpStats {
 
 impl chainiq_ckpt::Snapshot for HitMissPredictor {
     const COMPONENT: &'static str = "predict.hmp";
-    const VERSION: u16 = 2;
+    const VERSION: u16 = 3;
 
     fn save(&self, w: &mut chainiq_ckpt::Writer) {
         use chainiq_ckpt::Pack;
         chainiq_ckpt::save_sparse(w, &self.table, &Self::INITIAL);
         self.threshold.pack(w);
         self.stats.pack(w);
-        self.wrong_by_pc.pack(w);
     }
 
     fn restore(&mut self, r: &mut chainiq_ckpt::Reader<'_>) -> Result<(), chainiq_ckpt::CkptError> {
@@ -209,7 +194,6 @@ impl chainiq_ckpt::Snapshot for HitMissPredictor {
             });
         }
         self.stats = Pack::unpack(r)?;
-        self.wrong_by_pc = Pack::unpack(r)?;
         Ok(())
     }
 }

@@ -317,52 +317,16 @@ impl DistanceIq {
     }
 }
 
-impl chainiq_ckpt::Pack for DistanceConfig {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.wait_buffer_size.pack(w);
-        self.num_lines.pack(w);
-        self.line_width.pack(w);
-        self.predicted_load_latency.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(DistanceConfig {
-            wait_buffer_size: Pack::unpack(r)?,
-            num_lines: Pack::unpack(r)?,
-            line_width: Pack::unpack(r)?,
-            predicted_load_latency: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(DistanceConfig {
+    wait_buffer_size,
+    num_lines,
+    line_width,
+    predicted_load_latency
+});
 
-impl chainiq_ckpt::Pack for DataOperand {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.producer.pack(w);
-        self.ready_at.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(DataOperand { producer: Pack::unpack(r)?, ready_at: Pack::unpack(r)? })
-    }
-}
+chainiq_ckpt::pack_fields!(DataOperand { producer, ready_at });
 
-impl chainiq_ckpt::Pack for Entry {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.tag.pack(w);
-        self.op.pack(w);
-        self.ops.pack(w);
-        self.scheduled_at.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(Entry {
-            tag: Pack::unpack(r)?,
-            op: Pack::unpack(r)?,
-            ops: Pack::unpack(r)?,
-            scheduled_at: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(Entry { tag, op, ops, scheduled_at });
 
 impl chainiq_ckpt::Snapshot for DistanceIq {
     const COMPONENT: &'static str = "baseline.distance";

@@ -335,34 +335,9 @@ impl IssueQueue for IdealIq {
     }
 }
 
-impl chainiq_ckpt::Pack for DataOperand {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.producer.pack(w);
-        self.ready_at.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(DataOperand { producer: Pack::unpack(r)?, ready_at: Pack::unpack(r)? })
-    }
-}
+chainiq_ckpt::pack_fields!(DataOperand { producer, ready_at });
 
-impl chainiq_ckpt::Pack for Entry {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.tag.pack(w);
-        self.op.pack(w);
-        self.ops.pack(w);
-        self.entered_at.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(Entry {
-            tag: Pack::unpack(r)?,
-            op: Pack::unpack(r)?,
-            ops: Pack::unpack(r)?,
-            entered_at: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(Entry { tag, op, ops, entered_at });
 
 impl chainiq_ckpt::Snapshot for IdealIq {
     const COMPONENT: &'static str = "baseline.ideal";

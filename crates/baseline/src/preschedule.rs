@@ -547,56 +547,16 @@ impl PrescheduledIq {
     }
 }
 
-impl chainiq_ckpt::Pack for PrescheduleConfig {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.issue_buffer_size.pack(w);
-        self.num_lines.pack(w);
-        self.line_width.pack(w);
-        self.predicted_load_latency.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(PrescheduleConfig {
-            issue_buffer_size: Pack::unpack(r)?,
-            num_lines: Pack::unpack(r)?,
-            line_width: Pack::unpack(r)?,
-            predicted_load_latency: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(PrescheduleConfig {
+    issue_buffer_size,
+    num_lines,
+    line_width,
+    predicted_load_latency
+});
 
-impl chainiq_ckpt::Pack for DataOperand {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.producer.pack(w);
-        self.ready_at.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(DataOperand { producer: Pack::unpack(r)?, ready_at: Pack::unpack(r)? })
-    }
-}
+chainiq_ckpt::pack_fields!(DataOperand { producer, ready_at });
 
-impl chainiq_ckpt::Pack for Entry {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.live.pack(w);
-        self.tag.pack(w);
-        self.op.pack(w);
-        self.ops.pack(w);
-        self.scheduled_at.pack(w);
-        self.entered_buffer_at.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(Entry {
-            live: Pack::unpack(r)?,
-            tag: Pack::unpack(r)?,
-            op: Pack::unpack(r)?,
-            ops: Pack::unpack(r)?,
-            scheduled_at: Pack::unpack(r)?,
-            entered_buffer_at: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(Entry { live, tag, op, ops, scheduled_at, entered_buffer_at });
 
 impl chainiq_ckpt::Snapshot for PrescheduledIq {
     const COMPONENT: &'static str = "baseline.preschedule";

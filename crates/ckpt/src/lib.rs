@@ -38,8 +38,10 @@
 //! to a packed field list must bump the owning component's version (or
 //! the container version for framing changes); old images are then
 //! rejected with [`CkptError::ComponentVersion`] instead of being
-//! silently misread. There is no cross-version migration: checkpoints
-//! are a cache, the cold path always exists.
+//! silently misread. A [`pack_fields!`] or [`pack_enum!`] invocation
+//! *is* its record's layout: reordering, adding or removing a field or
+//! a tag there is such a change. There is no cross-version migration:
+//! checkpoints are a cache, the cold path always exists.
 
 #![deny(missing_docs)]
 // T1 (DESIGN.md §8): no clock, environment or thread-identity read, and
@@ -50,7 +52,7 @@ pub mod cache;
 
 pub use cache::{CacheDir, CacheTally};
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -380,8 +382,9 @@ impl<'a> Reader<'a> {
 // ---------------------------------------------------------------------------
 
 /// Symmetric binary encode/decode for one value. Component crates
-/// implement this for their own state structs; this crate provides the
-/// primitive and container impls.
+/// implement this for their own state structs, with [`pack_fields!`] or
+/// [`pack_enum!`] where a record is only its fields or tags; this crate
+/// provides the primitive and container impls.
 pub trait Pack: Sized {
     /// Appends this value's encoding to `w`.
     fn pack(&self, w: &mut Writer);
@@ -550,23 +553,6 @@ impl<K: Pack + Ord, V: Pack> Pack for BTreeMap<K, V> {
     }
 }
 
-impl<T: Pack + Ord> Pack for BTreeSet<T> {
-    fn pack(&self, w: &mut Writer) {
-        w.put_u64(self.len() as u64);
-        for v in self {
-            v.pack(w);
-        }
-    }
-    fn unpack(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        let n = r.take_len("set length")?;
-        let mut out = BTreeSet::new();
-        for _ in 0..n {
-            out.insert(T::unpack(r)?);
-        }
-        Ok(out)
-    }
-}
-
 impl<A: Pack, B: Pack> Pack for (A, B) {
     fn pack(&self, w: &mut Writer) {
         self.0.pack(w);
@@ -574,17 +560,6 @@ impl<A: Pack, B: Pack> Pack for (A, B) {
     }
     fn unpack(r: &mut Reader<'_>) -> Result<Self, CkptError> {
         Ok((A::unpack(r)?, B::unpack(r)?))
-    }
-}
-
-impl<A: Pack, B: Pack, C: Pack> Pack for (A, B, C) {
-    fn pack(&self, w: &mut Writer) {
-        self.0.pack(w);
-        self.1.pack(w);
-        self.2.pack(w);
-    }
-    fn unpack(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok((A::unpack(r)?, B::unpack(r)?, C::unpack(r)?))
     }
 }
 
@@ -601,6 +576,56 @@ impl<T: Pack, const N: usize> Pack for [T; N] {
         }
         out.try_into().map_err(|_| CkptError::Corrupt { context: "array arity".to_string() })
     }
+}
+
+/// Implements [`Pack`] for a struct as its listed fields in order: the
+/// invocation *is* the record's byte layout. `unpack` builds a struct
+/// literal, so a field left out of the list fails to compile. A tuple
+/// struct lists its fields by index: `pack_fields!(Tag { 0 })`.
+///
+/// ```
+/// struct Span { start: u64, len: u32 }
+/// // Eight bytes of `start`, then four of `len`.
+/// chainiq_ckpt::pack_fields!(Span { start, len });
+/// ```
+#[macro_export]
+macro_rules! pack_fields {
+    ($ty:ty { $($field:tt),+ $(,)? }) => {
+        impl $crate::Pack for $ty {
+            fn pack(&self, w: &mut $crate::Writer) {
+                $($crate::Pack::pack(&self.$field, w);)+
+            }
+            fn unpack(r: &mut $crate::Reader<'_>) -> ::std::result::Result<Self, $crate::CkptError> {
+                ::std::result::Result::Ok(Self { $($field: $crate::Pack::unpack(r)?),+ })
+            }
+        }
+    };
+}
+
+/// Implements [`Pack`] for a fieldless enum as one `u8` tag per variant.
+/// Any other tag decodes to [`CkptError::Corrupt`] naming `context`.
+///
+/// ```
+/// enum Side { Left, Right }
+/// chainiq_ckpt::pack_enum!(Side, "side" { Left = 0, Right = 1 });
+/// ```
+#[macro_export]
+macro_rules! pack_enum {
+    ($ty:ty, $context:literal { $($variant:ident = $tag:literal),+ $(,)? }) => {
+        impl $crate::Pack for $ty {
+            fn pack(&self, w: &mut $crate::Writer) {
+                w.put_u8(match self { $(Self::$variant => $tag),+ });
+            }
+            fn unpack(r: &mut $crate::Reader<'_>) -> ::std::result::Result<Self, $crate::CkptError> {
+                match r.take_u8($context)? {
+                    $($tag => ::std::result::Result::Ok(Self::$variant),)+
+                    other => ::std::result::Result::Err($crate::CkptError::Corrupt {
+                        context: ::std::format!("{} tag {other}", $context),
+                    }),
+                }
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -983,16 +1008,14 @@ mod tests {
         let v: Vec<u64> = vec![1, 2, 3];
         let d: VecDeque<u32> = VecDeque::from(vec![4, 5]);
         let m: BTreeMap<u64, bool> = [(1, true), (9, false)].into_iter().collect();
-        let s: BTreeSet<(u64, u64)> = [(1, 2), (3, 4)].into_iter().collect();
         let o: Option<u8> = Some(7);
         let n: Option<u8> = None;
-        let t: (u64, bool, i64) = (1, true, -1);
+        let t: (u64, i64) = (1, -1);
         let a: [u16; 3] = [10, 20, 30];
         let mut w = Writer::new();
         v.pack(&mut w);
         d.pack(&mut w);
         m.pack(&mut w);
-        s.pack(&mut w);
         o.pack(&mut w);
         n.pack(&mut w);
         t.pack(&mut w);
@@ -1002,12 +1025,77 @@ mod tests {
         assert_eq!(Vec::<u64>::unpack(&mut r).unwrap(), v);
         assert_eq!(VecDeque::<u32>::unpack(&mut r).unwrap(), d);
         assert_eq!(BTreeMap::<u64, bool>::unpack(&mut r).unwrap(), m);
-        assert_eq!(BTreeSet::<(u64, u64)>::unpack(&mut r).unwrap(), s);
         assert_eq!(Option::<u8>::unpack(&mut r).unwrap(), o);
         assert_eq!(Option::<u8>::unpack(&mut r).unwrap(), n);
-        assert_eq!(<(u64, bool, i64)>::unpack(&mut r).unwrap(), t);
+        assert_eq!(<(u64, i64)>::unpack(&mut r).unwrap(), t);
         assert_eq!(<[u16; 3]>::unpack(&mut r).unwrap(), a);
         assert!(r.is_exhausted());
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Rec {
+        id: u16,
+        tail: Option<u8>,
+        live: bool,
+    }
+    pack_fields!(Rec { id, tail, live });
+
+    #[derive(Debug, PartialEq)]
+    struct Wrapped(u32);
+    pack_fields!(Wrapped { 0 });
+
+    #[derive(Debug, PartialEq)]
+    enum Mode {
+        Off,
+        Fast,
+        Slow,
+    }
+    pack_enum!(Mode, "toy mode" { Off = 0, Slow = 2, Fast = 7 });
+
+    fn packed(v: &impl Pack) -> Vec<u8> {
+        let mut w = Writer::new();
+        v.pack(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn pack_fields_writes_fields_in_listed_order() {
+        let rec = Rec { id: 0x0102, tail: Some(9), live: true };
+        let bytes = packed(&rec);
+        assert_eq!(bytes, [0x02, 0x01, 1, 9, 1]);
+        assert_eq!(Rec::unpack(&mut Reader::new(&bytes)).unwrap(), rec);
+        assert_eq!(packed(&Wrapped(5)), [5, 0, 0, 0]);
+        assert_eq!(Wrapped::unpack(&mut Reader::new(&[5, 0, 0, 0])).unwrap(), Wrapped(5));
+    }
+
+    #[test]
+    fn pack_fields_short_buffer_is_truncated() {
+        let bytes = packed(&Rec { id: 3, tail: Some(9), live: false });
+        for cut in 0..bytes.len() {
+            let err = Rec::unpack(&mut Reader::new(&bytes[..cut])).unwrap_err();
+            assert!(matches!(err, CkptError::Truncated { .. }), "cut {cut}: {err}");
+        }
+    }
+
+    #[test]
+    fn pack_enum_writes_the_listed_tag() {
+        assert_eq!(packed(&Mode::Off), [0]);
+        assert_eq!(packed(&Mode::Fast), [7]);
+        assert_eq!(packed(&Mode::Slow), [2]);
+        for (tag, mode) in [(0, Mode::Off), (7, Mode::Fast), (2, Mode::Slow)] {
+            assert_eq!(Mode::unpack(&mut Reader::new(&[tag])).unwrap(), mode);
+        }
+    }
+
+    #[test]
+    fn pack_enum_unknown_tag_is_corrupt_and_names_its_context() {
+        let err = Mode::unpack(&mut Reader::new(&[1])).unwrap_err();
+        assert!(
+            matches!(&err, CkptError::Corrupt { context } if context == "toy mode tag 1"),
+            "{err}"
+        );
+        let err = Mode::unpack(&mut Reader::new(&[])).unwrap_err();
+        assert!(matches!(err, CkptError::Truncated { context: "toy mode" }), "{err}");
     }
 
     #[test]

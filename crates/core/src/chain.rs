@@ -221,88 +221,23 @@ impl ChainTable {
     }
 }
 
-impl chainiq_ckpt::Pack for ChainRef {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.id.pack(w);
-        self.gen.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(ChainRef { id: Pack::unpack(r)?, gen: Pack::unpack(r)? })
-    }
-}
+chainiq_ckpt::pack_fields!(ChainRef { id, gen });
 
-impl chainiq_ckpt::Pack for SignalKind {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        w.put_u8(match self {
-            SignalKind::Pulse => 0,
-            SignalKind::Suspend => 1,
-            SignalKind::Resume => 2,
-        });
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        match r.take_u8("wire-signal kind")? {
-            0 => Ok(SignalKind::Pulse),
-            1 => Ok(SignalKind::Suspend),
-            2 => Ok(SignalKind::Resume),
-            t => Err(chainiq_ckpt::CkptError::Corrupt {
-                context: format!("wire-signal kind tag {t}"),
-            }),
-        }
-    }
-}
+chainiq_ckpt::pack_enum!(SignalKind, "wire-signal kind" { Pulse = 0, Suspend = 1, Resume = 2 });
 
-impl chainiq_ckpt::Pack for WireSignal {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.chain.pack(w);
-        self.kind.pack(w);
-        self.segment.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(WireSignal {
-            chain: Pack::unpack(r)?,
-            kind: Pack::unpack(r)?,
-            segment: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(WireSignal { chain, kind, segment });
 
-impl chainiq_ckpt::Pack for ChainStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.allocations.pack(w);
-        self.load_heads.pack(w);
-        self.dual_dep_heads.pack(w);
-        self.live_accum.pack(w);
-        self.cycles.pack(w);
-        self.peak_live.pack(w);
-        self.wire_stalls.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(ChainStats {
-            allocations: Pack::unpack(r)?,
-            load_heads: Pack::unpack(r)?,
-            dual_dep_heads: Pack::unpack(r)?,
-            live_accum: Pack::unpack(r)?,
-            cycles: Pack::unpack(r)?,
-            peak_live: Pack::unpack(r)?,
-            wire_stalls: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(ChainStats {
+    allocations,
+    load_heads,
+    dual_dep_heads,
+    live_accum,
+    cycles,
+    peak_live,
+    wire_stalls
+});
 
-impl chainiq_ckpt::Pack for ChainSlot {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.gen.pack(w);
-        self.head.pack(w);
-        self.live.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(ChainSlot { gen: Pack::unpack(r)?, head: Pack::unpack(r)?, live: Pack::unpack(r)? })
-    }
-}
+chainiq_ckpt::pack_fields!(ChainSlot { gen, head, live });
 
 impl chainiq_ckpt::Pack for ChainTable {
     fn pack(&self, w: &mut chainiq_ckpt::Writer) {

@@ -168,38 +168,16 @@ pub trait IssueQueue {
     fn skip_quiet(&mut self, _quiet: &QuietCycle, _k: u64) {}
 }
 
-impl chainiq_ckpt::Pack for IssuedInst {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.tag.pack(w);
-        self.op.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(IssuedInst { tag: Pack::unpack(r)?, op: Pack::unpack(r)? })
-    }
-}
+chainiq_ckpt::pack_fields!(IssuedInst { tag, op });
 
-impl chainiq_ckpt::Pack for IqStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.dispatched.pack(w);
-        self.issued.pack(w);
-        self.stalls_full.pack(w);
-        self.stalls_no_chain.pack(w);
-        self.occupancy_accum.pack(w);
-        self.cycles.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(IqStats {
-            dispatched: Pack::unpack(r)?,
-            issued: Pack::unpack(r)?,
-            stalls_full: Pack::unpack(r)?,
-            stalls_no_chain: Pack::unpack(r)?,
-            occupancy_accum: Pack::unpack(r)?,
-            cycles: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(IqStats {
+    dispatched,
+    issued,
+    stalls_full,
+    stalls_no_chain,
+    occupancy_accum,
+    cycles
+});
 
 #[cfg(test)]
 mod tests {

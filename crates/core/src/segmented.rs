@@ -1679,98 +1679,42 @@ impl SegmentedIq {
     }
 }
 
-impl chainiq_ckpt::Pack for SegmentedIqConfig {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.num_segments.pack(w);
-        self.segment_size.pack(w);
-        self.promote_width.pack(w);
-        self.max_chains.pack(w);
-        self.pushdown.pack(w);
-        self.bypass.pack(w);
-        self.two_chain_tracking.pack(w);
-        self.deadlock_recovery.pack(w);
-        self.predicted_load_latency.pack(w);
-        self.countdown_includes_descent.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(SegmentedIqConfig {
-            num_segments: Pack::unpack(r)?,
-            segment_size: Pack::unpack(r)?,
-            promote_width: Pack::unpack(r)?,
-            max_chains: Pack::unpack(r)?,
-            pushdown: Pack::unpack(r)?,
-            bypass: Pack::unpack(r)?,
-            two_chain_tracking: Pack::unpack(r)?,
-            deadlock_recovery: Pack::unpack(r)?,
-            predicted_load_latency: Pack::unpack(r)?,
-            countdown_includes_descent: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(SegmentedIqConfig {
+    num_segments,
+    segment_size,
+    promote_width,
+    max_chains,
+    pushdown,
+    bypass,
+    two_chain_tracking,
+    deadlock_recovery,
+    predicted_load_latency,
+    countdown_includes_descent
+});
 
-impl chainiq_ckpt::Pack for SchedOperand {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.chain.pack(w);
-        self.rel_latency.pack(w);
-        self.head_loc.pack(w);
-        self.self_timed.pack(w);
-        self.suspended.pack(w);
-        self.since.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(SchedOperand {
-            chain: Pack::unpack(r)?,
-            rel_latency: Pack::unpack(r)?,
-            head_loc: Pack::unpack(r)?,
-            self_timed: Pack::unpack(r)?,
-            suspended: Pack::unpack(r)?,
-            since: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(SchedOperand {
+    chain,
+    rel_latency,
+    head_loc,
+    self_timed,
+    suspended,
+    since
+});
 
-impl chainiq_ckpt::Pack for DataOperand {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.producer.pack(w);
-        self.ready_at.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(DataOperand { producer: Pack::unpack(r)?, ready_at: Pack::unpack(r)? })
-    }
-}
+chainiq_ckpt::pack_fields!(DataOperand { producer, ready_at });
 
-impl chainiq_ckpt::Pack for Entry {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.tag.pack(w);
-        self.op.pack(w);
-        self.data_ops.pack(w);
-        self.sched_ops.pack(w);
-        self.heads_chain.pack(w);
-        self.moved_at.pack(w);
-        self.seg.pack(w);
-        self.ready_cache.pack(w);
-        self.live.pack(w);
-        self.counted.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(Entry {
-            tag: Pack::unpack(r)?,
-            op: Pack::unpack(r)?,
-            data_ops: Pack::unpack(r)?,
-            sched_ops: Pack::unpack(r)?,
-            heads_chain: Pack::unpack(r)?,
-            moved_at: Pack::unpack(r)?,
-            seg: Pack::unpack(r)?,
-            ready_cache: Pack::unpack(r)?,
-            live: Pack::unpack(r)?,
-            counted: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(Entry {
+    tag,
+    op,
+    data_ops,
+    sched_ops,
+    heads_chain,
+    moved_at,
+    seg,
+    ready_cache,
+    live,
+    counted
+});
 
 impl chainiq_ckpt::Snapshot for SegmentedIq {
     const COMPONENT: &'static str = "core.segmented";

@@ -107,49 +107,25 @@ impl SegmentedStats {
     }
 }
 
-impl chainiq_ckpt::Pack for SegmentedStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.iq.pack(w);
-        self.chains.pack(w);
-        self.promotions.pack(w);
-        self.pushdowns.pack(w);
-        self.bypassed_dispatches.pack(w);
-        self.segments_bypassed.pack(w);
-        self.deadlock_cycles.pack(w);
-        self.recovery_promotions.pack(w);
-        self.recovery_recycles.pack(w);
-        self.dual_dep_dispatches.pack(w);
-        self.two_src_dispatches.pack(w);
-        self.ready_in_seg0_accum.pack(w);
-        self.ready_total_accum.pack(w);
-        self.seg0_occupancy_accum.pack(w);
-        self.empty_segment_cycles.pack(w);
-        self.wire_signal_hops.pack(w);
-        self.num_segments.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(SegmentedStats {
-            iq: Pack::unpack(r)?,
-            chains: Pack::unpack(r)?,
-            promotions: Pack::unpack(r)?,
-            pushdowns: Pack::unpack(r)?,
-            bypassed_dispatches: Pack::unpack(r)?,
-            segments_bypassed: Pack::unpack(r)?,
-            deadlock_cycles: Pack::unpack(r)?,
-            recovery_promotions: Pack::unpack(r)?,
-            recovery_recycles: Pack::unpack(r)?,
-            dual_dep_dispatches: Pack::unpack(r)?,
-            two_src_dispatches: Pack::unpack(r)?,
-            ready_in_seg0_accum: Pack::unpack(r)?,
-            ready_total_accum: Pack::unpack(r)?,
-            seg0_occupancy_accum: Pack::unpack(r)?,
-            empty_segment_cycles: Pack::unpack(r)?,
-            wire_signal_hops: Pack::unpack(r)?,
-            num_segments: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(SegmentedStats {
+    iq,
+    chains,
+    promotions,
+    pushdowns,
+    bypassed_dispatches,
+    segments_bypassed,
+    deadlock_cycles,
+    recovery_promotions,
+    recovery_recycles,
+    dual_dep_dispatches,
+    two_src_dispatches,
+    ready_in_seg0_accum,
+    ready_total_accum,
+    seg0_occupancy_accum,
+    empty_segment_cycles,
+    wire_signal_hops,
+    num_segments
+});
 
 #[cfg(test)]
 mod tests {

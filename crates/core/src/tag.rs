@@ -145,71 +145,13 @@ impl std::fmt::Display for DispatchStall {
 
 impl std::error::Error for DispatchStall {}
 
-impl chainiq_ckpt::Pack for InstTag {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.0.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(InstTag(Pack::unpack(r)?))
-    }
-}
+chainiq_ckpt::pack_fields!(InstTag { 0 });
 
-impl chainiq_ckpt::Pack for SrcOperand {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.reg.pack(w);
-        self.producer.pack(w);
-        self.known_ready_at.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(SrcOperand {
-            reg: Pack::unpack(r)?,
-            producer: Pack::unpack(r)?,
-            known_ready_at: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(SrcOperand { reg, producer, known_ready_at });
 
-impl chainiq_ckpt::Pack for OperandPick {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        w.put_u8(match self {
-            OperandPick::Left => 0,
-            OperandPick::Right => 1,
-        });
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        match r.take_u8("operand pick tag")? {
-            0 => Ok(OperandPick::Left),
-            1 => Ok(OperandPick::Right),
-            t => Err(chainiq_ckpt::CkptError::Corrupt { context: format!("operand pick tag {t}") }),
-        }
-    }
-}
+chainiq_ckpt::pack_enum!(OperandPick, "operand pick" { Left = 0, Right = 1 });
 
-impl chainiq_ckpt::Pack for DispatchInfo {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.tag.pack(w);
-        self.op.pack(w);
-        self.dest.pack(w);
-        self.srcs.pack(w);
-        self.predicted_hit.pack(w);
-        self.lrp_pick.pack(w);
-        self.thread.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(DispatchInfo {
-            tag: Pack::unpack(r)?,
-            op: Pack::unpack(r)?,
-            dest: Pack::unpack(r)?,
-            srcs: Pack::unpack(r)?,
-            predicted_hit: Pack::unpack(r)?,
-            lrp_pick: Pack::unpack(r)?,
-            thread: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(DispatchInfo { tag, op, dest, srcs, predicted_hit, lrp_pick, thread });
 
 #[cfg(test)]
 mod tests {

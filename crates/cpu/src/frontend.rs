@@ -204,59 +204,11 @@ impl Frontend {
     }
 }
 
-impl chainiq_ckpt::Pack for FetchedInst {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.inst.pack(w);
-        self.dispatch_ready_at.pack(w);
-        self.mispredicted.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(FetchedInst {
-            inst: Pack::unpack(r)?,
-            dispatch_ready_at: Pack::unpack(r)?,
-            mispredicted: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(FetchedInst { inst, dispatch_ready_at, mispredicted });
 
-impl chainiq_ckpt::Pack for FrontendStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.fetched.pack(w);
-        self.mispredict_stall_cycles.pack(w);
-        self.icache_stall_cycles.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(FrontendStats {
-            fetched: Pack::unpack(r)?,
-            mispredict_stall_cycles: Pack::unpack(r)?,
-            icache_stall_cycles: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(FrontendStats { fetched, mispredict_stall_cycles, icache_stall_cycles });
 
-impl chainiq_ckpt::Pack for Frontend {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.pipe.pack(w);
-        self.pending.pack(w);
-        self.stalled.pack(w);
-        self.resume_at.pack(w);
-        self.last_fetch_line.pack(w);
-        self.stats.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(Frontend {
-            pipe: Pack::unpack(r)?,
-            pending: Pack::unpack(r)?,
-            stalled: Pack::unpack(r)?,
-            resume_at: Pack::unpack(r)?,
-            last_fetch_line: Pack::unpack(r)?,
-            stats: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(Frontend { pipe, pending, stalled, resume_at, last_fetch_line, stats });
 
 #[cfg(test)]
 mod tests {

@@ -422,25 +422,13 @@ impl chainiq_ckpt::Pack for LsqEntry {
     }
 }
 
-impl chainiq_ckpt::Pack for LsqStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.loads_issued.pack(w);
-        self.stores_written.pack(w);
-        self.forwards.pack(w);
-        self.disambiguation_stalls.pack(w);
-        self.mshr_retries.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(LsqStats {
-            loads_issued: Pack::unpack(r)?,
-            stores_written: Pack::unpack(r)?,
-            forwards: Pack::unpack(r)?,
-            disambiguation_stalls: Pack::unpack(r)?,
-            mshr_retries: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(LsqStats {
+    loads_issued,
+    stores_written,
+    forwards,
+    disambiguation_stalls,
+    mshr_retries
+});
 
 impl chainiq_ckpt::Pack for Lsq {
     fn pack(&self, w: &mut chainiq_ckpt::Writer) {

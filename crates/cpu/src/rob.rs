@@ -116,41 +116,9 @@ impl Rob {
     }
 }
 
-impl chainiq_ckpt::Pack for RobState {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        w.put_u8(match self {
-            RobState::Dispatched => 0,
-            RobState::Issued => 1,
-            RobState::Completed => 2,
-        });
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        match r.take_u8("ROB state tag")? {
-            0 => Ok(RobState::Dispatched),
-            1 => Ok(RobState::Issued),
-            2 => Ok(RobState::Completed),
-            _ => Err(chainiq_ckpt::CkptError::Corrupt { context: "ROB state tag".to_string() }),
-        }
-    }
-}
+chainiq_ckpt::pack_enum!(RobState, "ROB state" { Dispatched = 0, Issued = 1, Completed = 2 });
 
-impl chainiq_ckpt::Pack for RobEntry {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.tag.pack(w);
-        self.inst.pack(w);
-        self.state.pack(w);
-        self.src_producers.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(RobEntry {
-            tag: Pack::unpack(r)?,
-            inst: Pack::unpack(r)?,
-            state: Pack::unpack(r)?,
-            src_producers: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(RobEntry { tag, inst, state, src_producers });
 
 impl chainiq_ckpt::Pack for Rob {
     fn pack(&self, w: &mut chainiq_ckpt::Writer) {

@@ -69,47 +69,24 @@ impl SimStats {
     }
 }
 
-impl chainiq_ckpt::Pack for SimStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.cycles.pack(w);
-        self.committed.pack(w);
-        self.dispatched.pack(w);
-        self.fetched.pack(w);
-        self.branch_lookups.pack(w);
-        self.branch_correct.pack(w);
-        self.hmp.pack(w);
-        self.lrp.pack(w);
-        self.mem.pack(w);
-        self.iq.pack(w);
-        self.rob_mean_occupancy.pack(w);
-        self.loads_issued.pack(w);
-        self.stores_written.pack(w);
-        self.store_forwards.pack(w);
-        self.mispredict_stall_cycles.pack(w);
-        self.hung.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(SimStats {
-            cycles: Pack::unpack(r)?,
-            committed: Pack::unpack(r)?,
-            dispatched: Pack::unpack(r)?,
-            fetched: Pack::unpack(r)?,
-            branch_lookups: Pack::unpack(r)?,
-            branch_correct: Pack::unpack(r)?,
-            hmp: Pack::unpack(r)?,
-            lrp: Pack::unpack(r)?,
-            mem: Pack::unpack(r)?,
-            iq: Pack::unpack(r)?,
-            rob_mean_occupancy: Pack::unpack(r)?,
-            loads_issued: Pack::unpack(r)?,
-            stores_written: Pack::unpack(r)?,
-            store_forwards: Pack::unpack(r)?,
-            mispredict_stall_cycles: Pack::unpack(r)?,
-            hung: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(SimStats {
+    cycles,
+    committed,
+    dispatched,
+    fetched,
+    branch_lookups,
+    branch_correct,
+    hmp,
+    lrp,
+    mem,
+    iq,
+    rob_mean_occupancy,
+    loads_issued,
+    stores_written,
+    store_forwards,
+    mispredict_stall_cycles,
+    hung
+});
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! [`Pack`] impls for the ISA value types, so every component snapshot
 //! can embed instructions and registers without re-deriving an encoding.
 
-use chainiq_ckpt::{CkptError, Pack, Reader, Writer};
+use chainiq_ckpt::{pack_enum, pack_fields, CkptError, Pack, Reader, Writer};
 
 use crate::{ArchReg, BranchInfo, Inst, MemInfo, OpClass, NUM_ARCH_REGS};
 
@@ -18,88 +18,21 @@ impl Pack for ArchReg {
     }
 }
 
-impl Pack for OpClass {
-    fn pack(&self, w: &mut Writer) {
-        let tag = match self {
-            OpClass::IntAlu => 0u8,
-            OpClass::IntMul => 1,
-            OpClass::IntDiv => 2,
-            OpClass::FpAdd => 3,
-            OpClass::FpMul => 4,
-            OpClass::FpDiv => 5,
-            OpClass::FpSqrt => 6,
-            OpClass::Load => 7,
-            OpClass::Store => 8,
-            OpClass::Branch => 9,
-        };
-        w.put_u8(tag);
-    }
-    fn unpack(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(match r.take_u8("op class")? {
-            0 => OpClass::IntAlu,
-            1 => OpClass::IntMul,
-            2 => OpClass::IntDiv,
-            3 => OpClass::FpAdd,
-            4 => OpClass::FpMul,
-            5 => OpClass::FpDiv,
-            6 => OpClass::FpSqrt,
-            7 => OpClass::Load,
-            8 => OpClass::Store,
-            9 => OpClass::Branch,
-            other => {
-                return Err(CkptError::Corrupt { context: format!("op class tag {other}") });
-            }
-        })
-    }
-}
-
-impl Pack for MemInfo {
-    fn pack(&self, w: &mut Writer) {
-        self.addr.pack(w);
-        self.size.pack(w);
-    }
-    fn unpack(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(MemInfo { addr: Pack::unpack(r)?, size: Pack::unpack(r)? })
-    }
-}
-
-impl Pack for BranchInfo {
-    fn pack(&self, w: &mut Writer) {
-        self.taken.pack(w);
-        self.target.pack(w);
-        self.unconditional.pack(w);
-    }
-    fn unpack(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(BranchInfo {
-            taken: Pack::unpack(r)?,
-            target: Pack::unpack(r)?,
-            unconditional: Pack::unpack(r)?,
-        })
-    }
-}
-
-impl Pack for Inst {
-    fn pack(&self, w: &mut Writer) {
-        self.pc.pack(w);
-        self.op.pack(w);
-        self.dest.pack(w);
-        self.src1.pack(w);
-        self.src2.pack(w);
-        self.mem.pack(w);
-        self.branch.pack(w);
-    }
-    fn unpack(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(Inst {
-            pc: Pack::unpack(r)?,
-            op: Pack::unpack(r)?,
-            dest: Pack::unpack(r)?,
-            src1: Pack::unpack(r)?,
-            src2: Pack::unpack(r)?,
-            mem: Pack::unpack(r)?,
-            branch: Pack::unpack(r)?,
-        })
-    }
-}
+pack_enum!(OpClass, "op class" {
+    IntAlu = 0,
+    IntMul = 1,
+    IntDiv = 2,
+    FpAdd = 3,
+    FpMul = 4,
+    FpDiv = 5,
+    FpSqrt = 6,
+    Load = 7,
+    Store = 8,
+    Branch = 9,
+});
+pack_fields!(MemInfo { addr, size });
+pack_fields!(BranchInfo { taken, target, unconditional });
+pack_fields!(Inst { pc, op, dest, src1, src2, mem, branch });
 
 #[cfg(test)]
 mod tests {

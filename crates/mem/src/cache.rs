@@ -211,43 +211,9 @@ impl CacheArray {
     }
 }
 
-impl chainiq_ckpt::Pack for CacheConfig {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.size_bytes.pack(w);
-        self.assoc.pack(w);
-        self.line_bytes.pack(w);
-        self.latency.pack(w);
-        self.mshrs.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(CacheConfig {
-            size_bytes: Pack::unpack(r)?,
-            assoc: Pack::unpack(r)?,
-            line_bytes: Pack::unpack(r)?,
-            latency: Pack::unpack(r)?,
-            mshrs: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(CacheConfig { size_bytes, assoc, line_bytes, latency, mshrs });
 
-impl chainiq_ckpt::Pack for Way {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.tag.pack(w);
-        self.dirty.pack(w);
-        self.last_use.pack(w);
-        self.valid.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(Way {
-            tag: Pack::unpack(r)?,
-            dirty: Pack::unpack(r)?,
-            last_use: Pack::unpack(r)?,
-            valid: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(Way { tag, dirty, last_use, valid });
 
 impl CacheArray {
     /// Packs the mutable state: the ways sparsely against their empty

@@ -353,27 +353,14 @@ impl Hierarchy {
     }
 }
 
-impl chainiq_ckpt::Pack for MemConfig {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.l1i.pack(w);
-        self.l1d.pack(w);
-        self.l2.pack(w);
-        self.l1_l2_bytes_per_cycle.pack(w);
-        self.memory_latency.pack(w);
-        self.memory_bytes_per_cycle.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(MemConfig {
-            l1i: Pack::unpack(r)?,
-            l1d: Pack::unpack(r)?,
-            l2: Pack::unpack(r)?,
-            l1_l2_bytes_per_cycle: Pack::unpack(r)?,
-            memory_latency: Pack::unpack(r)?,
-            memory_bytes_per_cycle: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(MemConfig {
+    l1i,
+    l1d,
+    l2,
+    l1_l2_bytes_per_cycle,
+    memory_latency,
+    memory_bytes_per_cycle
+});
 
 impl chainiq_ckpt::Snapshot for Hierarchy {
     const COMPONENT: &'static str = "mem.hierarchy";

@@ -163,17 +163,7 @@ impl MshrFile {
     }
 }
 
-impl chainiq_ckpt::Pack for Entry {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.line.pack(w);
-        self.fill_at.pack(w);
-        self.merged.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(Entry { line: Pack::unpack(r)?, fill_at: Pack::unpack(r)?, merged: Pack::unpack(r)? })
-    }
-}
+chainiq_ckpt::pack_fields!(Entry { line, fill_at, merged });
 
 impl chainiq_ckpt::Pack for MshrFile {
     fn pack(&self, w: &mut chainiq_ckpt::Writer) {

@@ -47,43 +47,16 @@ pub struct MemStats {
     pub memory_accesses: u64,
 }
 
-impl chainiq_ckpt::Pack for CacheStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.hits.pack(w);
-        self.misses.pack(w);
-        self.writebacks.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(CacheStats {
-            hits: Pack::unpack(r)?,
-            misses: Pack::unpack(r)?,
-            writebacks: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(CacheStats { hits, misses, writebacks });
 
-impl chainiq_ckpt::Pack for MemStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.l1d.pack(w);
-        self.l1i.pack(w);
-        self.l2.pack(w);
-        self.delayed_hits.pack(w);
-        self.mshr_rejections.pack(w);
-        self.memory_accesses.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(MemStats {
-            l1d: Pack::unpack(r)?,
-            l1i: Pack::unpack(r)?,
-            l2: Pack::unpack(r)?,
-            delayed_hits: Pack::unpack(r)?,
-            mshr_rejections: Pack::unpack(r)?,
-            memory_accesses: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(MemStats {
+    l1d,
+    l1i,
+    l2,
+    delayed_hits,
+    mshr_rejections,
+    memory_accesses
+});
 
 #[cfg(test)]
 mod tests {

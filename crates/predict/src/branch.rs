@@ -313,54 +313,17 @@ impl HybridBranchPredictor {
     }
 }
 
-impl chainiq_ckpt::Pack for BranchPredictorConfig {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.global_history_bits.pack(w);
-        self.local_histories.pack(w);
-        self.local_history_bits.pack(w);
-        self.btb_entries.pack(w);
-        self.btb_assoc.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(BranchPredictorConfig {
-            global_history_bits: Pack::unpack(r)?,
-            local_histories: Pack::unpack(r)?,
-            local_history_bits: Pack::unpack(r)?,
-            btb_entries: Pack::unpack(r)?,
-            btb_assoc: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(BranchPredictorConfig {
+    global_history_bits,
+    local_histories,
+    local_history_bits,
+    btb_entries,
+    btb_assoc
+});
 
-impl chainiq_ckpt::Pack for BranchStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.lookups.pack(w);
-        self.correct.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(BranchStats { lookups: Pack::unpack(r)?, correct: Pack::unpack(r)? })
-    }
-}
+chainiq_ckpt::pack_fields!(BranchStats { lookups, correct });
 
-impl chainiq_ckpt::Pack for BtbEntry {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.pc.pack(w);
-        self.target.pack(w);
-        self.last_use.pack(w);
-        self.valid.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(BtbEntry {
-            pc: Pack::unpack(r)?,
-            target: Pack::unpack(r)?,
-            last_use: Pack::unpack(r)?,
-            valid: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(BtbEntry { pc, target, last_use, valid });
 
 impl chainiq_ckpt::Snapshot for HybridBranchPredictor {
     const COMPONENT: &'static str = "predict.branch";

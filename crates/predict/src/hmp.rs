@@ -155,23 +155,12 @@ impl HitMissPredictor {
     }
 }
 
-impl chainiq_ckpt::Pack for HmpStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.predictions.pack(w);
-        self.predicted_hit.pack(w);
-        self.predicted_hit_was_hit.pack(w);
-        self.actual_hits.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(HmpStats {
-            predictions: Pack::unpack(r)?,
-            predicted_hit: Pack::unpack(r)?,
-            predicted_hit_was_hit: Pack::unpack(r)?,
-            actual_hits: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(HmpStats {
+    predictions,
+    predicted_hit,
+    predicted_hit_was_hit,
+    actual_hits
+});
 
 impl chainiq_ckpt::Snapshot for HitMissPredictor {
     const COMPONENT: &'static str = "predict.hmp";

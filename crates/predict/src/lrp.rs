@@ -155,16 +155,7 @@ impl LeftRightPredictor {
     }
 }
 
-impl chainiq_ckpt::Pack for LrpStats {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.predictions.pack(w);
-        self.correct.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(LrpStats { predictions: Pack::unpack(r)?, correct: Pack::unpack(r)? })
-    }
-}
+chainiq_ckpt::pack_fields!(LrpStats { predictions, correct });
 
 impl chainiq_ckpt::Snapshot for LeftRightPredictor {
     const COMPONENT: &'static str = "predict.lrp";

@@ -125,7 +125,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, ServeError> {
 // ---------------------------------------------------------------------------
 
 /// Appends the canonical encoding of `spec` — the bytes [`spec_key`]
-/// fingerprints and [`ClientMsg::Submit`] carries.
+/// fingerprints and [`ClientMsg::Submit`] carries. A queue's geometry
+/// is its config's checkpoint encoding.
 pub fn pack_spec(spec: &RunSpec, w: &mut Writer) {
     w.put_str(spec.bench.name());
     match spec.iq {
@@ -135,30 +136,15 @@ pub fn pack_spec(spec: &RunSpec, w: &mut Writer) {
         }
         IqKind::Segmented(c) => {
             w.put_u8(1);
-            c.num_segments.pack(w);
-            c.segment_size.pack(w);
-            c.promote_width.pack(w);
-            c.max_chains.pack(w);
-            c.pushdown.pack(w);
-            c.bypass.pack(w);
-            c.two_chain_tracking.pack(w);
-            c.deadlock_recovery.pack(w);
-            c.predicted_load_latency.pack(w);
-            c.countdown_includes_descent.pack(w);
+            c.pack(w);
         }
         IqKind::Prescheduled(c) => {
             w.put_u8(2);
-            c.issue_buffer_size.pack(w);
-            c.num_lines.pack(w);
-            c.line_width.pack(w);
-            c.predicted_load_latency.pack(w);
+            c.pack(w);
         }
         IqKind::Distance(c) => {
             w.put_u8(3);
-            c.wait_buffer_size.pack(w);
-            c.num_lines.pack(w);
-            c.line_width.pack(w);
-            c.predicted_load_latency.pack(w);
+            c.pack(w);
         }
     }
     let pred = PredictorConfig::ALL.iter().position(|p| *p == spec.pred).unwrap_or(0);
@@ -179,33 +165,37 @@ pub fn unpack_spec(r: &mut Reader<'_>) -> Result<RunSpec, ServeError> {
     let bench = Bench::from_name(&bench_name).map_err(ServeError::Proto)?;
     let iq = match r.take_u8("iq tag")? {
         0 => {
-            let entries = require_nonzero(usize::unpack(r)?, "ideal queue entries")?;
+            let entries = usize::unpack(r)?;
+            require_nonzero(&[(entries, "ideal queue entries")])?;
             IqKind::Ideal(entries)
         }
-        1 => IqKind::Segmented(SegmentedIqConfig {
-            num_segments: require_nonzero(usize::unpack(r)?, "segment count")?,
-            segment_size: require_nonzero(usize::unpack(r)?, "segment size")?,
-            promote_width: require_nonzero(usize::unpack(r)?, "promote width")?,
-            max_chains: Option::unpack(r)?,
-            pushdown: bool::unpack(r)?,
-            bypass: bool::unpack(r)?,
-            two_chain_tracking: bool::unpack(r)?,
-            deadlock_recovery: bool::unpack(r)?,
-            predicted_load_latency: i64::unpack(r)?,
-            countdown_includes_descent: bool::unpack(r)?,
-        }),
-        2 => IqKind::Prescheduled(PrescheduleConfig {
-            issue_buffer_size: require_nonzero(usize::unpack(r)?, "issue buffer size")?,
-            num_lines: require_nonzero(usize::unpack(r)?, "scheduling lines")?,
-            line_width: require_nonzero(usize::unpack(r)?, "line width")?,
-            predicted_load_latency: u64::unpack(r)?,
-        }),
-        3 => IqKind::Distance(DistanceConfig {
-            wait_buffer_size: require_nonzero(usize::unpack(r)?, "wait buffer size")?,
-            num_lines: require_nonzero(usize::unpack(r)?, "scheduling lines")?,
-            line_width: require_nonzero(usize::unpack(r)?, "line width")?,
-            predicted_load_latency: u64::unpack(r)?,
-        }),
+        1 => {
+            let c = SegmentedIqConfig::unpack(r)?;
+            require_nonzero(&[
+                (c.num_segments, "segment count"),
+                (c.segment_size, "segment size"),
+                (c.promote_width, "promote width"),
+            ])?;
+            IqKind::Segmented(c)
+        }
+        2 => {
+            let c = PrescheduleConfig::unpack(r)?;
+            require_nonzero(&[
+                (c.issue_buffer_size, "issue buffer size"),
+                (c.num_lines, "scheduling lines"),
+                (c.line_width, "line width"),
+            ])?;
+            IqKind::Prescheduled(c)
+        }
+        3 => {
+            let c = DistanceConfig::unpack(r)?;
+            require_nonzero(&[
+                (c.wait_buffer_size, "wait buffer size"),
+                (c.num_lines, "scheduling lines"),
+                (c.line_width, "line width"),
+            ])?;
+            IqKind::Distance(c)
+        }
         other => return Err(ServeError::Proto(format!("unknown iq tag {other}"))),
     };
     let pred_idx = r.take_u8("predictor index")? as usize;
@@ -217,11 +207,13 @@ pub fn unpack_spec(r: &mut Reader<'_>) -> Result<RunSpec, ServeError> {
     Ok(RunSpec::new(bench, iq, pred, sample).with_seed(seed))
 }
 
-fn require_nonzero(v: usize, what: &str) -> Result<usize, ServeError> {
-    if v == 0 {
-        return Err(ServeError::Proto(format!("{what} must be nonzero")));
+/// Rejects a decoded geometry with a zero field, which would make the
+/// queue's constructor panic.
+fn require_nonzero(fields: &[(usize, &str)]) -> Result<(), ServeError> {
+    match fields.iter().find(|(v, _)| *v == 0) {
+        Some((_, what)) => Err(ServeError::Proto(format!("{what} must be nonzero"))),
+        None => Ok(()),
     }
-    Ok(v)
 }
 
 /// The content-address of a spec's result: the fingerprint of its
@@ -267,28 +259,15 @@ pub struct ServeStats {
     pub evicted: u64,
 }
 
-impl Pack for ServeStats {
-    fn pack(&self, w: &mut Writer) {
-        self.submitted.pack(w);
-        self.hits.pack(w);
-        self.joined.pack(w);
-        self.simulated.pack(w);
-        self.busy.pack(w);
-        self.store_failures.pack(w);
-        self.evicted.pack(w);
-    }
-    fn unpack(r: &mut Reader<'_>) -> Result<Self, CkptError> {
-        Ok(ServeStats {
-            submitted: Pack::unpack(r)?,
-            hits: Pack::unpack(r)?,
-            joined: Pack::unpack(r)?,
-            simulated: Pack::unpack(r)?,
-            busy: Pack::unpack(r)?,
-            store_failures: Pack::unpack(r)?,
-            evicted: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq::ckpt::pack_fields!(ServeStats {
+    submitted,
+    hits,
+    joined,
+    simulated,
+    busy,
+    store_failures,
+    evicted
+});
 
 impl std::fmt::Display for ServeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -625,6 +604,23 @@ mod tests {
         }
     }
 
+    /// The canonical encoding is the result cache's content address and
+    /// the `serve-mix` pool's key, so its bytes are pinned: one spec per
+    /// queue design. A constant changes only with a `PROTO_VERSION` bump.
+    #[test]
+    fn spec_keys_are_pinned() {
+        let pinned = [
+            0x1dc0_ab3a_9bb0_200c_u64,
+            0x94c1_cfae_d690_2422,
+            0x95d6_1485_0021_c017,
+            0x9a65_1c73_b740_defe,
+        ];
+        for (spec, want) in sample_specs().iter().zip(pinned) {
+            let got = spec_key(spec);
+            assert_eq!(got, want, "{spec:?}: spec key changed ({got:#018x})");
+        }
+    }
+
     #[test]
     fn distinct_specs_get_distinct_keys() {
         let specs = sample_specs();
@@ -639,19 +635,21 @@ mod tests {
 
     #[test]
     fn degenerate_geometry_is_rejected_not_panicking() {
-        // A zero segment count on the wire must come back as a typed
-        // error; constructing the config directly would panic later.
-        let spec = RunSpec::new(Bench::Swim, segmented(64, None), PredictorConfig::Base, 100);
-        let mut w = Writer::new();
-        pack_spec(&spec, &mut w);
-        let mut bytes = w.into_bytes();
-        // The segment count is the first usize after the bench name and
-        // iq tag: 8 (name len) + 4 (name) + 1 (tag) = offset 13.
-        for b in &mut bytes[13..21] {
-            *b = 0;
+        // A zero queue size on the wire must come back as a typed error;
+        // constructing the config directly would panic later.
+        let firsts =
+            ["ideal queue entries", "segment count", "issue buffer size", "wait buffer size"];
+        for (spec, what) in sample_specs().iter().zip(firsts) {
+            let mut w = Writer::new();
+            pack_spec(spec, &mut w);
+            let mut bytes = w.into_bytes();
+            // The queue's first usize follows the length-prefixed bench
+            // name and the one-byte iq tag.
+            let at = 8 + spec.bench.name().len() + 1;
+            bytes[at..at + 8].fill(0);
+            let err = unpack_spec(&mut Reader::new(&bytes)).unwrap_err();
+            assert!(matches!(err, ServeError::Proto(ref m) if m.contains(what)), "{err}");
         }
-        let err = unpack_spec(&mut Reader::new(&bytes)).unwrap_err();
-        assert!(matches!(err, ServeError::Proto(ref m) if m.contains("segment count")), "{err}");
     }
 
     #[test]

@@ -473,25 +473,7 @@ impl chainiq_ckpt::Pack for KernelSpec {
     }
 }
 
-impl chainiq_ckpt::Pack for KernelState {
-    fn pack(&self, w: &mut chainiq_ckpt::Writer) {
-        self.spec.pack(w);
-        self.pc_base.pack(w);
-        self.region.pack(w);
-        self.iter.pack(w);
-        self.chase_addr.pack(w);
-    }
-    fn unpack(r: &mut chainiq_ckpt::Reader<'_>) -> Result<Self, chainiq_ckpt::CkptError> {
-        use chainiq_ckpt::Pack;
-        Ok(KernelState {
-            spec: Pack::unpack(r)?,
-            pc_base: Pack::unpack(r)?,
-            region: Pack::unpack(r)?,
-            iter: Pack::unpack(r)?,
-            chase_addr: Pack::unpack(r)?,
-        })
-    }
-}
+chainiq_ckpt::pack_fields!(KernelState { spec, pc_base, region, iter, chase_addr });
 
 #[cfg(test)]
 mod tests {

@@ -23,7 +23,8 @@
 )]
 
 use chainiq::ckpt::{
-    restore_section, save_section, CkptHeader, ImageReader, ImageWriter, Reader, Snapshot, Writer,
+    fingerprint, restore_section, save_section, CkptHeader, ImageReader, ImageWriter, Reader,
+    Snapshot, Writer,
 };
 use chainiq::{
     Bench, CkptOutcome, CkptPlan, DistanceConfig, DistanceIq, Hierarchy, HitMissPredictor,
@@ -211,19 +212,26 @@ prop_check! {
 
 /// End-to-end cached harness path: a warm-started `run_one_ckpt` reports
 /// the same result as a cold `run_one` for every queue design.
+///
+/// The saved images are also pinned by fingerprint. Save and restore
+/// share each record's layout, so a layout reordered on both sides would
+/// still round-trip; the constants catch it. Together the four images
+/// cover the pipeline, memory hierarchy, predictors, workload generator
+/// and every queue design. A constant changes only together with a
+/// `Snapshot::VERSION` bump of the component whose layout changed.
 #[test]
 fn cached_harness_matches_cold_for_every_kind() {
     let dir =
         std::env::temp_dir().join(format!("chainiq-roundtrip-harness-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let plan = CkptPlan { dir: dir.clone(), warmup: 800 };
     let kinds = [
-        IqKind::Ideal(64),
-        IqKind::Segmented(SegmentedIqConfig::paper(64, Some(64))),
-        IqKind::Prescheduled(PrescheduleConfig::paper(8)),
-        IqKind::Distance(DistanceConfig::paper_sized(8)),
+        (IqKind::Ideal(64), 0x9796_6df7_339e_c245_u64),
+        (IqKind::Segmented(SegmentedIqConfig::paper(64, Some(64))), 0x99fb_1a73_bda2_7389),
+        (IqKind::Prescheduled(PrescheduleConfig::paper(8)), 0xfbfe_58f9_62a3_01e1),
+        (IqKind::Distance(DistanceConfig::paper_sized(8)), 0xe88b_69d3_1b5e_753b),
     ];
-    for kind in kinds {
+    for (i, (kind, image_fp)) in kinds.into_iter().enumerate() {
+        let plan = CkptPlan { dir: dir.join(i.to_string()), warmup: 800 };
         let cold = chainiq::run_one(Bench::Mgrid.profile(), kind, true, false, 2_500, 13);
         let (_, miss) = chainiq::run_one_ckpt(
             Bench::Mgrid.profile(),
@@ -235,6 +243,11 @@ fn cached_harness_matches_cold_for_every_kind() {
             Some(&plan),
         );
         assert_eq!(miss, CkptOutcome::MissSaved, "{kind:?}");
+        let images: Vec<_> =
+            std::fs::read_dir(&plan.dir).unwrap().map(|e| e.unwrap().path()).collect();
+        assert_eq!(images.len(), 1, "{kind:?}: one image per plan directory");
+        let found = fingerprint(&std::fs::read(&images[0]).unwrap());
+        assert_eq!(found, image_fp, "{kind:?}: image bytes changed ({found:#018x})");
         let (warm, hit) = chainiq::run_one_ckpt(
             Bench::Mgrid.profile(),
             kind,

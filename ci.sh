@@ -122,4 +122,19 @@ cmp "$WORK_DIR/fig3-cold.txt" "$WORK_DIR/fig3-restore-par.txt" \
 [ -n "$(ls -A "$CKPT_CACHE" 2>/dev/null)" ] \
     || { echo "ci.sh: checkpoint cache directory is empty after a caching run" >&2; exit 1; }
 
+echo "== results/ byte-identity: all nine experiment tables at the default sample"
+# The contract: every committed table in results/ is exactly what its
+# binary prints today, cold, at the default sample, on any worker count.
+# A change to simulated behaviour must regenerate results/ with it, so
+# tests/paper_claims.rs always reads current data. Unsetting the sample
+# and checkpoint knobs pins the run to the committed configuration.
+for bin in table1 fig2 table2 fig3 ablate rivals smt clock power; do
+    env -u CHAINIQ_SAMPLE -u CHAINIQ_CKPT -u CHAINIQ_CKPT_DIR CHAINIQ_JOBS=2 \
+        CHAINIQ_BENCH_DIR="$WORK_DIR" cargo run -p chainiq-bench --release --bin "$bin" \
+        --offline --quiet > "$WORK_DIR/$bin.txt" 2>/dev/null \
+        || { echo "ci.sh: $bin failed" >&2; exit 1; }
+    cmp "$WORK_DIR/$bin.txt" "results/$bin.txt" \
+        || { echo "ci.sh: results/$bin.txt differs from a fresh $bin run" >&2; exit 1; }
+done
+
 echo "ci.sh: all checks passed"

@@ -1,9 +1,8 @@
 //! The idealized monolithic conventional queue.
 
-use chainiq_core::slab_list::{self, Link, ListHead, NIL};
 use chainiq_core::{
     DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, QuietCycle,
-    TagMap, Wheel,
+    TagMap, WaiterLists, Wheel,
 };
 use chainiq_isa::{Cycle, OpClass};
 
@@ -63,10 +62,9 @@ pub struct IdealIq {
     order: Vec<u32>,
     /// Each slot's index in `order` (slab-parallel).
     order_pos: Vec<u32>,
-    /// Waiter-list heads per producer tag. Node `2 * slot + k` is slot
-    /// `slot`'s operand `k`; the links live in `wait_links`.
-    waiter_heads: TagMap<ListHead>,
-    wait_links: Vec<Link>,
+    /// The operands waiting on each producer's announcement; node
+    /// `2 * slot + k` is slot `slot`'s operand `k`.
+    waiters: WaiterLists,
     /// Entries that become selectable after `drained_to`, keyed by that
     /// cycle. A re-announcement that moves the cycle cancels the old
     /// record, so every record is live and `next_due` is exact.
@@ -96,8 +94,7 @@ impl IdealIq {
             by_tag: TagMap::new(),
             order: Vec::with_capacity(capacity),
             order_pos: Vec::with_capacity(capacity),
-            waiter_heads: TagMap::new(),
-            wait_links: Vec::with_capacity(2 * capacity),
+            waiters: WaiterLists::default(),
             // Most entries become selectable within a few cycles of an
             // event; a memory miss lands a revolution or two out.
             selectable: Wheel::new(256),
@@ -119,7 +116,7 @@ impl IdealIq {
         } else {
             self.slots.push(entry);
             self.order_pos.push(0);
-            self.wait_links.extend([Link::default(); 2]);
+            self.waiters.grow(2 * self.slots.len());
             (self.slots.len() - 1) as u32
         };
         self.order_pos[slot as usize] = self.order.len() as u32;
@@ -127,9 +124,7 @@ impl IdealIq {
         self.by_tag.insert(tag.0, slot);
         for (k, o) in ops.iter().enumerate() {
             if let Some(o) = o {
-                let mut head = self.waiter_heads.get(o.producer.0).unwrap_or(ListHead::EMPTY);
-                slab_list::push_back(&mut head, &mut self.wait_links, 2 * slot + k as u32);
-                self.waiter_heads.insert(o.producer.0, head);
+                self.waiters.push(o.producer, 2 * slot + k as u32);
             }
         }
         if let Some(at) = at {
@@ -200,12 +195,8 @@ impl IdealIq {
         let e = &self.slots[slot as usize];
         self.by_tag.remove(e.tag.0);
         for (k, o) in e.ops.iter().enumerate() {
-            let Some(o) = o else { continue };
-            if let Some(head) = self.waiter_heads.get_mut(o.producer.0) {
-                slab_list::remove(head, &mut self.wait_links, 2 * slot + k as u32);
-                if head.is_empty() {
-                    self.waiter_heads.remove(o.producer.0);
-                }
+            if let Some(o) = o {
+                self.waiters.remove(o.producer, 2 * slot + k as u32);
             }
         }
         let pos = self.order_pos[slot as usize] as usize;
@@ -285,10 +276,9 @@ impl IssueQueue for IdealIq {
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
-        let Some(head) = self.waiter_heads.get(producer.0) else { return };
-        let mut cur = head.head;
-        while cur != NIL {
-            let (slot, k) = ((cur / 2) as usize, (cur % 2) as usize);
+        let mut cur = self.waiters.first(producer);
+        while let Some(node) = cur {
+            let (slot, k) = ((node / 2) as usize, (node % 2) as usize);
             let e = &mut self.slots[slot];
             let old = e.selectable_at();
             if let Some(o) = e.ops[k].as_mut() {
@@ -297,7 +287,7 @@ impl IssueQueue for IdealIq {
             }
             let (tag, new) = (e.tag, e.selectable_at());
             self.refile(tag, old, new);
-            cur = self.wait_links[cur as usize].next;
+            cur = self.waiters.next(node);
         }
     }
 
@@ -307,8 +297,7 @@ impl IssueQueue for IdealIq {
         self.by_tag.clear();
         self.order.clear();
         self.order_pos.clear();
-        self.waiter_heads.clear();
-        self.wait_links.clear();
+        self.waiters.clear();
         self.selectable.reset(self.drained_to);
         self.ready.clear();
     }

@@ -4,15 +4,14 @@
 //! entries live in a recycled slab indexed by a [`TagMap`]; the
 //! scheduling array is a calendar [`Wheel`] of `(row, tag)` records plus
 //! a sorted backlog of *slipped* rows (due rows the issue buffer had no
-//! space for); per-producer wakeup subscriptions are slab-intrusive
-//! linked lists; and row occupancy is a [`TagMap`] keyed by row cycle.
+//! space for); per-producer wakeup subscriptions are [`WaiterLists`];
+//! and row occupancy is a [`TagMap`] keyed by row cycle.
 //! A cycle with nothing due costs one empty-bucket probe instead of an
 //! ordered-tree range scan, and no path here allocates or rebalances.
 
-use chainiq_core::slab_list::{self, Link, ListHead, NIL};
 use chainiq_core::{
     DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, QuietCycle,
-    TagMap, Wheel,
+    TagMap, WaiterLists, Wheel,
 };
 use chainiq_isa::{ArchReg, Cycle, OpClass, NUM_ARCH_REGS};
 
@@ -124,11 +123,9 @@ pub struct PrescheduledIq {
     by_tag: TagMap<u32>,
     /// Issue-buffer residents in ascending tag (age) order.
     buffer: Vec<InstTag>,
-    /// Waiter-list heads per producer tag: the data operands waiting on
-    /// that producer's wakeup announcement. Node id `2 * slot + k` is
-    /// slot `slot`'s operand `k`; the links live in `wait_links`.
-    waiter_heads: TagMap<ListHead>,
-    wait_links: Vec<Link>,
+    /// The data operands waiting on each producer's wakeup
+    /// announcement; node `2 * slot + k` is slot `slot`'s operand `k`.
+    waiters: WaiterLists,
     /// Array rows still in the future, as `(row, tag)` records keyed by
     /// row cycle. Each record names an entry still waiting in the array
     /// at that row: an entry leaves the array only through this drain,
@@ -165,8 +162,7 @@ impl PrescheduledIq {
             free_slots: Vec::new(),
             by_tag: TagMap::new(),
             buffer: Vec::new(),
-            waiter_heads: TagMap::new(),
-            wait_links: Vec::new(),
+            waiters: WaiterLists::default(),
             // One revolution comfortably covers the schedule horizon, so
             // in-horizon records never wait out a lap.
             due_wheel: Wheel::new(2 * config.num_lines),
@@ -212,7 +208,7 @@ impl PrescheduledIq {
     }
 
     /// Stores `entry` in a free slab slot and returns the slot number,
-    /// growing the parallel waiter-link array alongside the slab.
+    /// growing the waiter nodes alongside the slab.
     fn alloc_slot(&mut self, entry: Entry) -> u32 {
         if let Some(s) = self.free_slots.pop() {
             debug_assert!(!self.slots[s as usize].live);
@@ -220,25 +216,69 @@ impl PrescheduledIq {
             s
         } else {
             self.slots.push(entry);
-            self.wait_links.extend([Link::default(); 2]);
+            self.waiters.grow(2 * self.slots.len());
             (self.slots.len() - 1) as u32
         }
     }
 
+    /// Files the live entry in `slot` in every index: the tag map, its
+    /// producers' waiter lists, and the issue buffer or, while it waits
+    /// in the array, its row. Dispatch and restore both index entries
+    /// through here.
+    fn index_slot(&mut self, slot: u32) {
+        let e = &self.slots[slot as usize];
+        let (tag, ops, row) = (e.tag, e.ops, e.scheduled_at);
+        let buffered = e.entered_buffer_at != Cycle::MAX;
+        self.by_tag.insert(tag.0, slot);
+        for (k, o) in ops.iter().enumerate() {
+            if let Some(o) = o {
+                self.waiters.push(o.producer, 2 * slot + k as u32);
+            }
+        }
+        if buffered {
+            self.buffer_insert(tag);
+        } else {
+            self.file_in_row(row, tag);
+        }
+    }
+
+    /// Files array-resident `tag` at `row`: on the due wheel while the
+    /// row lies ahead of the drain clock, else in the slipped backlog at
+    /// its `(row, tag)` place. Counts it in the row either way.
+    fn file_in_row(&mut self, row: Cycle, tag: InstTag) {
+        if row > self.last_now {
+            self.due_wheel.schedule(row, (row, tag));
+        } else {
+            let pos = self.overdue.partition_point(|&r| r < (row, tag));
+            self.overdue.insert(pos, (row, tag));
+        }
+        self.row_counts.insert(row, self.row_count(row) + 1);
+    }
+
+    /// Entries counted in `row`.
+    fn row_count(&self, row: Cycle) -> u32 {
+        self.row_counts.get(row).unwrap_or(0)
+    }
+
+    /// Inserts `tag` into the tag-ordered issue buffer.
+    fn buffer_insert(&mut self, tag: InstTag) {
+        if let Err(pos) = self.buffer.binary_search(&tag) {
+            self.buffer.insert(pos, tag);
+        } else {
+            debug_assert!(false, "tag is already buffered");
+        }
+    }
+
     /// Moves an array entry (already removed from `overdue` by the
-    /// caller) into the issue buffer.
+    /// caller) into the issue buffer, uncounting it from its row.
     fn admit(&mut self, now: Cycle, sched: Cycle, tag: InstTag) {
         let Some(slot) = self.by_tag.get(tag.0) else {
             debug_assert!(false, "due record names a non-resident tag");
             return;
         };
         self.slots[slot as usize].entered_buffer_at = now;
-        if let Err(pos) = self.buffer.binary_search(&tag) {
-            self.buffer.insert(pos, tag);
-        } else {
-            debug_assert!(false, "tag is already buffered");
-        }
-        let count = self.row_counts.get(sched).unwrap_or(0);
+        self.buffer_insert(tag);
+        let count = self.row_count(sched);
         debug_assert!(count > 0, "row count must track its entries");
         if count <= 1 {
             self.row_counts.remove(sched);
@@ -253,13 +293,9 @@ impl PrescheduledIq {
         let Some(slot) = self.by_tag.remove(tag.0) else { return };
         let s = slot as usize;
         debug_assert!(self.slots[s].live, "index points at a dead slot");
-        for k in 0..2u32 {
-            let Some(o) = self.slots[s].ops[k as usize] else { continue };
-            if let Some(head) = self.waiter_heads.get_mut(o.producer.0) {
-                slab_list::remove(head, &mut self.wait_links, 2 * slot + k);
-                if head.is_empty() {
-                    self.waiter_heads.remove(o.producer.0);
-                }
+        for (k, o) in self.slots[s].ops.iter().enumerate() {
+            if let Some(o) = o {
+                self.waiters.remove(o.producer, 2 * slot + k as u32);
             }
         }
         let e = &mut self.slots[s];
@@ -362,9 +398,7 @@ impl IssueQueue for PrescheduledIq {
                         let e = &mut self.slots[slot as usize];
                         e.entered_buffer_at = Cycle::MAX;
                         e.scheduled_at = now + 1;
-                        self.due_wheel.schedule(now + 1, (now + 1, buf_tag));
-                        let count = self.row_counts.get(now + 1).unwrap_or(0);
-                        self.row_counts.insert(now + 1, count + 1);
+                        self.file_in_row(now + 1, buf_tag);
                         self.overdue.remove(due_idx);
                         self.admit(now, due_sched, due_tag);
                         self.recirculations += 1;
@@ -384,8 +418,8 @@ impl IssueQueue for PrescheduledIq {
         let ready = self.predicted_ready(now, &info);
         let horizon = now + self.config.num_lines as u64;
         let first = ready.clamp(now + 1, horizon);
-        let Some(row) = (first..=horizon)
-            .find(|&c| self.row_counts.get(c).unwrap_or(0) < self.config.line_width as u32)
+        let Some(row) =
+            (first..=horizon).find(|&c| self.row_count(c) < self.config.line_width as u32)
         else {
             self.stats.stalls_full += 1;
             return Err(DispatchStall::QueueFull);
@@ -407,17 +441,7 @@ impl IssueQueue for PrescheduledIq {
             scheduled_at: row,
             entered_buffer_at: Cycle::MAX,
         });
-        self.by_tag.insert(info.tag.0, slot);
-        for (k, o) in ops.iter().enumerate() {
-            if let Some(o) = o {
-                let mut head = self.waiter_heads.get(o.producer.0).unwrap_or(ListHead::EMPTY);
-                slab_list::push_back(&mut head, &mut self.wait_links, 2 * slot + k as u32);
-                self.waiter_heads.insert(o.producer.0, head);
-            }
-        }
-        self.due_wheel.schedule(row, (row, info.tag));
-        let count = self.row_counts.get(row).unwrap_or(0);
-        self.row_counts.insert(row, count + 1);
+        self.index_slot(slot);
         if let Some(dest) = info.dest {
             // Quasi-static: the placement row, not actual behaviour,
             // determines the predicted completion.
@@ -458,15 +482,14 @@ impl IssueQueue for PrescheduledIq {
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
-        let Some(head) = self.waiter_heads.get(producer.0) else { return };
-        let mut cur = head.head;
-        while cur != NIL {
-            let (slot, k) = ((cur / 2) as usize, (cur % 2) as usize);
+        let mut cur = self.waiters.first(producer);
+        while let Some(node) = cur {
+            let (slot, k) = ((node / 2) as usize, (node % 2) as usize);
             if let Some(op) = self.slots[slot].ops[k].as_mut() {
                 debug_assert_eq!(op.producer, producer, "waiter node on the wrong producer list");
                 op.ready_at = Some(ready_at);
             }
-            cur = self.wait_links[cur as usize].next;
+            cur = self.waiters.next(node);
         }
     }
 
@@ -475,9 +498,7 @@ impl IssueQueue for PrescheduledIq {
         self.free_slots.clear();
         self.by_tag.clear();
         self.buffer.clear();
-        self.waiter_heads.clear();
-        // Drop the slab-parallel link storage with the slab itself.
-        self.wait_links.clear();
+        self.waiters.clear();
         self.due_wheel.reset(self.last_now);
         self.overdue.clear();
         self.row_counts.clear();
@@ -600,25 +621,8 @@ impl chainiq_ckpt::Snapshot for PrescheduledIq {
         if reg_ready.len() != NUM_ARCH_REGS {
             return Err(corrupt("prescheduled IQ register timing table has the wrong shape"));
         }
-        let live = slots.iter().filter(|e| e.live).count();
-        if live > config.capacity() {
-            return Err(corrupt("prescheduled IQ occupancy exceeds its capacity"));
-        }
-        // The free list must cover exactly the dead slots, each once.
-        let mut on_free = vec![false; slots.len()];
-        for &s in &free_slots {
-            if slots.get(s as usize).is_none_or(|e| e.live) {
-                return Err(corrupt("free list points at a live slab slot"));
-            }
-            if std::mem::replace(&mut on_free[s as usize], true) {
-                return Err(corrupt("free list repeats a slab slot"));
-            }
-        }
-        if slots.iter().zip(&on_free).any(|(e, &f)| !e.live && !f) {
-            return Err(corrupt("dead slab slot missing from the free list"));
-        }
+        chainiq_ckpt::check_free_list(slots.iter().map(|e| e.live), &free_slots)?;
         let horizon = last_now + config.num_lines as u64;
-        let mut buffered = 0usize;
         for e in slots.iter().filter(|e| e.live) {
             if e.entered_buffer_at == Cycle::MAX {
                 // Array-resident: recirculation reschedules at most one
@@ -626,63 +630,42 @@ impl chainiq_ckpt::Snapshot for PrescheduledIq {
                 if e.scheduled_at > horizon {
                     return Err(corrupt("prescheduled IQ row lies beyond the schedule horizon"));
                 }
-            } else {
-                if e.entered_buffer_at > last_now {
-                    return Err(corrupt("prescheduled IQ buffer admission lies in the future"));
-                }
-                buffered += 1;
+            } else if e.entered_buffer_at > last_now {
+                return Err(corrupt("prescheduled IQ buffer admission lies in the future"));
             }
-        }
-        if buffered > config.issue_buffer_size {
-            return Err(corrupt("prescheduled IQ issue buffer overflows its size"));
         }
 
-        // Rebuild every index from the slab. Buffer order and the
-        // slipped backlog are tag-/row-sorted (canonical); waiter-list
+        // Empty every index at the image's clock, install the canonical
+        // state, then index each live slot the way dispatch does. The
+        // buffer and the slipped backlog stay sorted as they fill; waiter
         // and wheel-bucket orders are immaterial (announces are
-        // idempotent and the backlog sort canonicalizes drain order), so
-        // slot-order rebuilds are exact.
-        self.by_tag = TagMap::new();
-        self.buffer.clear();
-        self.waiter_heads = TagMap::new();
-        self.wait_links = vec![Link::default(); 2 * slots.len()];
-        self.due_wheel.reset(last_now);
-        self.overdue.clear();
-        self.row_counts = TagMap::new();
-        for (s, e) in slots.iter().enumerate().filter(|(_, e)| e.live) {
-            let slot = s as u32;
-            if self.by_tag.get(e.tag.0).is_some() {
-                return Err(corrupt("prescheduled IQ slab repeats a tag"));
-            }
-            self.by_tag.insert(e.tag.0, slot);
-            for (k, o) in e.ops.iter().enumerate() {
-                if let Some(o) = o {
-                    let mut head = self.waiter_heads.get(o.producer.0).unwrap_or(ListHead::EMPTY);
-                    slab_list::push_back(&mut head, &mut self.wait_links, 2 * slot + k as u32);
-                    self.waiter_heads.insert(o.producer.0, head);
-                }
-            }
-            if e.entered_buffer_at != Cycle::MAX {
-                self.buffer.push(e.tag);
-            } else {
-                if e.scheduled_at > last_now {
-                    self.due_wheel.schedule(e.scheduled_at, (e.scheduled_at, e.tag));
-                } else {
-                    self.overdue.push((e.scheduled_at, e.tag));
-                }
-                let count = self.row_counts.get(e.scheduled_at).unwrap_or(0);
-                self.row_counts.insert(e.scheduled_at, count + 1);
-            }
-        }
-        self.buffer.sort_unstable();
-        self.overdue.sort_unstable();
+        // idempotent, and drained records merge into the backlog at their
+        // sorted place).
+        self.last_now = last_now;
+        self.flush();
         self.slots = slots;
         self.free_slots = free_slots;
-        self.last_now = last_now;
         self.reg_ready = reg_ready;
         self.stats = stats;
         self.shift_stalls = shift_stalls;
         self.recirculations = recirculations;
+        self.waiters.grow(2 * self.slots.len());
+        for slot in 0..self.slots.len() as u32 {
+            let e = &self.slots[slot as usize];
+            if !e.live {
+                continue;
+            }
+            if self.by_tag.get(e.tag.0).is_some() {
+                return Err(corrupt("prescheduled IQ slab repeats a tag"));
+            }
+            self.index_slot(slot);
+        }
+        if self.by_tag.len() > config.capacity() {
+            return Err(corrupt("prescheduled IQ occupancy exceeds its capacity"));
+        }
+        if self.buffer.len() > config.issue_buffer_size {
+            return Err(corrupt("prescheduled IQ issue buffer overflows its size"));
+        }
         self.drain_scratch.clear();
         self.scratch_tags.clear();
         Ok(())

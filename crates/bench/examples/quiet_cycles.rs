@@ -138,16 +138,10 @@ fn main() {
         ("distance", 0, 0, 0),
     ];
     for spec in paper_grid(sample, seed) {
-        let mut config = SimConfig::default().rob_for_iq(spec.iq.capacity());
-        config.extra_dispatch_cycle = spec.iq.pays_extra_dispatch_cycle();
-        config.use_hmp = spec.pred.hmp();
-        config.use_lrp = spec.pred.lrp();
-        let (row, (stats, skipped, jumps)) = match spec.iq {
+        let (config, kind) = spec.iq.table1_machine(spec.pred.hmp(), spec.pred.lrp());
+        let (row, (stats, skipped, jumps)) = match kind {
             IqKind::Ideal(n) => (0, run(&spec, config, IdealIq::new(n))),
-            IqKind::Segmented(mut qc) => {
-                qc.two_chain_tracking = !config.use_lrp;
-                (1, run(&spec, config, SegmentedIq::new(qc)))
-            }
+            IqKind::Segmented(qc) => (1, run(&spec, config, SegmentedIq::new(qc))),
             IqKind::Prescheduled(pc) => (2, run(&spec, config, PrescheduledIq::new(pc))),
             IqKind::Distance(dc) => (3, run(&spec, config, DistanceIq::new(dc))),
         };

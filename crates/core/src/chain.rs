@@ -120,12 +120,6 @@ impl ChainTable {
         }
     }
 
-    /// Number of wire slots ever allocated (live or recyclable) — the
-    /// id space the queue's follower lists are indexed by.
-    pub(crate) fn wire_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Number of chains currently live.
     pub(crate) fn live(&self) -> usize {
         self.live

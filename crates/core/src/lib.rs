@@ -79,7 +79,7 @@ mod fu;
 mod queue;
 mod regtable;
 mod segmented;
-pub mod slab_list;
+mod slab_list;
 mod stats;
 mod tag;
 mod tagmap;
@@ -89,6 +89,7 @@ pub use chain::{ChainRef, ChainStats};
 pub use fu::FuPool;
 pub use queue::{IqStats, IssueQueue, IssuedInst, QuietCycle};
 pub use segmented::{SegmentedIq, SegmentedIqConfig};
+pub use slab_list::WaiterLists;
 pub use stats::SegmentedStats;
 pub use tag::{DispatchInfo, DispatchStall, InstTag, OperandPick, SrcOperand};
 pub use tagmap::TagMap;

@@ -35,8 +35,7 @@
 use chainiq_isa::{Cycle, OpClass};
 
 use crate::bitset::BitSet;
-use crate::slab_list::{self, Link, ListHead, NIL};
-use crate::tagmap::TagMap;
+use crate::slab_list::{self, Link, ListHead, WaiterLists, NIL};
 use crate::wheel::Wheel;
 
 use crate::chain::{ChainRef, ChainTable, SignalKind, WireSignal};
@@ -434,12 +433,10 @@ pub struct SegmentedIq {
     /// through a node only on an exact generation match, so a stale
     /// subscriber of a recycled wire is skipped rather than double-hit.
     fol_chain: Vec<ChainRef>,
-    /// Waiter-list heads per producer tag: the buffered data operands
-    /// waiting on that producer's wakeup announcement.
-    waiter_heads: TagMap<ListHead>,
-    /// Waiter links; node id `2 * slot + k` is slot `slot`'s data
-    /// operand `k` (one node per distinct producer per entry).
-    wait_links: Vec<Link>,
+    /// The buffered data operands waiting on each producer's wakeup
+    /// announcement; node `2 * slot + k` is slot `slot`'s data operand
+    /// `k` (one node per distinct producer per entry).
+    waiters: WaiterLists,
     /// Data-ready entries per segment, as of `last_now` (the entries with
     /// `counted` set).
     ready_count: Vec<u64>,
@@ -522,8 +519,7 @@ impl SegmentedIq {
             fol_live: Vec::new(),
             fol_links: Vec::new(),
             fol_chain: Vec::new(),
-            waiter_heads: TagMap::new(),
-            wait_links: Vec::new(),
+            waiters: WaiterLists::default(),
             ready_count: vec![0; config.num_segments],
             ready_wheel: Wheel::new(64),
             elig: vec![BitSet::new(); config.num_segments],
@@ -608,17 +604,53 @@ impl SegmentedIq {
         } else {
             self.slots.push(entry);
             self.slot_tags.push(tag);
-            self.seg_link.push(Link::default());
-            self.fol_links.extend([Link::default(); 2]);
-            self.fol_chain.extend([ChainRef { id: 0, gen: 0 }; 2]);
-            self.wait_links.extend([Link::default(); 2]);
-            self.recheck_at.push(NO_RECHECK);
             let n = self.slots.len();
-            for b in &mut self.elig {
-                b.ensure(n);
-            }
+            self.grow_slot_arrays(n);
             (n - 1) as u32
         }
+    }
+
+    /// Sizes the slab-parallel link, guard and mask storage for `n`
+    /// slots.
+    fn grow_slot_arrays(&mut self, n: usize) {
+        self.seg_link.resize(n, Link::default());
+        self.fol_links.resize(2 * n, Link::default());
+        self.fol_chain.resize(2 * n, ChainRef { id: 0, gen: 0 });
+        self.waiters.grow(2 * n);
+        self.recheck_at.resize(n, NO_RECHECK);
+        for b in &mut self.elig {
+            b.ensure(n);
+        }
+    }
+
+    /// The producer subscriptions of `ops`: `(node operand index,
+    /// producer)`, skipping a second operand on the first's producer (the
+    /// pair shares one waiter node; an announcement sets both). Like
+    /// [`SegmentedIq::subscriptions`], subscribe and unsubscribe agree.
+    fn waited_producers(
+        ops: &[Option<DataOperand>; 2],
+    ) -> impl Iterator<Item = (u32, InstTag)> + '_ {
+        let first = ops[0].map(|d| d.producer);
+        ops.iter().enumerate().filter_map(move |(k, d)| {
+            let producer = d.as_ref()?.producer;
+            (k == 0 || Some(producer) != first).then_some((k as u32, producer))
+        })
+    }
+
+    /// Files the live entry in `slot` in every index: the ready wheel
+    /// while its readiness lies ahead, its producers' waiter lists, and
+    /// (through `attach`) its segment's lists, counters and eligibility.
+    /// Dispatch and restore both index entries through here.
+    fn index_slot(&mut self, slot: u32) {
+        let e = &self.slots[slot as usize];
+        let (tag, data_ops) = (e.tag, e.data_ops);
+        if let Some(c) = e.ready_cache.filter(|&c| c > self.last_now) {
+            self.ready_wheel.schedule(c, (tag, slot));
+        }
+        for (k, producer) in Self::waited_producers(&data_ops) {
+            self.waiters.push(producer, 2 * slot + k);
+        }
+        self.attach(slot);
     }
 
     /// The distinct chain subscriptions of `ops`: `(operand index,
@@ -692,23 +724,41 @@ impl SegmentedIq {
         seg_splice(&mut self.seg_list[seg], &mut self.seg_link, &self.slot_tags, tag, slot);
         self.seg_len[seg] += 1;
         for (k, chain) in Self::subscriptions(&ops) {
-            let wires = &mut self.fol_heads[seg];
-            let id = chain.id as usize;
-            if wires.len() <= id {
-                wires.resize(id + 1, ListHead::EMPTY);
-            }
-            let node = 2 * slot + k as u32;
-            slab_list::push_back(&mut wires[id], &mut self.fol_links, node);
-            self.fol_chain[node as usize] = chain;
-            if self.fol_live.len() <= id {
-                self.fol_live.resize(id + 1, 0);
-            }
-            self.fol_live[id] |= 1u64 << (seg & 63);
+            self.follow(seg, 2 * slot + k as u32, chain);
         }
         if counted {
             self.ready_count[seg] += 1;
         }
         self.recompute_elig(slot);
+    }
+
+    /// Appends follower `node` to `chain`'s list in segment `seg`.
+    #[inline]
+    fn follow(&mut self, seg: usize, node: u32, chain: ChainRef) {
+        let id = chain.id as usize;
+        let wires = &mut self.fol_heads[seg];
+        if wires.len() <= id {
+            wires.resize(id + 1, ListHead::EMPTY);
+        }
+        slab_list::push_back(&mut wires[id], &mut self.fol_links, node);
+        self.fol_chain[node as usize] = chain;
+        if self.fol_live.len() <= id {
+            self.fol_live.resize(id + 1, 0);
+        }
+        self.fol_live[id] |= 1u64 << (seg & 63);
+    }
+
+    /// Unlinks follower `node` from `chain`'s list in segment `seg`.
+    #[inline]
+    fn unfollow(&mut self, seg: usize, node: u32, chain: ChainRef) {
+        let id = chain.id as usize;
+        let head = &mut self.fol_heads[seg][id];
+        slab_list::remove(head, &mut self.fol_links, node);
+        // Only exact bits may be cleared; with more than 64 segments the
+        // aliased bit stays set (conservative, still correct).
+        if head.is_empty() && self.config.num_segments <= 64 {
+            self.fol_live[id] &= !(1u64 << seg);
+        }
     }
 
     /// Removes `slot` from the per-segment lists and eligibility mask
@@ -722,14 +772,7 @@ impl SegmentedIq {
         slab_list::remove(&mut self.seg_list[seg], &mut self.seg_link, slot);
         self.seg_len[seg] -= 1;
         for (k, chain) in Self::subscriptions(&ops) {
-            let node = 2 * slot + k as u32;
-            let head = &mut self.fol_heads[seg][chain.id as usize];
-            slab_list::remove(head, &mut self.fol_links, node);
-            // Only exact bits may be cleared; with more than 64 segments
-            // the aliased bit stays set (conservative, still correct).
-            if head.is_empty() && self.config.num_segments <= 64 {
-                self.fol_live[chain.id as usize] &= !(1u64 << seg);
-            }
+            self.unfollow(seg, 2 * slot + k as u32, chain);
         }
         if counted {
             self.ready_count[seg] -= 1;
@@ -764,21 +807,8 @@ impl SegmentedIq {
         self.seg_len[dst] += 1;
         for (k, chain) in Self::subscriptions(&ops) {
             let node = 2 * slot + k as u32;
-            let id = chain.id as usize;
-            let head = &mut self.fol_heads[seg][id];
-            slab_list::remove(head, &mut self.fol_links, node);
-            // Only exact bits may be cleared; with more than 64 segments
-            // the aliased bit stays set (conservative, still correct).
-            if head.is_empty() && self.config.num_segments <= 64 {
-                self.fol_live[id] &= !(1u64 << seg);
-            }
-            let wires = &mut self.fol_heads[dst];
-            if wires.len() <= id {
-                wires.resize(id + 1, ListHead::EMPTY);
-            }
-            slab_list::push_back(&mut wires[id], &mut self.fol_links, node);
-            self.fol_live[id] |= 1u64 << (dst & 63);
-            // `fol_chain[node]` already names this chain.
+            self.unfollow(seg, node, chain);
+            self.follow(dst, node, chain);
         }
         if counted {
             self.ready_count[seg] -= 1;
@@ -797,18 +827,8 @@ impl SegmentedIq {
         let e = &mut self.slots[slot as usize];
         e.live = false;
         let (heads, dops) = (e.heads_chain, e.data_ops);
-        for (k, d) in dops.iter().enumerate() {
-            let Some(d) = d else { continue };
-            if k == 1 && dops[0].is_some_and(|d0| d0.producer == d.producer) {
-                continue; // second operand shared the first's waiter node
-            }
-            let key = d.producer.0;
-            if let Some(head) = self.waiter_heads.get_mut(key) {
-                slab_list::remove(head, &mut self.wait_links, 2 * slot + k as u32);
-                if head.is_empty() {
-                    self.waiter_heads.remove(key);
-                }
-            }
+        for (k, producer) in Self::waited_producers(&dops) {
+            self.waiters.remove(producer, 2 * slot + k);
         }
         self.free_slots.push(slot);
         heads
@@ -916,9 +936,14 @@ impl SegmentedIq {
         if segment == self.config.num_segments - 1 {
             self.deliver_to_regs(sig);
         } else {
-            self.sig_bufs[segment].push(BufSig { chain, kind });
-            Self::filter_add(&mut self.sig_filter[segment], chain);
+            self.buffer_signal(segment, BufSig { chain, kind });
         }
+    }
+
+    /// Parks `sig` in `segment`'s climb bucket and its filter.
+    fn buffer_signal(&mut self, segment: usize, sig: BufSig) {
+        Self::filter_add(&mut self.sig_filter[segment], sig.chain);
+        self.sig_bufs[segment].push(sig);
     }
 
     /// Moves the wire signals one segment up and delivers them. Buckets
@@ -1449,31 +1474,9 @@ impl IssueQueue for SegmentedIq {
             }
         }
         entry.ready_cache = entry.compute_ready_cache();
-        match entry.ready_cache {
-            Some(c) if c <= self.last_now => entry.counted = true,
-            _ => {}
-        }
-        let future = match entry.ready_cache {
-            Some(c) if c > self.last_now => Some(c),
-            _ => None,
-        };
-        let tag = info.tag;
+        entry.counted = entry.ready_cache.is_some_and(|c| c <= self.last_now);
         let slot = self.alloc_slot(entry);
-        if let Some(c) = future {
-            self.ready_wheel.schedule(c, (tag, slot));
-        }
-        // Subscribe to producer announcements; two operands waiting on
-        // the same producer share one node (announce sets both anyway).
-        for (k, d) in data_ops.iter().enumerate() {
-            let Some(d) = d else { continue };
-            if k == 1 && data_ops[0].is_some_and(|d0| d0.producer == d.producer) {
-                continue;
-            }
-            let mut head = self.waiter_heads.get(d.producer.0).unwrap_or(ListHead::EMPTY);
-            slab_list::push_back(&mut head, &mut self.wait_links, 2 * slot + k as u32);
-            self.waiter_heads.insert(d.producer.0, head);
-        }
-        self.attach(slot);
+        self.index_slot(slot);
         Ok(())
     }
 
@@ -1527,15 +1530,13 @@ impl IssueQueue for SegmentedIq {
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
         let mut targets = std::mem::take(&mut self.scratch_pairs);
         targets.clear();
-        if let Some(head) = self.waiter_heads.get(producer.0) {
-            // One node per (producer, entry): dispatch deduplicates
-            // same-producer operand pairs, so no slot repeats here.
-            let mut cur = head.head;
-            while cur != NIL {
-                let slot = cur >> 1;
-                targets.push((self.slots[slot as usize].tag, slot));
-                cur = self.wait_links[cur as usize].next;
-            }
+        // One node per (producer, entry): subscription deduplicates
+        // same-producer operand pairs, so no slot repeats here.
+        let mut cur = self.waiters.first(producer);
+        while let Some(node) = cur {
+            let slot = node >> 1;
+            targets.push((self.slots[slot as usize].tag, slot));
+            cur = self.waiters.next(node);
         }
         for &(_, slot) in &targets {
             let e = &mut self.slots[slot as usize];
@@ -1585,8 +1586,7 @@ impl IssueQueue for SegmentedIq {
         self.fol_live.clear();
         self.fol_links.clear();
         self.fol_chain.clear();
-        self.waiter_heads.clear();
-        self.wait_links.clear();
+        self.waiters.clear();
         self.ready_count.fill(0);
         self.ready_wheel.reset(self.last_now);
         self.crossings.reset(self.last_now);
@@ -1786,40 +1786,15 @@ impl chainiq_ckpt::Snapshot for SegmentedIq {
             // countdown clock has caught up with the drain clock.
             return Err(corrupt("countdown epoch disagrees with the queue clock"));
         }
-        let mut seg_len = vec![0usize; n];
         for e in slots.iter().filter(|e| e.live) {
             if e.seg >= n {
                 return Err(corrupt("slab entry names an out-of-range segment"));
             }
-            seg_len[e.seg] += 1;
             if e.counted != e.ready_cache.is_some_and(|c| c <= last_now) {
                 return Err(corrupt("ready count flag disagrees with the readiness cache"));
             }
         }
-        if seg_len.iter().any(|&l| l > config.segment_size) {
-            return Err(corrupt("overfull segment in checkpoint"));
-        }
-        // The free list must cover exactly the dead slots, each once (its
-        // order is canonical: slot allocation pops it LIFO).
-        let mut on_free = vec![false; slots.len()];
-        for &s in &free_slots {
-            if slots.get(s as usize).is_none_or(|e| e.live) {
-                return Err(corrupt("free list points at a live slab slot"));
-            }
-            if std::mem::replace(&mut on_free[s as usize], true) {
-                return Err(corrupt("free list repeats a slab slot"));
-            }
-        }
-        if slots.iter().zip(&on_free).any(|(e, &f)| !e.live && !f) {
-            return Err(corrupt("dead slab slot missing from the free list"));
-        }
-
-        self.slots = slots;
-        self.slot_tags = self.slots.iter().map(|e| e.tag).collect();
-        self.free_slots = free_slots;
-        self.last_now = last_now;
-        self.countdown_epoch = countdown_epoch;
-        self.free_prev = free_prev;
+        chainiq_ckpt::check_free_list(slots.iter().map(|e| e.live), &free_slots)?;
         // Buffered signals are canonical only up to the climb invariant:
         // a signal's visible segment is the bucket holding it.
         for (s, buf) in sig_bufs.iter().enumerate() {
@@ -1827,14 +1802,21 @@ impl chainiq_ckpt::Snapshot for SegmentedIq {
                 return Err(corrupt("buffered wire signal outside its climb bucket"));
             }
         }
-        self.sig_bufs = sig_bufs
-            .into_iter()
-            .map(|buf| buf.into_iter().map(|s| BufSig { chain: s.chain, kind: s.kind }).collect())
-            .collect();
-        self.sig_filter = vec![[0u64; 4]; n];
-        for (s, buf) in self.sig_bufs.iter().enumerate() {
+
+        // Empty every index at the image's clock, install the canonical
+        // state, then index each live slot the way dispatch does. Slot
+        // order makes every list and wheel bucket the same on each
+        // restore; age lists come out tag-ordered either way.
+        self.last_now = last_now;
+        self.flush();
+        self.slots = slots;
+        self.slot_tags = self.slots.iter().map(|e| e.tag).collect();
+        self.free_slots = free_slots;
+        self.countdown_epoch = countdown_epoch;
+        self.free_prev = free_prev;
+        for (s, buf) in sig_bufs.into_iter().enumerate() {
             for sig in buf {
-                Self::filter_add(&mut self.sig_filter[s], sig.chain);
+                self.buffer_signal(s, BufSig { chain: sig.chain, kind: sig.kind });
             }
         }
         self.chains = chains;
@@ -1842,75 +1824,15 @@ impl chainiq_ckpt::Snapshot for SegmentedIq {
         self.stats = stats;
         self.issued_this_cycle = issued_this_cycle;
         self.progress_last_cycle = progress_last_cycle;
-
-        // Rebuild every index from the slab. Age lists are tag-ordered
-        // within a segment; wheel bucket insertion orders need not match
-        // the continuous run's (drain handlers are order-independent).
         let nslots = self.slots.len();
-        self.seg_list = vec![ListHead::EMPTY; n];
-        self.seg_link = vec![Link::default(); nslots];
-        self.seg_len = seg_len;
-        self.fol_heads = vec![vec![ListHead::EMPTY; self.chains.wire_count()]; n];
-        self.fol_live = vec![0; self.chains.wire_count()];
-        self.fol_links = vec![Link::default(); 2 * nslots];
-        self.fol_chain = vec![ChainRef { id: 0, gen: 0 }; 2 * nslots];
-        self.waiter_heads = TagMap::new();
-        self.wait_links = vec![Link::default(); 2 * nslots];
-        self.ready_count = vec![0; n];
-        self.recheck_at = vec![NO_RECHECK; nslots];
-        self.elig = vec![BitSet::new(); n];
-        for e in &mut self.elig {
-            e.ensure(nslots);
-        }
-        self.ready_wheel.reset(last_now);
-        self.crossings.reset(last_now);
-
-        let mut order: Vec<u32> =
-            (0..nslots as u32).filter(|&s| self.slots[s as usize].live).collect();
-        order.sort_unstable_by_key(|&s| (self.slots[s as usize].seg, self.slots[s as usize].tag));
-        for &slot in &order {
-            let seg = self.slots[slot as usize].seg;
-            slab_list::push_back(&mut self.seg_list[seg], &mut self.seg_link, slot);
-        }
+        self.grow_slot_arrays(nslots);
         for slot in 0..nslots as u32 {
-            let e = &self.slots[slot as usize];
-            if !e.live {
-                continue;
+            if self.slots[slot as usize].live {
+                self.index_slot(slot);
             }
-            let (seg, tag) = (e.seg, e.tag);
-            let (sched_ops, data_ops) = (e.sched_ops, e.data_ops);
-            let (counted, ready_cache) = (e.counted, e.ready_cache);
-            for (k, chain) in SegmentedIq::subscriptions(&sched_ops) {
-                let heads = &mut self.fol_heads[seg];
-                if heads.len() <= chain.id as usize {
-                    heads.resize(chain.id as usize + 1, ListHead::EMPTY);
-                }
-                let node = 2 * slot + k as u32;
-                slab_list::push_back(&mut heads[chain.id as usize], &mut self.fol_links, node);
-                self.fol_chain[node as usize] = chain;
-                if self.fol_live.len() <= chain.id as usize {
-                    self.fol_live.resize(chain.id as usize + 1, 0);
-                }
-                self.fol_live[chain.id as usize] |= 1u64 << (seg & 63);
-            }
-            for (k, d) in data_ops.iter().enumerate() {
-                let Some(d) = d else { continue };
-                if k == 1 && data_ops[0].is_some_and(|d0| d0.producer == d.producer) {
-                    continue;
-                }
-                let mut head = self.waiter_heads.get(d.producer.0).unwrap_or(ListHead::EMPTY);
-                slab_list::push_back(&mut head, &mut self.wait_links, 2 * slot + k as u32);
-                self.waiter_heads.insert(d.producer.0, head);
-            }
-            if counted {
-                self.ready_count[seg] += 1;
-            }
-            if let Some(c) = ready_cache {
-                if c > last_now {
-                    self.ready_wheel.schedule(c, (tag, slot));
-                }
-            }
-            self.recompute_elig(slot);
+        }
+        if self.seg_len.iter().any(|&l| l > config.segment_size) {
+            return Err(corrupt("overfull segment in checkpoint"));
         }
         self.scratch_pairs.clear();
         self.scratch_picks.clear();

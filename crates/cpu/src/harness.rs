@@ -60,6 +60,27 @@ impl IqKind {
     pub fn pays_extra_dispatch_cycle(&self) -> bool {
         !matches!(self, IqKind::Ideal(_))
     }
+
+    /// The Table 1 machine around this queue with the §4.3/§4.4
+    /// predictor hooks set: the ROB at three times the queue, the extra
+    /// dispatch cycle where [`IqKind::pays_extra_dispatch_cycle`], and —
+    /// since the left/right predictor replaces two-chain tracking — a
+    /// segmented queue that tracks two chains only without it. Returns
+    /// the pipeline configuration and the queue as it runs.
+    #[must_use]
+    pub fn table1_machine(self, use_hmp: bool, use_lrp: bool) -> (SimConfig, IqKind) {
+        let mut config = SimConfig::default().rob_for_iq(self.capacity());
+        config.extra_dispatch_cycle = self.pays_extra_dispatch_cycle();
+        config.use_hmp = use_hmp;
+        config.use_lrp = use_lrp;
+        let kind = match self {
+            IqKind::Segmented(qc) => {
+                IqKind::Segmented(SegmentedIqConfig { two_chain_tracking: !use_lrp, ..qc })
+            }
+            other => other,
+        };
+        (config, kind)
+    }
 }
 
 /// The outcome of one simulation run.
@@ -147,20 +168,9 @@ pub fn run_one_ckpt(
     seed: u64,
     plan: Option<&CkptPlan>,
 ) -> (RunResult, CkptOutcome) {
-    let mut config = SimConfig::default().rob_for_iq(kind.capacity());
-    config.extra_dispatch_cycle = kind.pays_extra_dispatch_cycle();
-    config.use_hmp = use_hmp;
-    config.use_lrp = use_lrp;
-    // Apply queue-level knobs *before* hashing so the cache key covers
-    // the configuration that actually runs.
-    let kind = match kind {
-        IqKind::Segmented(mut qc) => {
-            // The §4.3 predictor replaces two-chain tracking.
-            qc.two_chain_tracking = !use_lrp;
-            IqKind::Segmented(qc)
-        }
-        other => other,
-    };
+    // The queue-level knobs are applied *before* hashing so the cache
+    // key covers the configuration that actually runs.
+    let (config, kind) = kind.table1_machine(use_hmp, use_lrp);
     let workload_fp = {
         let mut h = FpHasher::new();
         h.write_str(&format!("{profile:?}"));
@@ -174,124 +184,88 @@ pub fn run_one_ckpt(
         h.write_u64(u64::from(chainiq_ckpt::FORMAT_VERSION));
         h.finish()
     };
+    let run = Run { config, profile: &profile, seed, max_insts, plan, workload_fp, config_hash };
     match kind {
-        IqKind::Ideal(n) => {
-            let (_, stats, outcome) = run_kind(
-                config,
-                || IdealIq::new(n),
-                &profile,
-                seed,
-                max_insts,
-                plan,
-                workload_fp,
-                config_hash,
-            );
-            (RunResult { stats, segmented: None }, outcome)
-        }
-        IqKind::Segmented(qc) => {
-            let (sim, stats, outcome) = run_kind(
-                config,
-                || SegmentedIq::new(qc),
-                &profile,
-                seed,
-                max_insts,
-                plan,
-                workload_fp,
-                config_hash,
-            );
-            let segmented = Some(sim.iq().full_stats());
-            (RunResult { stats, segmented }, outcome)
-        }
-        IqKind::Prescheduled(pc) => {
-            let (_, stats, outcome) = run_kind(
-                config,
-                || PrescheduledIq::new(pc),
-                &profile,
-                seed,
-                max_insts,
-                plan,
-                workload_fp,
-                config_hash,
-            );
-            (RunResult { stats, segmented: None }, outcome)
-        }
-        IqKind::Distance(dc) => {
-            let (_, stats, outcome) = run_kind(
-                config,
-                || DistanceIq::new(dc),
-                &profile,
-                seed,
-                max_insts,
-                plan,
-                workload_fp,
-                config_hash,
-            );
-            (RunResult { stats, segmented: None }, outcome)
-        }
+        IqKind::Ideal(n) => run.on(|| IdealIq::new(n), |_| None),
+        IqKind::Segmented(qc) => run.on(|| SegmentedIq::new(qc), |q| Some(q.full_stats())),
+        IqKind::Prescheduled(pc) => run.on(|| PrescheduledIq::new(pc), |_| None),
+        IqKind::Distance(dc) => run.on(|| DistanceIq::new(dc), |_| None),
     }
 }
 
-/// Builds the machine, consults the checkpoint cache, and runs to
-/// `max_insts` committed instructions. Returns the finished machine so
-/// queue-specific statistics can still be read off it.
-#[allow(clippy::too_many_arguments, reason = "the flattened run_one parameters")]
-fn run_kind<Q>(
+/// One [`run_one_ckpt`] call with the machine and cache key settled;
+/// only the queue type is left open.
+struct Run<'a> {
     config: SimConfig,
-    make_iq: impl Fn() -> Q,
-    profile: &Profile,
+    profile: &'a Profile,
     seed: u64,
     max_insts: u64,
-    plan: Option<&CkptPlan>,
+    plan: Option<&'a CkptPlan>,
     workload_fp: u64,
     config_hash: u64,
-) -> (Pipeline<Q, SyntheticWorkload>, SimStats, CkptOutcome)
-where
-    Q: IssueQueue + chainiq_ckpt::Snapshot,
-{
-    let fresh =
-        || Pipeline::new(config, make_iq(), SyntheticWorkload::from_profile(profile.clone(), seed));
-    let mut sim = fresh();
-    let Some(plan) = plan.filter(|p| p.warmup > 0 && p.warmup < max_insts) else {
-        let stats = sim.run(max_insts);
-        return (sim, stats, CkptOutcome::Disabled);
-    };
-    let header = CkptHeader { workload_fp, config_hash, warmup: plan.warmup };
-    let path =
-        plan.dir.join(format!("ckpt-{workload_fp:016x}-{config_hash:016x}-{}.bin", plan.warmup));
-    let attempt = (|| -> Result<(), CkptError> {
-        let bytes = chainiq_ckpt::read_image(&path)?;
-        let mut img = ImageReader::parse(&bytes)?;
-        img.expect_key(header)?;
-        img.section(&mut sim)?;
-        img.finish()
-    })();
-    match attempt {
-        Ok(()) => {
-            let stats = sim.run(max_insts);
-            (sim, stats, CkptOutcome::Hit)
-        }
-        Err(err) => {
-            let rejected =
-                !matches!(&err, CkptError::Io(e) if e.kind() == std::io::ErrorKind::NotFound);
-            if rejected {
-                // Never continue on a possibly part-restored machine.
-                eprintln!("warning: rejecting checkpoint {}: {err}", path.display());
-                sim = fresh();
-            }
-            let _ = sim.run(plan.warmup);
-            let mut image = ImageWriter::new(header);
-            image.section(&sim);
-            let outcome = match chainiq_ckpt::write_image_atomic(&path, &image.finish()) {
-                Ok(()) if rejected => CkptOutcome::Rejected,
-                Ok(()) => CkptOutcome::MissSaved,
-                Err(werr) => {
-                    eprintln!("warning: could not save checkpoint {}: {werr}", path.display());
-                    CkptOutcome::MissSaveFailed
+}
+
+impl Run<'_> {
+    /// Builds the machine around `make_iq()`, consults the checkpoint
+    /// cache, and runs to `max_insts` committed instructions; `segmented`
+    /// reads the queue's own statistics off the finished machine.
+    fn on<Q>(
+        &self,
+        make_iq: impl Fn() -> Q,
+        segmented: impl Fn(&Q) -> Option<SegmentedStats>,
+    ) -> (RunResult, CkptOutcome)
+    where
+        Q: IssueQueue + chainiq_ckpt::Snapshot,
+    {
+        let Run { config, profile, seed, max_insts, plan, workload_fp, config_hash } = *self;
+        let fresh = || {
+            Pipeline::new(config, make_iq(), SyntheticWorkload::from_profile(profile.clone(), seed))
+        };
+        let mut sim = fresh();
+        let outcome = match plan.filter(|p| p.warmup > 0 && p.warmup < max_insts) {
+            None => CkptOutcome::Disabled,
+            Some(plan) => {
+                let header = CkptHeader { workload_fp, config_hash, warmup: plan.warmup };
+                let name =
+                    format!("ckpt-{workload_fp:016x}-{config_hash:016x}-{}.bin", plan.warmup);
+                let path = plan.dir.join(name);
+                let attempt = (|| -> Result<(), CkptError> {
+                    let bytes = chainiq_ckpt::read_image(&path)?;
+                    let mut img = ImageReader::parse(&bytes)?;
+                    img.expect_key(header)?;
+                    img.section(&mut sim)?;
+                    img.finish()
+                })();
+                match attempt {
+                    Ok(()) => CkptOutcome::Hit,
+                    Err(err) => {
+                        let rejected = !matches!(&err,
+                            CkptError::Io(e) if e.kind() == std::io::ErrorKind::NotFound);
+                        if rejected {
+                            // Never continue on a possibly part-restored machine.
+                            eprintln!("warning: rejecting checkpoint {}: {err}", path.display());
+                            sim = fresh();
+                        }
+                        let _ = sim.run(plan.warmup);
+                        let mut image = ImageWriter::new(header);
+                        image.section(&sim);
+                        match chainiq_ckpt::write_image_atomic(&path, &image.finish()) {
+                            Ok(()) if rejected => CkptOutcome::Rejected,
+                            Ok(()) => CkptOutcome::MissSaved,
+                            Err(werr) => {
+                                eprintln!(
+                                    "warning: could not save checkpoint {}: {werr}",
+                                    path.display()
+                                );
+                                CkptOutcome::MissSaveFailed
+                            }
+                        }
+                    }
                 }
-            };
-            let stats = sim.run(max_insts);
-            (sim, stats, outcome)
-        }
+            }
+        };
+        let stats = sim.run(max_insts);
+        (RunResult { stats, segmented: segmented(sim.iq()) }, outcome)
     }
 }
 
@@ -312,6 +286,22 @@ mod tests {
         assert!(!IqKind::Ideal(512).pays_extra_dispatch_cycle());
         assert!(IqKind::Segmented(SegmentedIqConfig::paper(64, None)).pays_extra_dispatch_cycle());
         assert!(IqKind::Prescheduled(PrescheduleConfig::paper(8)).pays_extra_dispatch_cycle());
+    }
+
+    #[test]
+    fn table1_machine_rule() {
+        let seg = IqKind::Segmented(SegmentedIqConfig::paper(512, Some(128)));
+        for (use_hmp, use_lrp) in [(false, false), (true, false), (false, true), (true, true)] {
+            let (config, kind) = seg.table1_machine(use_hmp, use_lrp);
+            assert_eq!(config.rob_size, 3 * 512);
+            assert!(config.extra_dispatch_cycle);
+            assert_eq!((config.use_hmp, config.use_lrp), (use_hmp, use_lrp));
+            let IqKind::Segmented(qc) = kind else { panic!("the rule changed the design") };
+            assert_eq!(qc.two_chain_tracking, !use_lrp);
+        }
+        let (config, kind) = IqKind::Ideal(64).table1_machine(true, true);
+        assert_eq!((config.rob_size, config.extra_dispatch_cycle), (192, false));
+        assert_eq!(kind, IqKind::Ideal(64));
     }
 
     #[test]

@@ -3,10 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use chainiq_core::slab_list::{self, Link, ListHead};
 use chainiq_core::{
     DispatchInfo, FuPool, InstTag, IssueQueue, IssuedInst, OperandPick, QuietCycle, SrcOperand,
-    TagMap, Wheel,
+    TagMap, WaiterLists, Wheel,
 };
 use chainiq_isa::{Cycle, Inst, OpClass};
 use chainiq_mem::Hierarchy;
@@ -52,56 +51,49 @@ struct QuietStep {
     lrp_pc: Option<u64>,
 }
 
-/// Stores parked until their data producer announces: one intrusive list
+/// Stores parked until their data producer announces: one waiter list
 /// per producer, in parking order, over recycled nodes.
 #[derive(Debug, Clone, Default)]
 struct ParkedStores {
-    heads: TagMap<ListHead>,
-    links: Vec<Link>,
-    /// The store each node holds.
-    stores: Vec<InstTag>,
+    lists: WaiterLists,
+    /// The `(producer, store)` each node holds; `None` while it is free.
+    nodes: Vec<Option<(InstTag, InstTag)>>,
     free: Vec<u32>,
 }
 
 impl ParkedStores {
     fn park(&mut self, producer: InstTag, store: InstTag) {
-        let node = if let Some(n) = self.free.pop() {
-            self.stores[n as usize] = store;
-            n
-        } else {
-            self.stores.push(store);
-            self.links.push(Link::default());
-            (self.stores.len() - 1) as u32
-        };
-        let mut head = self.heads.get(producer.0).unwrap_or(ListHead::EMPTY);
-        slab_list::push_back(&mut head, &mut self.links, node);
-        self.heads.insert(producer.0, head);
+        let node = self.free.pop().unwrap_or_else(|| {
+            self.nodes.push(None);
+            self.lists.grow(self.nodes.len());
+            (self.nodes.len() - 1) as u32
+        });
+        self.nodes[node as usize] = Some((producer, store));
+        self.lists.push(producer, node);
     }
 
     /// Unparks the first store parked on `producer`.
     fn pop(&mut self, producer: InstTag) -> Option<InstTag> {
-        let head = self.heads.get_mut(producer.0)?;
-        let node = head.head;
-        slab_list::remove(head, &mut self.links, node);
-        if head.is_empty() {
-            self.heads.remove(producer.0);
-        }
+        let node = self.lists.first(producer)?;
+        self.lists.remove(producer, node);
         self.free.push(node);
-        Some(self.stores[node as usize])
+        self.nodes[node as usize].take().map(|(_, store)| store)
     }
 
     /// The image form: producers ascending, each with its stores in
     /// parking order.
     fn to_map(&self) -> BTreeMap<InstTag, Vec<InstTag>> {
         let mut map = BTreeMap::new();
-        for (producer, head) in self.heads.to_sorted_vec() {
-            let mut stores = Vec::new();
-            let mut cur = head.head;
-            while cur != slab_list::NIL {
-                stores.push(self.stores[cur as usize]);
-                cur = self.links[cur as usize].next;
-            }
-            map.insert(InstTag(producer), stores);
+        for &(producer, _) in self.nodes.iter().flatten() {
+            map.entry(producer).or_insert_with(|| {
+                let mut stores = Vec::new();
+                let mut cur = self.lists.first(producer);
+                while let Some(node) = cur {
+                    stores.extend(self.nodes[node as usize].map(|(_, store)| store));
+                    cur = self.lists.next(node);
+                }
+                stores
+            });
         }
         map
     }

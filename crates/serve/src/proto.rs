@@ -48,6 +48,15 @@ pub const PROTO_VERSION: u16 = 1;
 /// prefix cannot ask the peer to allocate without bound.
 pub const MAX_FRAME: u32 = 64 << 20;
 
+// Ceilings on a decoded spec, a few times the largest the experiments
+// use (the 1472-slot prescheduled queue, Table 1's 4-cycle load latency,
+// the default sample), so no submitted spec can make a queue
+// constructor allocate without bound or ask for a run that practically
+// never ends.
+const MAX_ENTRIES: usize = 4096;
+const MAX_LATENCY: u64 = 1024;
+const MAX_SAMPLE: u64 = 10 * chainiq_bench::DEFAULT_SAMPLE;
+
 /// Why a protocol operation failed.
 #[derive(Debug)]
 pub enum ServeError {
@@ -159,41 +168,49 @@ pub fn pack_spec(spec: &RunSpec, w: &mut Writer) {
 ///
 /// # Errors
 /// [`ServeError::Proto`] on an unknown benchmark, queue tag or
-/// predictor index, or a degenerate queue geometry.
+/// predictor index, a degenerate or oversize queue geometry, an
+/// out-of-range load latency, or an oversize sample.
 pub fn unpack_spec(r: &mut Reader<'_>) -> Result<RunSpec, ServeError> {
     let bench_name = r.take_str("bench name")?;
     let bench = Bench::from_name(&bench_name).map_err(ServeError::Proto)?;
     let iq = match r.take_u8("iq tag")? {
         0 => {
             let entries = usize::unpack(r)?;
-            require_nonzero(&[(entries, "ideal queue entries")])?;
+            require_geometry(&[(entries, "ideal queue entries")], || entries, 0)?;
             IqKind::Ideal(entries)
         }
         1 => {
             let c = SegmentedIqConfig::unpack(r)?;
-            require_nonzero(&[
+            let fields = [
                 (c.num_segments, "segment count"),
                 (c.segment_size, "segment size"),
                 (c.promote_width, "promote width"),
-            ])?;
+            ];
+            let latency = u64::try_from(c.predicted_load_latency).unwrap_or(u64::MAX);
+            require_geometry(&fields, || c.capacity(), latency)?;
+            if let Some(n) = c.max_chains.filter(|&n| n > MAX_ENTRIES) {
+                return Err(ServeError::Proto(format!("chain count {n} exceeds {MAX_ENTRIES}")));
+            }
             IqKind::Segmented(c)
         }
         2 => {
             let c = PrescheduleConfig::unpack(r)?;
-            require_nonzero(&[
+            let fields = [
                 (c.issue_buffer_size, "issue buffer size"),
                 (c.num_lines, "scheduling lines"),
                 (c.line_width, "line width"),
-            ])?;
+            ];
+            require_geometry(&fields, || c.capacity(), c.predicted_load_latency)?;
             IqKind::Prescheduled(c)
         }
         3 => {
             let c = DistanceConfig::unpack(r)?;
-            require_nonzero(&[
+            let fields = [
                 (c.wait_buffer_size, "wait buffer size"),
                 (c.num_lines, "scheduling lines"),
                 (c.line_width, "line width"),
-            ])?;
+            ];
+            require_geometry(&fields, || c.capacity(), c.predicted_load_latency)?;
             IqKind::Distance(c)
         }
         other => return Err(ServeError::Proto(format!("unknown iq tag {other}"))),
@@ -203,17 +220,39 @@ pub fn unpack_spec(r: &mut Reader<'_>) -> Result<RunSpec, ServeError> {
         .get(pred_idx)
         .ok_or_else(|| ServeError::Proto(format!("unknown predictor index {pred_idx}")))?;
     let sample = u64::unpack(r)?;
+    if sample > MAX_SAMPLE {
+        return Err(ServeError::Proto(format!("sample {sample} exceeds {MAX_SAMPLE}")));
+    }
     let seed = u64::unpack(r)?;
     Ok(RunSpec::new(bench, iq, pred, sample).with_seed(seed))
 }
 
-/// Rejects a decoded geometry with a zero field, which would make the
-/// queue's constructor panic.
-fn require_nonzero(fields: &[(usize, &str)]) -> Result<(), ServeError> {
-    match fields.iter().find(|(v, _)| *v == 0) {
-        Some((_, what)) => Err(ServeError::Proto(format!("{what} must be nonzero"))),
-        None => Ok(()),
+/// Rejects a decoded queue with a field outside `1..=MAX_ENTRIES` (zero
+/// would make its constructor panic), more than `MAX_ENTRIES` slots in
+/// all (`capacity` runs on bounded fields only, so it cannot overflow),
+/// or a predicted load latency above `MAX_LATENCY`.
+fn require_geometry(
+    fields: &[(usize, &str)],
+    capacity: impl FnOnce() -> usize,
+    latency: u64,
+) -> Result<(), ServeError> {
+    let reject = |m: String| Err(ServeError::Proto(m));
+    for &(v, what) in fields {
+        if v == 0 {
+            return reject(format!("{what} must be nonzero"));
+        }
+        if v > MAX_ENTRIES {
+            return reject(format!("{what} {v} exceeds {MAX_ENTRIES}"));
+        }
     }
+    let n = capacity();
+    if n > MAX_ENTRIES {
+        return reject(format!("queue of {n} entries exceeds {MAX_ENTRIES}"));
+    }
+    if latency > MAX_LATENCY {
+        return reject(format!("predicted load latency {latency} exceeds {MAX_LATENCY}"));
+    }
+    Ok(())
 }
 
 /// The content-address of a spec's result: the fingerprint of its
@@ -649,6 +688,107 @@ mod tests {
             bytes[at..at + 8].fill(0);
             let err = unpack_spec(&mut Reader::new(&bytes)).unwrap_err();
             assert!(matches!(err, ServeError::Proto(ref m) if m.contains(what)), "{err}");
+        }
+    }
+
+    /// Every oversize field, each queue design's oversize total, an
+    /// out-of-range latency and an oversize sample come back as typed
+    /// errors. Only configs are built, never a queue, so nothing here
+    /// allocates the sizes it names.
+    #[test]
+    fn oversize_specs_are_rejected_not_allocated() {
+        let huge = 1usize << 40;
+        let seg = SegmentedIqConfig::paper(512, Some(128));
+        let pre = PrescheduleConfig::paper(8);
+        let dist = DistanceConfig::paper_sized(8);
+        let cases: Vec<(IqKind, u64, &str)> = vec![
+            (IqKind::Ideal(huge), 1_000, "ideal queue entries"),
+            (IqKind::Ideal(MAX_ENTRIES + 1), 1_000, "ideal queue entries"),
+            (
+                IqKind::Segmented(SegmentedIqConfig { num_segments: huge, ..seg }),
+                1_000,
+                "segment count",
+            ),
+            (
+                IqKind::Segmented(SegmentedIqConfig { segment_size: huge, ..seg }),
+                1_000,
+                "segment size",
+            ),
+            (
+                IqKind::Segmented(SegmentedIqConfig { promote_width: huge, ..seg }),
+                1_000,
+                "promote width",
+            ),
+            (
+                IqKind::Segmented(SegmentedIqConfig { max_chains: Some(huge), ..seg }),
+                1_000,
+                "chain count",
+            ),
+            (
+                IqKind::Segmented(SegmentedIqConfig {
+                    num_segments: 4096,
+                    segment_size: 4096,
+                    ..seg
+                }),
+                1_000,
+                "queue of 16777216 entries",
+            ),
+            (
+                IqKind::Segmented(SegmentedIqConfig { predicted_load_latency: -1, ..seg }),
+                1_000,
+                "predicted load latency",
+            ),
+            (
+                IqKind::Prescheduled(PrescheduleConfig { num_lines: huge, ..pre }),
+                1_000,
+                "scheduling lines",
+            ),
+            (
+                IqKind::Prescheduled(PrescheduleConfig { num_lines: 4096, line_width: 12, ..pre }),
+                1_000,
+                "queue of 49184 entries",
+            ),
+            (
+                IqKind::Prescheduled(PrescheduleConfig { predicted_load_latency: u64::MAX, ..pre }),
+                1_000,
+                "predicted load latency",
+            ),
+            (
+                IqKind::Distance(DistanceConfig { wait_buffer_size: huge, ..dist }),
+                1_000,
+                "wait buffer size",
+            ),
+            (
+                IqKind::Distance(DistanceConfig { line_width: 4096, ..dist }),
+                1_000,
+                "queue of 32800 entries",
+            ),
+            (IqKind::Ideal(512), MAX_SAMPLE + 1, "sample"),
+        ];
+        for (iq, sample, what) in cases {
+            let spec = RunSpec::new(Bench::Gcc, iq, PredictorConfig::Base, sample);
+            let mut w = Writer::new();
+            pack_spec(&spec, &mut w);
+            let err = unpack_spec(&mut Reader::new(w.bytes())).unwrap_err();
+            assert!(matches!(err, ServeError::Proto(ref m) if m.contains(what)), "{what}: {err}");
+        }
+    }
+
+    /// The largest geometries and the sample the experiments use decode.
+    #[test]
+    fn experiment_specs_are_within_bounds() {
+        let largest = [
+            ideal(512),
+            segmented(512, None),
+            prescheduled(120),
+            IqKind::Distance(DistanceConfig::paper_sized(24)),
+        ];
+        for iq in largest {
+            let spec =
+                RunSpec::new(Bench::Swim, iq, PredictorConfig::Comb, chainiq_bench::DEFAULT_SAMPLE);
+            let mut w = Writer::new();
+            pack_spec(&spec, &mut w);
+            assert_eq!(unpack_spec(&mut Reader::new(w.bytes())).unwrap(), spec);
         }
     }
 

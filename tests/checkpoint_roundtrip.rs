@@ -35,15 +35,6 @@ use chainiq::{
 use chainiq_core::IssueQueue;
 use chainiq_devtest::{prop_assert, prop_assert_eq, prop_check};
 
-/// The Table 1 configuration the harness would build for this queue.
-fn config_for(capacity: usize, extra_dispatch: bool, use_hmp: bool, use_lrp: bool) -> SimConfig {
-    let mut c = SimConfig::default().rob_for_iq(capacity);
-    c.extra_dispatch_cycle = extra_dispatch;
-    c.use_hmp = use_hmp;
-    c.use_lrp = use_lrp;
-    c
-}
-
 /// Runs one continuous simulation and one snapshot-at-`cut`-then-restore
 /// simulation of the machine `fresh` builds, returning both stat
 /// renderings.
@@ -72,29 +63,44 @@ fn restore_digests<M: Snapshot>(
     (format!("{a:?}"), format!("{b:?}"))
 }
 
-/// [`restore_digests`] for a single-thread pipeline running `bench`.
-fn pipeline_digests<Q>(
-    make_iq: &dyn Fn() -> Q,
+/// [`restore_digests`] for a single-thread pipeline running `bench` on
+/// `machine`, a pipeline configuration and the queue around which it is
+/// built.
+fn pipeline_digests(
+    machine: (SimConfig, IqKind),
     bench: Bench,
     seed: u64,
     cut: u64,
     total: u64,
-    config: SimConfig,
-) -> (String, String)
-where
-    Q: IssueQueue + Snapshot,
-{
-    let fresh =
-        || Pipeline::new(config, make_iq(), SyntheticWorkload::from_profile(bench.profile(), seed));
-    restore_digests(fresh, Pipeline::run, cut, total)
+) -> (String, String) {
+    fn digests<Q: IssueQueue + Snapshot>(
+        make_iq: impl Fn() -> Q,
+        bench: Bench,
+        seed: u64,
+        cut: u64,
+        total: u64,
+        config: SimConfig,
+    ) -> (String, String) {
+        let workload = || SyntheticWorkload::from_profile(bench.profile(), seed);
+        restore_digests(|| Pipeline::new(config, make_iq(), workload()), Pipeline::run, cut, total)
+    }
+    let (config, kind) = machine;
+    match kind {
+        IqKind::Ideal(n) => digests(|| IdealIq::new(n), bench, seed, cut, total, config),
+        IqKind::Segmented(qc) => digests(|| SegmentedIq::new(qc), bench, seed, cut, total, config),
+        IqKind::Prescheduled(pc) => {
+            digests(|| PrescheduledIq::new(pc), bench, seed, cut, total, config)
+        }
+        IqKind::Distance(dc) => digests(|| DistanceIq::new(dc), bench, seed, cut, total, config),
+    }
 }
 
 /// [`restore_digests`] for the `smt` binary's swim+gcc mix: two threads
 /// over a segmented 512-entry queue with 128 chains.
 fn smt_digests(seed: u64, cut: u64, total: u64) -> (String, String) {
-    let config = config_for(512, true, true, true);
-    let mut qc = SegmentedIqConfig::paper(512, Some(128));
-    qc.two_chain_tracking = false;
+    let (config, kind) =
+        IqKind::Segmented(SegmentedIqConfig::paper(512, Some(128))).table1_machine(true, true);
+    let IqKind::Segmented(qc) = kind else { panic!("the rule changed the queue design") };
     let fresh = || {
         let threads = vec![
             SyntheticWorkload::from_profile(Bench::Swim.profile(), seed),
@@ -116,29 +122,18 @@ prop_check! {
         let cut = g.u64(1..total);
         let use_hmp = g.bool();
         let use_lrp = g.bool();
-        let (a, b) = match g.pick(5) {
-            0 => {
-                let cap = [16usize, 64, 256][g.pick(3)];
-                let config = config_for(cap, false, use_hmp, use_lrp);
-                pipeline_digests(&|| IdealIq::new(cap), bench, seed, cut, total, config)
+        let kind = match g.pick(5) {
+            0 => Some(IqKind::Ideal([16usize, 64, 256][g.pick(3)])),
+            1 => Some(IqKind::Segmented(SegmentedIqConfig::paper(64, Some(64)))),
+            2 => Some(IqKind::Prescheduled(PrescheduleConfig::paper(8))),
+            3 => Some(IqKind::Distance(DistanceConfig::paper_sized(8))),
+            _ => None,
+        };
+        let (a, b) = match kind {
+            Some(kind) => {
+                pipeline_digests(kind.table1_machine(use_hmp, use_lrp), bench, seed, cut, total)
             }
-            1 => {
-                let mut qc = SegmentedIqConfig::paper(64, Some(64));
-                qc.two_chain_tracking = !use_lrp;
-                let config = config_for(qc.capacity(), true, use_hmp, use_lrp);
-                pipeline_digests(&|| SegmentedIq::new(qc), bench, seed, cut, total, config)
-            }
-            2 => {
-                let pc = PrescheduleConfig::paper(8);
-                let config = config_for(pc.capacity(), true, use_hmp, use_lrp);
-                pipeline_digests(&|| PrescheduledIq::new(pc), bench, seed, cut, total, config)
-            }
-            3 => {
-                let dc = DistanceConfig::paper_sized(8);
-                let config = config_for(dc.capacity(), true, use_hmp, use_lrp);
-                pipeline_digests(&|| DistanceIq::new(dc), bench, seed, cut, total, config)
-            }
-            _ => smt_digests(seed, cut, total),
+            None => smt_digests(seed, cut, total),
         };
         prop_assert_eq!(a, b);
     }

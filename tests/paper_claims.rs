@@ -148,6 +148,233 @@ fn table2_fp_benchmarks_need_the_most_chains() {
     assert_eq!(top, ["applu", "mgrid", "swim"]);
 }
 
+/// Figure 2's benchmark blocks and chain-count rows, in file order.
+const FIG2_BENCHES: [&str; 8] =
+    ["mgrid", "vortex", "twolf", "applu", "ammp", "swim", "equake", "average"];
+const FIG2_CHAINS: [&str; 3] = ["unlimited", "128 chains", "64 chains"];
+
+/// Figure 2's predictor columns.
+const BASE: usize = 0;
+const HMP: usize = 1;
+const LRP: usize = 2;
+const COMB: usize = 3;
+
+/// The paper's §6.1 base-predictor averages, in percent of ideal IPC:
+/// unlimited chains, then 128 and 64 chains.
+const PAPER_BASE_UNLIMITED: f64 = 84.0;
+const PAPER_BASE_FINITE: [(&str, f64); 2] = [("128 chains", 71.0), ("64 chains", 61.0)];
+
+/// The paper's average HMP gain at finite chains, in percentage points
+/// (+9 at 128 chains, +10 at 64); a gain below this is not the paper's.
+const PAPER_HMP_GAIN: f64 = 9.0;
+
+/// One row of Figure 2: a benchmark (or the average) at one chain count,
+/// with the % of ideal IPC under each predictor column.
+#[derive(Debug)]
+struct Fig2Row {
+    bench: String,
+    chains: String,
+    pct: [f64; 4],
+}
+
+/// `results/fig2.txt`'s table rows.
+struct Fig2 {
+    rows: Vec<Fig2Row>,
+}
+
+impl Fig2 {
+    fn load() -> Fig2 {
+        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/fig2.txt");
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
+        Fig2::parse(&text)
+    }
+
+    fn parse(text: &str) -> Fig2 {
+        let mut lines = text.lines();
+        lines.by_ref().find(|l| l.starts_with("bench ")).expect("no Figure 2 header row");
+        lines.next().expect("no rule under the header");
+        let rows = lines
+            .map_while(|l| {
+                let cells: Vec<&str> = l.split_whitespace().collect();
+                // "unlimited" is one cell, "128 chains" two.
+                let at = if cells.get(1) == Some(&"unlimited") { 2 } else { 3 };
+                let nums: Vec<f64> = cells.get(at..)?.iter().map(|c| c.parse().unwrap()).collect();
+                Some(Fig2Row {
+                    bench: cells[0].to_string(),
+                    chains: cells[1..at].join(" "),
+                    pct: nums.try_into().expect("four predictor columns"),
+                })
+            })
+            .collect();
+        Fig2 { rows }
+    }
+
+    fn pct(&self, bench: &str, chains: &str) -> [f64; 4] {
+        self.rows
+            .iter()
+            .find(|r| r.bench == bench && r.chains == chains)
+            .unwrap_or_else(|| panic!("no {bench} {chains} row"))
+            .pct
+    }
+
+    /// The benchmark rows (not the average) at `chains`.
+    fn benches<'a>(&'a self, chains: &'a str) -> impl Iterator<Item = &'a Fig2Row> {
+        self.rows.iter().filter(move |r| r.chains == chains && r.bench != "average")
+    }
+}
+
+#[test]
+fn fig2_has_every_benchmark_and_chain_count() {
+    let rows: Vec<(String, String)> =
+        Fig2::load().rows.into_iter().map(|r| (r.bench, r.chains)).collect();
+    let want: Vec<(String, String)> = FIG2_BENCHES
+        .iter()
+        .flat_map(|b| FIG2_CHAINS.iter().map(|c| (b.to_string(), c.to_string())))
+        .collect();
+    assert_eq!(rows, want);
+}
+
+/// ✔ Base/unlimited is within 16% of ideal on average (paper 84%); ours
+/// is tighter.
+#[test]
+fn fig2_base_unlimited_average_is_within_16_percent() {
+    let avg = Fig2::load().pct("average", "unlimited")[BASE];
+    assert!(avg >= PAPER_BASE_UNLIMITED, "base/unlimited average {avg}%");
+}
+
+/// ~ partial: mgrid is the best base performer in the paper (99.4%).
+/// Here it is near-ideal, at 95% or more, but another benchmark edges
+/// it.
+#[test]
+fn fig2_mgrid_near_ideal_but_not_best_is_partial() {
+    let fig = Fig2::load();
+    let mgrid = fig.pct("mgrid", "unlimited")[BASE];
+    assert!(mgrid >= 95.0, "mgrid base/unlimited {mgrid}%");
+    let best = fig.benches("unlimited").map(|r| r.pct[BASE]).fold(f64::MIN, f64::max);
+    assert!(best > mgrid, "mgrid became the best base performer");
+}
+
+/// ✔ vortex and twolf do well: both at 90% of ideal or more at base and
+/// unlimited chains.
+#[test]
+fn fig2_vortex_and_twolf_do_well() {
+    let fig = Fig2::load();
+    for bench in ["vortex", "twolf"] {
+        let pct = fig.pct(bench, "unlimited")[BASE];
+        assert!(pct >= 90.0, "{bench} base/unlimited {pct}%");
+    }
+}
+
+/// ✔ Finite chains hurt the base average (paper: 71% at 128 chains,
+/// 61% at 64), each step fewer hurting more, but milder than the
+/// paper's: both stay above its levels.
+#[test]
+fn fig2_finite_chains_hurt_but_milder() {
+    let fig = Fig2::load();
+    let mut prev = fig.pct("average", "unlimited")[BASE];
+    for (chains, paper) in PAPER_BASE_FINITE {
+        let avg = fig.pct("average", chains)[BASE];
+        assert!(avg < prev, "base average at {chains} ({avg}%) did not drop");
+        assert!(avg > paper, "base average at {chains} {avg}% vs paper {paper}%");
+        prev = avg;
+    }
+}
+
+/// ✔ swim suffers most from finite chains: its base drop from unlimited
+/// chains is the largest of any benchmark at both 128 and 64 chains.
+#[test]
+fn fig2_swim_suffers_most_from_finite_chains() {
+    let fig = Fig2::load();
+    let drop = |bench: &str, chains: &str| {
+        fig.pct(bench, "unlimited")[BASE] - fig.pct(bench, chains)[BASE]
+    };
+    for (chains, _) in PAPER_BASE_FINITE {
+        let swim = drop("swim", chains);
+        for r in fig.benches(chains).filter(|r| r.bench != "swim") {
+            assert!(drop(&r.bench, chains) < swim, "{} drops more than swim at {chains}", r.bench);
+        }
+    }
+}
+
+/// ✔ LRP recovers chain-starved configs: its average beats base at 128
+/// and 64 chains.
+#[test]
+fn fig2_lrp_recovers_chain_starved_configs() {
+    let fig = Fig2::load();
+    for (chains, _) in PAPER_BASE_FINITE {
+        let pct = fig.pct("average", chains);
+        assert!(pct[LRP] > pct[BASE], "LRP average {}% at {chains}", pct[LRP]);
+    }
+}
+
+/// ~ partial: LRP mispredictions cost ammp and twolf in the paper. At
+/// unlimited chains twolf loses two points or more; ammp stays within
+/// one.
+#[test]
+fn fig2_lrp_cost_on_ammp_and_twolf_is_partial() {
+    let fig = Fig2::load();
+    let cost = |bench: &str| {
+        let pct = fig.pct(bench, "unlimited");
+        pct[BASE] - pct[LRP]
+    };
+    let (twolf, ammp) = (cost("twolf"), cost("ammp"));
+    assert!(twolf >= 2.0, "twolf LRP cost {twolf:.1} points");
+    assert!(ammp.abs() < 1.0, "ammp LRP cost {ammp:.1} points");
+}
+
+/// ~ partial: HMP helps at finite chains (paper +9/+10 points on
+/// average). Here it helps mgrid at 64 chains by two points or more,
+/// while the averages at 128 and 64 chains move by less than the
+/// paper's gain in either direction.
+#[test]
+fn fig2_hmp_at_finite_chains_is_partial() {
+    let fig = Fig2::load();
+    let mgrid = fig.pct("mgrid", "64 chains");
+    assert!(
+        mgrid[HMP] - mgrid[BASE] >= 2.0,
+        "mgrid@64 HMP {}% vs base {}%",
+        mgrid[HMP],
+        mgrid[BASE]
+    );
+    for (chains, _) in PAPER_BASE_FINITE {
+        let pct = fig.pct("average", chains);
+        let gain = pct[HMP] - pct[BASE];
+        assert!(gain.abs() < PAPER_HMP_GAIN, "average HMP gain {gain:.1} points at {chains}");
+    }
+}
+
+/// ~ HMP is neutral-positive at unlimited chains in the paper (a slight
+/// gain). Here it costs the average a little: less than zero, by under
+/// five points.
+#[test]
+fn fig2_hmp_at_unlimited_chains_is_partial() {
+    let pct = Fig2::load().pct("average", "unlimited");
+    let gain = pct[HMP] - pct[BASE];
+    assert!(gain < 0.0 && gain > -5.0, "average HMP gain {gain:.1} points at unlimited chains");
+}
+
+/// ~ partial: comb is about additive and best overall at 64 chains in
+/// the paper. Here its average beats base and HMP there, but LRP alone
+/// beats comb.
+#[test]
+fn fig2_comb_at_64_chains_is_partial() {
+    let pct = Fig2::load().pct("average", "64 chains");
+    assert!(pct[COMB] > pct[BASE] && pct[COMB] > pct[HMP], "comb {}% at 64 chains", pct[COMB]);
+    assert!(pct[LRP] > pct[COMB], "comb became the best at 64 chains");
+}
+
+/// ✔ exact: swim is insensitive to HMP — the HMP column equals base and
+/// comb equals LRP at every chain count.
+#[test]
+fn fig2_swim_is_insensitive_to_hmp() {
+    let fig = Fig2::load();
+    for chains in FIG2_CHAINS {
+        let pct = fig.pct("swim", chains);
+        assert_eq!((pct[HMP], pct[COMB]), (pct[BASE], pct[LRP]), "swim at {chains}");
+    }
+}
+
 /// The SPEC2000 integer benchmarks of the grid; the other five are FP.
 const INT_BENCHES: [&str; 3] = ["gcc", "twolf", "vortex"];
 

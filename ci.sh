@@ -45,6 +45,12 @@ echo "== cargo clippy --offline --all-targets (-D warnings)"
 # an #[expect] of either there is an error (T1).
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== cargo doc --document-private-items (-D warnings): every intra-doc link resolves"
+# Private items are documented too, so a doc link to a renamed or
+# deleted field, helper or type fails here rather than rendering as
+# plain text. Builds under target/ like the rest.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace --document-private-items
+
 echo "== clippy.toml D1 proof: the lint fixture must fail on HashMap and HashSet"
 # No tree crate has a D1 exemption, so the fixture is the standing proof
 # that the ban fires. It is its own workspace and builds under target/.

@@ -17,7 +17,9 @@
 
 use std::collections::BTreeMap;
 
-use chainiq_core::{DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst};
+use chainiq_core::{
+    DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst,
+};
 use chainiq_isa::{ArchReg, Cycle, OpClass, NUM_ARCH_REGS};
 
 /// Geometry of a [`DistanceIq`].
@@ -60,29 +62,13 @@ impl DistanceConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct DataOperand {
-    producer: InstTag,
-    ready_at: Option<Cycle>,
-}
-
 #[derive(Debug, Clone)]
 struct Entry {
     tag: InstTag,
     op: OpClass,
-    ops: [Option<DataOperand>; 2],
+    ops: DataOperands,
     /// `None` while waiting in the buffer; `Some(row)` once scheduled.
     scheduled_at: Option<Cycle>,
-}
-
-impl Entry {
-    fn known_ready(&self) -> Option<Cycle> {
-        let mut ready = 0;
-        for o in self.ops.iter().flatten() {
-            ready = ready.max(o.ready_at?);
-        }
-        Some(ready)
-    }
 }
 
 /// The distance-scheme queue: wait buffer → scheduling array → issue.
@@ -139,23 +125,17 @@ impl DistanceIq {
         }
     }
 
-    /// Places one waiting entry into the array once its ready time is
-    /// known. Returns false when every row from the target onward is
-    /// full (the entry stays in the buffer and retries next cycle).
-    fn try_schedule(&mut self, idx: usize, now: Cycle) -> bool {
-        let Some(ready) = self.entries[idx].known_ready() else {
-            return false;
-        };
+    /// Books a slot in the first row at or after `ready` (clamped to the
+    /// schedule window) that has space, or returns `None` when every row
+    /// up to the horizon is full.
+    fn book_row(&mut self, ready: Cycle, now: Cycle) -> Option<Cycle> {
         let horizon = now + self.config.num_lines as u64;
         let first = ready.clamp(now + 1, horizon);
-        let Some(slot) = (first..=horizon)
-            .find(|c| self.row_counts.get(c).copied().unwrap_or(0) < self.config.line_width as u32)
-        else {
-            return false;
-        };
-        self.entries[idx].scheduled_at = Some(slot);
-        *self.row_counts.entry(slot).or_default() += 1;
-        true
+        let row = (first..=horizon).find(|c| {
+            self.row_counts.get(c).copied().unwrap_or(0) < self.config.line_width as u32
+        })?;
+        *self.row_counts.entry(row).or_default() += 1;
+        Some(row)
     }
 }
 
@@ -172,10 +152,12 @@ impl IssueQueue for DistanceIq {
         self.stats.cycles += 1;
         self.stats.occupancy_accum += self.entries.len() as u64;
         // Waiting entries whose ready time became known move into the
-        // array (this is the associative part of the design).
+        // array (this is the associative part of the design); one that
+        // finds every row full stays and retries next cycle.
         for idx in 0..self.entries.len() {
-            if self.entries[idx].scheduled_at.is_none() {
-                let _ = self.try_schedule(idx, now);
+            let e = &self.entries[idx];
+            if let (None, Some(ready)) = (e.scheduled_at, e.ops.ready_from()) {
+                self.entries[idx].scheduled_at = self.book_row(ready, now);
             }
         }
         // Prune empty row counters (rows in the past may still be
@@ -188,56 +170,30 @@ impl IssueQueue for DistanceIq {
             self.stats.stalls_full += 1;
             return Err(DispatchStall::QueueFull);
         }
-        // Ready time predictable at dispatch?
-        let mut known = true;
-        let mut ops = [None, None];
-        for (i, s) in info.srcs.iter().enumerate() {
-            if let Some(s) = s {
-                let table = self.reg_ready[s.reg.index()];
-                match s.producer {
-                    None => {}
-                    Some(producer) => {
-                        let ready_at = s.known_ready_at.or(table);
-                        if ready_at.is_none() {
-                            known = false;
-                        }
-                        ops[i] = Some(DataOperand { producer, ready_at });
-                    }
-                }
+        // Ready time predictable at dispatch? An operand whose producer
+        // announced nothing yet falls back on the register timing table.
+        let mut ops = DataOperands::from_srcs(&info.srcs);
+        for (o, s) in ops.0.iter_mut().zip(&info.srcs) {
+            if let (Some(o), Some(s)) = (o, s) {
+                o.ready_at = o.ready_at.or(self.reg_ready[s.reg.index()]);
             }
         }
-        if !known && self.waiting() >= self.config.wait_buffer_size {
+        let ready = ops.ready_from();
+        if ready.is_none() && self.waiting() >= self.config.wait_buffer_size {
             self.wait_buffer_stalls += 1;
             self.stats.stalls_full += 1;
             return Err(DispatchStall::QueueFull);
         }
 
-        let mut entry = Entry { tag: info.tag, op: info.op, ops, scheduled_at: None };
-        let dest_ready = if known {
-            // Try to place it directly in the array.
-            let ready = entry.known_ready().unwrap_or(now);
-            let horizon = now + self.config.num_lines as u64;
-            let first = ready.clamp(now + 1, horizon);
-            let slot = (first..=horizon).find(|c| {
-                self.row_counts.get(c).copied().unwrap_or(0) < self.config.line_width as u32
-            });
-            match slot {
-                Some(slot) => {
-                    entry.scheduled_at = Some(slot);
-                    *self.row_counts.entry(slot).or_default() += 1;
-                    Some(slot + self.produce_latency(info.op))
-                }
-                None => {
-                    if self.waiting() >= self.config.wait_buffer_size {
-                        self.stats.stalls_full += 1;
-                        return Err(DispatchStall::QueueFull);
-                    }
-                    None // spills into the wait buffer until rows free up
-                }
-            }
-        } else {
-            None
-        };
+        // Try to place it directly in the array; with every row full it
+        // spills into the wait buffer until rows free up.
+        let row = ready.and_then(|ready| self.book_row(ready, now));
+        if ready.is_some() && row.is_none() && self.waiting() >= self.config.wait_buffer_size {
+            self.stats.stalls_full += 1;
+            return Err(DispatchStall::QueueFull);
+        }
+        let dest_ready = row.map(|row| row + self.produce_latency(info.op));
+        let entry = Entry { tag: info.tag, op: info.op, ops, scheduled_at: row };
         if let Some(dest) = info.dest {
             // Loads resolve their real latency later; consumers of an
             // unresolved value must wait in the buffer, which is the
@@ -263,7 +219,7 @@ impl IssueQueue for DistanceIq {
             .entries
             .iter()
             .filter(|e| match e.scheduled_at {
-                Some(s) => s <= now && e.known_ready().map(|r| r <= now).unwrap_or(false),
+                Some(s) => s <= now && e.ops.ready_from().is_some_and(|r| r <= now),
                 None => false,
             })
             .map(|e| e.tag)
@@ -292,11 +248,7 @@ impl IssueQueue for DistanceIq {
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
         for e in &mut self.entries {
-            for o in e.ops.iter_mut().flatten() {
-                if o.producer == producer {
-                    o.ready_at = Some(ready_at);
-                }
-            }
+            e.ops.announce(producer, ready_at);
         }
     }
 
@@ -324,19 +276,18 @@ chainiq_ckpt::pack_fields!(DistanceConfig {
     predicted_load_latency
 });
 
-chainiq_ckpt::pack_fields!(DataOperand { producer, ready_at });
-
 chainiq_ckpt::pack_fields!(Entry { tag, op, ops, scheduled_at });
 
 impl chainiq_ckpt::Snapshot for DistanceIq {
     const COMPONENT: &'static str = "baseline.distance";
-    const VERSION: u16 = 1;
+    const VERSION: u16 = 2;
 
+    /// V2 serializes canonical state only: the row counters are a
+    /// function of the entries' rows and are rebuilt on restore.
     fn save(&self, w: &mut chainiq_ckpt::Writer) {
         use chainiq_ckpt::Pack;
         self.config.pack(w);
         self.entries.pack(w);
-        self.row_counts.pack(w);
         self.reg_ready.pack(w);
         self.stats.pack(w);
         self.wait_buffer_stalls.pack(w);
@@ -351,7 +302,6 @@ impl chainiq_ckpt::Snapshot for DistanceIq {
             return Err(corrupt("distance IQ config differs from the running queue"));
         }
         let entries: Vec<Entry> = Pack::unpack(r)?;
-        let row_counts: BTreeMap<Cycle, u32> = Pack::unpack(r)?;
         let reg_ready: Vec<Option<Cycle>> = Pack::unpack(r)?;
         let stats: IqStats = Pack::unpack(r)?;
         let wait_buffer_stalls: u64 = Pack::unpack(r)?;
@@ -361,23 +311,14 @@ impl chainiq_ckpt::Snapshot for DistanceIq {
         if reg_ready.len() != NUM_ARCH_REGS {
             return Err(corrupt("distance IQ register timing table has the wrong shape"));
         }
-        // Row counters must track the scheduled entries exactly (a row
-        // drained to zero may linger until the next tick prunes it).
-        let mut recomputed: BTreeMap<Cycle, u32> = BTreeMap::new();
-        for e in &entries {
-            if let Some(row) = e.scheduled_at {
-                *recomputed.entry(row).or_default() += 1;
-            }
+        self.row_counts.clear();
+        for row in entries.iter().filter_map(|e| e.scheduled_at) {
+            *self.row_counts.entry(row).or_default() += 1;
         }
-        let rows_consistent = row_counts.iter().all(|(row, &n)| {
-            let expect = recomputed.get(row).copied().unwrap_or(0);
-            n == expect
-        }) && recomputed.keys().all(|row| row_counts.contains_key(row));
-        if !rows_consistent {
-            return Err(corrupt("distance IQ row counters disagree with its entries"));
+        if self.row_counts.values().any(|&n| n > config.line_width as u32) {
+            return Err(corrupt("distance IQ row holds more entries than a line"));
         }
         self.entries = entries;
-        self.row_counts = row_counts;
         self.reg_ready = reg_ready;
         self.stats = stats;
         self.wait_buffer_stalls = wait_buffer_stalls;
@@ -471,6 +412,28 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, DispatchStall::QueueFull);
         assert!(iq.wait_buffer_stalls() > 0);
+    }
+
+    #[test]
+    fn restore_rejects_an_overfull_row() {
+        use chainiq_ckpt::{Pack, Snapshot};
+        let cfg = DistanceConfig { line_width: 1, ..DistanceConfig::paper_sized(8) };
+        let iq = DistanceIq::new(cfg);
+        let entry = |tag| Entry {
+            tag: InstTag(tag),
+            op: OpClass::IntAlu,
+            ops: DataOperands::default(),
+            scheduled_at: Some(3),
+        };
+        let mut w = chainiq_ckpt::Writer::new();
+        cfg.pack(&mut w);
+        vec![entry(0), entry(1)].pack(&mut w);
+        iq.reg_ready.pack(&mut w);
+        iq.stats.pack(&mut w);
+        iq.wait_buffer_stalls.pack(&mut w);
+        let bytes = w.into_bytes();
+        let err = DistanceIq::new(cfg).restore(&mut chainiq_ckpt::Reader::new(&bytes));
+        assert!(matches!(err, Err(chainiq_ckpt::CkptError::Corrupt { .. })), "{err:?}");
     }
 
     #[test]

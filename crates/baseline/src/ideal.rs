@@ -1,22 +1,16 @@
 //! The idealized monolithic conventional queue.
 
 use chainiq_core::{
-    DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, QuietCycle,
-    TagMap, WaiterLists, Wheel,
+    DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst,
+    QuietCycle, TagMap, WaiterLists, Wheel,
 };
 use chainiq_isa::{Cycle, OpClass};
-
-#[derive(Debug, Clone, Copy)]
-struct DataOperand {
-    producer: InstTag,
-    ready_at: Option<Cycle>,
-}
 
 #[derive(Debug, Clone)]
 struct Entry {
     tag: InstTag,
     op: OpClass,
-    ops: [Option<DataOperand>; 2],
+    ops: DataOperands,
     entered_at: Cycle,
 }
 
@@ -24,11 +18,7 @@ impl Entry {
     /// The first cycle this entry may be selected, or `None` while a
     /// producer is unannounced.
     fn selectable_at(&self) -> Option<Cycle> {
-        let mut at = self.entered_at + 1;
-        for o in self.ops.iter().flatten() {
-            at = at.max(o.ready_at?);
-        }
-        Some(at)
+        Some(self.ops.ready_from()?.max(self.entered_at + 1))
     }
 }
 
@@ -62,8 +52,8 @@ pub struct IdealIq {
     order: Vec<u32>,
     /// Each slot's index in `order` (slab-parallel).
     order_pos: Vec<u32>,
-    /// The operands waiting on each producer's announcement; node
-    /// `2 * slot + k` is slot `slot`'s operand `k`.
+    /// The operands waiting on each producer's announcement, subscribed
+    /// per slot by [`WaiterLists::subscribe`].
     waiters: WaiterLists,
     /// Entries that become selectable after `drained_to`, keyed by that
     /// cycle. A re-announcement that moves the cycle cancels the old
@@ -122,11 +112,7 @@ impl IdealIq {
         self.order_pos[slot as usize] = self.order.len() as u32;
         self.order.push(slot);
         self.by_tag.insert(tag.0, slot);
-        for (k, o) in ops.iter().enumerate() {
-            if let Some(o) = o {
-                self.waiters.push(o.producer, 2 * slot + k as u32);
-            }
-        }
+        self.waiters.subscribe(slot, &ops);
         if let Some(at) = at {
             self.place(tag, at);
         }
@@ -194,11 +180,7 @@ impl IdealIq {
     fn remove_slot(&mut self, slot: u32) {
         let e = &self.slots[slot as usize];
         self.by_tag.remove(e.tag.0);
-        for (k, o) in e.ops.iter().enumerate() {
-            if let Some(o) = o {
-                self.waiters.remove(o.producer, 2 * slot + k as u32);
-            }
-        }
+        self.waiters.unsubscribe(slot, &e.ops);
         let pos = self.order_pos[slot as usize] as usize;
         self.order.swap_remove(pos);
         if let Some(&moved) = self.order.get(pos) {
@@ -227,14 +209,7 @@ impl IssueQueue for IdealIq {
             self.stats.stalls_full += 1;
             return Err(DispatchStall::QueueFull);
         }
-        let mut ops = [None, None];
-        for (i, s) in info.srcs.iter().enumerate() {
-            if let Some(s) = s {
-                if let Some(producer) = s.producer {
-                    ops[i] = Some(DataOperand { producer, ready_at: s.known_ready_at });
-                }
-            }
-        }
+        let ops = DataOperands::from_srcs(&info.srcs);
         self.insert(Entry { tag: info.tag, op: info.op, ops, entered_at: now });
         self.stats.dispatched += 1;
         Ok(())
@@ -278,13 +253,10 @@ impl IssueQueue for IdealIq {
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
         let mut cur = self.waiters.first(producer);
         while let Some(node) = cur {
-            let (slot, k) = ((node / 2) as usize, (node % 2) as usize);
-            let e = &mut self.slots[slot];
+            let e = &mut self.slots[(node / 2) as usize];
             let old = e.selectable_at();
-            if let Some(o) = e.ops[k].as_mut() {
-                debug_assert_eq!(o.producer, producer, "waiter node on the wrong producer list");
-                o.ready_at = Some(ready_at);
-            }
+            let hit = e.ops.announce(producer, ready_at);
+            debug_assert!(hit, "waiter node on the wrong producer list");
             let (tag, new) = (e.tag, e.selectable_at());
             self.refile(tag, old, new);
             cur = self.waiters.next(node);
@@ -323,8 +295,6 @@ impl IssueQueue for IdealIq {
         }
     }
 }
-
-chainiq_ckpt::pack_fields!(DataOperand { producer, ready_at });
 
 chainiq_ckpt::pack_fields!(Entry { tag, op, ops, entered_at });
 
@@ -377,14 +347,23 @@ impl chainiq_ckpt::Snapshot for IdealIq {
 /// the reference the indexed queue is checked against.
 #[cfg(test)]
 mod scan {
-    use super::{DataOperand, Entry};
+    use super::Entry;
     use chainiq_core::{
-        DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, QuietCycle,
+        DataOperand, DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats,
+        IssueQueue, IssuedInst, QuietCycle,
     };
     use chainiq_isa::Cycle;
 
     fn ready(e: &Entry, now: Cycle) -> bool {
-        e.ops.iter().flatten().all(|o| o.ready_at.map(|r| r <= now).unwrap_or(false))
+        e.ops.0.iter().flatten().all(|o| o.ready_at.map(|r| r <= now).unwrap_or(false))
+    }
+
+    fn selectable_at(e: &Entry) -> Option<Cycle> {
+        let mut at = e.entered_at + 1;
+        for o in e.ops.0.iter().flatten() {
+            at = at.max(o.ready_at?);
+        }
+        Some(at)
     }
 
     #[derive(Debug, Clone)]
@@ -427,6 +406,7 @@ mod scan {
                     }
                 }
             }
+            let ops = DataOperands(ops);
             self.entries.push(Entry { tag: info.tag, op: info.op, ops, entered_at: now });
             self.stats.dispatched += 1;
             Ok(())
@@ -459,7 +439,7 @@ mod scan {
 
         fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
             for e in &mut self.entries {
-                for o in e.ops.iter_mut().flatten() {
+                for o in e.ops.0.iter_mut().flatten() {
                     if o.producer == producer {
                         o.ready_at = Some(ready_at);
                     }
@@ -476,7 +456,7 @@ mod scan {
         }
 
         fn next_event(&self, quiet: &QuietCycle) -> Cycle {
-            let first = self.entries.iter().filter_map(Entry::selectable_at).min();
+            let first = self.entries.iter().filter_map(selectable_at).min();
             first.map_or(Cycle::MAX, |at| at.max(quiet.now + 1))
         }
 

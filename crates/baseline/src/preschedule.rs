@@ -10,8 +10,8 @@
 //! ordered-tree range scan, and no path here allocates or rebalances.
 
 use chainiq_core::{
-    DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, QuietCycle,
-    TagMap, WaiterLists, Wheel,
+    DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst,
+    QuietCycle, TagMap, WaiterLists, Wheel,
 };
 use chainiq_isa::{ArchReg, Cycle, OpClass, NUM_ARCH_REGS};
 
@@ -55,12 +55,6 @@ impl PrescheduleConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct DataOperand {
-    producer: InstTag,
-    ready_at: Option<Cycle>,
-}
-
 #[derive(Debug, Clone)]
 struct Entry {
     /// Whether the slot holds a queued instruction (dead slots are on the
@@ -68,29 +62,13 @@ struct Entry {
     live: bool,
     tag: InstTag,
     op: OpClass,
-    ops: [Option<DataOperand>; 2],
+    ops: DataOperands,
     /// Predicted issue cycle: the row of the scheduling array this entry
     /// occupies, in absolute time.
     scheduled_at: Cycle,
     /// Cycle the entry moved into the issue buffer (`Cycle::MAX` while
     /// still in the array).
     entered_buffer_at: Cycle,
-}
-
-impl Entry {
-    fn ready(&self, now: Cycle) -> bool {
-        self.ops.iter().flatten().all(|o| o.ready_at.map(|r| r <= now).unwrap_or(false))
-    }
-
-    /// The first cycle every operand is ready, or `None` while a producer
-    /// is unannounced.
-    fn ready_from(&self) -> Option<Cycle> {
-        let mut at = 0;
-        for o in self.ops.iter().flatten() {
-            at = at.max(o.ready_at?);
-        }
-        Some(at)
-    }
 }
 
 /// The prescheduling queue: a two-dimensional scheduling array whose rows
@@ -124,7 +102,7 @@ pub struct PrescheduledIq {
     /// Issue-buffer residents in ascending tag (age) order.
     buffer: Vec<InstTag>,
     /// The data operands waiting on each producer's wakeup
-    /// announcement; node `2 * slot + k` is slot `slot`'s operand `k`.
+    /// announcement, subscribed per slot by [`WaiterLists::subscribe`].
     waiters: WaiterLists,
     /// Array rows still in the future, as `(row, tag)` records keyed by
     /// row cycle. Each record names an entry still waiting in the array
@@ -230,11 +208,7 @@ impl PrescheduledIq {
         let (tag, ops, row) = (e.tag, e.ops, e.scheduled_at);
         let buffered = e.entered_buffer_at != Cycle::MAX;
         self.by_tag.insert(tag.0, slot);
-        for (k, o) in ops.iter().enumerate() {
-            if let Some(o) = o {
-                self.waiters.push(o.producer, 2 * slot + k as u32);
-            }
-        }
+        self.waiters.subscribe(slot, &ops);
         if buffered {
             self.buffer_insert(tag);
         } else {
@@ -293,11 +267,7 @@ impl PrescheduledIq {
         let Some(slot) = self.by_tag.remove(tag.0) else { return };
         let s = slot as usize;
         debug_assert!(self.slots[s].live, "index points at a dead slot");
-        for (k, o) in self.slots[s].ops.iter().enumerate() {
-            if let Some(o) = o {
-                self.waiters.remove(o.producer, 2 * slot + k as u32);
-            }
-        }
+        self.waiters.unsubscribe(slot, &self.slots[s].ops);
         let e = &mut self.slots[s];
         e.live = false;
         debug_assert!(e.entered_buffer_at != Cycle::MAX, "only buffered entries are removed");
@@ -378,7 +348,9 @@ impl IssueQueue for PrescheduledIq {
             // older due instruction waits outside, swap it with the
             // youngest unready buffer entry so the machine cannot wedge.
             // A ready buffer entry rules it out, so look for one first.
-            if self.buffer.iter().any(|&t| self.entry(t).is_some_and(|e| e.ready(now))) {
+            if self.buffer.iter().any(|&t| {
+                self.entry(t).is_some_and(|e| e.ops.ready_from().is_some_and(|r| r <= now))
+            }) {
                 return;
             }
             let oldest_due =
@@ -425,19 +397,11 @@ impl IssueQueue for PrescheduledIq {
             return Err(DispatchStall::QueueFull);
         };
 
-        let mut ops = [None, None];
-        for (i, s) in info.srcs.iter().enumerate() {
-            if let Some(s) = s {
-                if let Some(producer) = s.producer {
-                    ops[i] = Some(DataOperand { producer, ready_at: s.known_ready_at });
-                }
-            }
-        }
         let slot = self.alloc_slot(Entry {
             live: true,
             tag: info.tag,
             op: info.op,
-            ops,
+            ops: DataOperands::from_srcs(&info.srcs),
             scheduled_at: row,
             entered_buffer_at: Cycle::MAX,
         });
@@ -460,11 +424,11 @@ impl IssueQueue for PrescheduledIq {
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         let mut ready = std::mem::take(&mut self.scratch_tags);
         ready.clear();
-        ready.extend(
-            self.buffer.iter().copied().filter(|&t| {
-                self.entry(t).is_some_and(|e| e.entered_buffer_at < now && e.ready(now))
-            }),
-        );
+        ready.extend(self.buffer.iter().copied().filter(|&t| {
+            self.entry(t).is_some_and(|e| {
+                e.entered_buffer_at < now && e.ops.ready_from().is_some_and(|r| r <= now)
+            })
+        }));
         let before = out.len();
         for &tag in &ready {
             if fus.slots_left() == 0 {
@@ -484,11 +448,8 @@ impl IssueQueue for PrescheduledIq {
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
         let mut cur = self.waiters.first(producer);
         while let Some(node) = cur {
-            let (slot, k) = ((node / 2) as usize, (node % 2) as usize);
-            if let Some(op) = self.slots[slot].ops[k].as_mut() {
-                debug_assert_eq!(op.producer, producer, "waiter node on the wrong producer list");
-                op.ready_at = Some(ready_at);
-            }
+            let hit = self.slots[(node / 2) as usize].ops.announce(producer, ready_at);
+            debug_assert!(hit, "waiter node on the wrong producer list");
             cur = self.waiters.next(node);
         }
     }
@@ -525,7 +486,7 @@ impl IssueQueue for PrescheduledIq {
         let first_ready = self
             .buffer
             .iter()
-            .filter_map(|&t| self.entry(t).and_then(Entry::ready_from))
+            .filter_map(|&t| self.entry(t).and_then(|e| e.ops.ready_from()))
             .min()
             .unwrap_or(Cycle::MAX);
         if first_ready <= next {
@@ -574,8 +535,6 @@ chainiq_ckpt::pack_fields!(PrescheduleConfig {
     line_width,
     predicted_load_latency
 });
-
-chainiq_ckpt::pack_fields!(DataOperand { producer, ready_at });
 
 chainiq_ckpt::pack_fields!(Entry { live, tag, op, ops, scheduled_at, entered_buffer_at });
 
@@ -723,6 +682,37 @@ mod tests {
         let load_row = iq.sched_row(InstTag(0));
         let dep_row = iq.sched_row(InstTag(1));
         assert_eq!(dep_row, load_row + 4, "consumer sits a predicted load latency behind");
+    }
+
+    #[test]
+    fn consumers_wake_only_when_their_producers_announce() {
+        let mut iq = PrescheduledIq::new(PrescheduleConfig::paper(8));
+        let mut fus = FuPool::table1();
+        // Producers 90 and 91 live outside the queue. Consumer 1 waits on
+        // both (one on each operand), consumer 2 on 90 twice.
+        let consumers = [[dep(1, 90), dep(2, 91)], [dep(1, 90), dep(3, 90)]];
+        for (tag, srcs) in (1..).zip(consumers) {
+            iq.dispatch(
+                0,
+                DispatchInfo::compute(InstTag(tag), OpClass::IntAlu, ArchReg::int(4), &srcs),
+            )
+            .unwrap();
+        }
+        let mut issued = Vec::new();
+        let mut step = |iq: &mut PrescheduledIq, now| {
+            iq.tick(now, false);
+            issued.extend(iq.select_issue(now, &mut fus).iter().map(|i| (now, i.tag.0)));
+            fus.next_cycle();
+        };
+        for now in 1..10 {
+            step(&mut iq, now);
+        }
+        iq.announce_ready(InstTag(90), 12);
+        iq.announce_ready(InstTag(91), 14);
+        for now in 10..20 {
+            step(&mut iq, now);
+        }
+        assert_eq!(issued, vec![(12, 2), (14, 1)], "each issues once its last producer is ready");
     }
 
     #[test]

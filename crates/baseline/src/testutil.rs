@@ -158,7 +158,8 @@ mod props {
         }
 
         /// The same property for the distance queue, whose wait buffer
-        /// and row counters must survive the round trip bit for bit.
+        /// must survive the round trip and whose row counters restore
+        /// rebuilds from the entries.
         fn distance_restore_equals_continuous(g, cases = 25) {
             let program = g.vec(1..80, rand_inst);
             let cfg = DistanceConfig {

@@ -91,6 +91,8 @@ pub use queue::{IqStats, IssueQueue, IssuedInst, QuietCycle};
 pub use segmented::{SegmentedIq, SegmentedIqConfig};
 pub use slab_list::WaiterLists;
 pub use stats::SegmentedStats;
-pub use tag::{DispatchInfo, DispatchStall, InstTag, OperandPick, SrcOperand};
+pub use tag::{
+    DataOperand, DataOperands, DispatchInfo, DispatchStall, InstTag, OperandPick, SrcOperand,
+};
 pub use tagmap::TagMap;
 pub use wheel::Wheel;

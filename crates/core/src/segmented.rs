@@ -43,7 +43,7 @@ use crate::fu::FuPool;
 use crate::queue::{IqStats, IssueQueue, IssuedInst, QuietCycle};
 use crate::regtable::{RegInfoTable, RegSched};
 use crate::stats::SegmentedStats;
-use crate::tag::{DispatchInfo, DispatchStall, InstTag, OperandPick};
+use crate::tag::{DataOperands, DispatchInfo, DispatchStall, InstTag, OperandPick};
 
 /// Configuration of a [`SegmentedIq`]. Every §4 enhancement is an
 /// independent switch so the ablation benches can isolate each one.
@@ -232,19 +232,13 @@ impl SchedOperand {
     }
 }
 
-/// Data-readiness tracking for one operand (drives *issue*, as opposed to
-/// the scheduling operands that drive *promotion*).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DataOperand {
-    producer: InstTag,
-    ready_at: Option<Cycle>,
-}
-
 #[derive(Debug, Clone)]
 struct Entry {
     tag: InstTag,
     op: OpClass,
-    data_ops: [Option<DataOperand>; 2],
+    /// Data readiness, which drives *issue* (the scheduling operands
+    /// drive *promotion*).
+    data_ops: DataOperands,
     sched_ops: [Option<SchedOperand>; 2],
     heads_chain: Option<ChainRef>,
     /// Cycle this entry last arrived in its segment; an entry cannot be
@@ -253,9 +247,8 @@ struct Entry {
     /// Segment currently holding the entry (kept in sync with the
     /// `segs` lists; 0 = issue buffer).
     seg: usize,
-    /// Earliest cycle at which every data operand is known ready
-    /// (`Some(0)` when there are none), or `None` while any producer is
-    /// still unannounced. Changes only under `announce_ready`.
+    /// `data_ops.ready_from()`, cached: it changes only under
+    /// `announce_ready`.
     ready_cache: Option<Cycle>,
     /// Slot holds a buffered instruction (false = free-listed).
     live: bool,
@@ -267,17 +260,6 @@ struct Entry {
 impl Entry {
     fn delay_at(&self, epoch: Cycle) -> i64 {
         self.sched_ops.iter().flatten().map(|op| op.delay_at(epoch)).max().unwrap_or(0)
-    }
-
-    fn compute_ready_cache(&self) -> Option<Cycle> {
-        let mut latest: Cycle = 0;
-        for d in self.data_ops.iter().flatten() {
-            match d.ready_at {
-                Some(r) => latest = latest.max(r),
-                None => return None,
-            }
-        }
-        Some(latest)
     }
 
     fn data_ready(&self, now: Cycle) -> bool {
@@ -434,8 +416,7 @@ pub struct SegmentedIq {
     /// subscriber of a recycled wire is skipped rather than double-hit.
     fol_chain: Vec<ChainRef>,
     /// The buffered data operands waiting on each producer's wakeup
-    /// announcement; node `2 * slot + k` is slot `slot`'s data operand
-    /// `k` (one node per distinct producer per entry).
+    /// announcement, subscribed per slot by [`WaiterLists::subscribe`].
     waiters: WaiterLists,
     /// Data-ready entries per segment, as of `last_now` (the entries with
     /// `counted` set).
@@ -623,20 +604,6 @@ impl SegmentedIq {
         }
     }
 
-    /// The producer subscriptions of `ops`: `(node operand index,
-    /// producer)`, skipping a second operand on the first's producer (the
-    /// pair shares one waiter node; an announcement sets both). Like
-    /// [`SegmentedIq::subscriptions`], subscribe and unsubscribe agree.
-    fn waited_producers(
-        ops: &[Option<DataOperand>; 2],
-    ) -> impl Iterator<Item = (u32, InstTag)> + '_ {
-        let first = ops[0].map(|d| d.producer);
-        ops.iter().enumerate().filter_map(move |(k, d)| {
-            let producer = d.as_ref()?.producer;
-            (k == 0 || Some(producer) != first).then_some((k as u32, producer))
-        })
-    }
-
     /// Files the live entry in `slot` in every index: the ready wheel
     /// while its readiness lies ahead, its producers' waiter lists, and
     /// (through `attach`) its segment's lists, counters and eligibility.
@@ -647,9 +614,7 @@ impl SegmentedIq {
         if let Some(c) = e.ready_cache.filter(|&c| c > self.last_now) {
             self.ready_wheel.schedule(c, (tag, slot));
         }
-        for (k, producer) in Self::waited_producers(&data_ops) {
-            self.waiters.push(producer, 2 * slot + k);
-        }
+        self.waiters.subscribe(slot, &data_ops);
         self.attach(slot);
     }
 
@@ -826,10 +791,8 @@ impl SegmentedIq {
         self.detach(slot);
         let e = &mut self.slots[slot as usize];
         e.live = false;
-        let (heads, dops) = (e.heads_chain, e.data_ops);
-        for (k, producer) in Self::waited_producers(&dops) {
-            self.waiters.remove(producer, 2 * slot + k);
-        }
+        let (heads, data_ops) = (e.heads_chain, e.data_ops);
+        self.waiters.unsubscribe(slot, &data_ops);
         self.free_slots.push(slot);
         heads
     }
@@ -838,7 +801,7 @@ impl SegmentedIq {
     /// mutation.
     fn refresh_ready(&mut self, slot: u32) {
         let e = &mut self.slots[slot as usize];
-        let new = e.compute_ready_cache();
+        let new = e.data_ops.ready_from();
         if new == e.ready_cache {
             return;
         }
@@ -1370,16 +1333,6 @@ impl IssueQueue for SegmentedIq {
             }
         }
 
-        // Data-readiness operands.
-        let mut data_ops: [Option<DataOperand>; 2] = [None, None];
-        for (i, s) in info.srcs.iter().enumerate() {
-            if let Some(s) = s {
-                if let Some(producer) = s.producer {
-                    data_ops[i] = Some(DataOperand { producer, ready_at: s.known_ready_at });
-                }
-            }
-        }
-
         // Update the register information table for the destination.
         if let Some(dest) = info.dest {
             let produce = self.predicted_latency(info.op);
@@ -1449,7 +1402,7 @@ impl IssueQueue for SegmentedIq {
         let mut entry = Entry {
             tag: info.tag,
             op: info.op,
-            data_ops,
+            data_ops: DataOperands::from_srcs(&info.srcs),
             sched_ops,
             heads_chain,
             moved_at: now,
@@ -1473,7 +1426,7 @@ impl IssueQueue for SegmentedIq {
                 entry.apply_signal_at(sig.chain, sig.kind, epoch);
             }
         }
-        entry.ready_cache = entry.compute_ready_cache();
+        entry.ready_cache = entry.data_ops.ready_from();
         entry.counted = entry.ready_cache.is_some_and(|c| c <= self.last_now);
         let slot = self.alloc_slot(entry);
         self.index_slot(slot);
@@ -1528,30 +1481,14 @@ impl IssueQueue for SegmentedIq {
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
-        let mut targets = std::mem::take(&mut self.scratch_pairs);
-        targets.clear();
-        // One node per (producer, entry): subscription deduplicates
-        // same-producer operand pairs, so no slot repeats here.
         let mut cur = self.waiters.first(producer);
         while let Some(node) = cur {
             let slot = node >> 1;
-            targets.push((self.slots[slot as usize].tag, slot));
-            cur = self.waiters.next(node);
-        }
-        for &(_, slot) in &targets {
-            let e = &mut self.slots[slot as usize];
-            let mut touched = false;
-            for d in e.data_ops.iter_mut().flatten() {
-                if d.producer == producer {
-                    d.ready_at = Some(ready_at);
-                    touched = true;
-                }
-            }
-            if touched {
+            if self.slots[slot as usize].data_ops.announce(producer, ready_at) {
                 self.refresh_ready(slot);
             }
+            cur = self.waiters.next(node);
         }
-        self.scratch_pairs = targets;
     }
 
     fn on_load_miss(&mut self, tag: InstTag) {
@@ -1700,8 +1637,6 @@ chainiq_ckpt::pack_fields!(SchedOperand {
     suspended,
     since
 });
-
-chainiq_ckpt::pack_fields!(DataOperand { producer, ready_at });
 
 chainiq_ckpt::pack_fields!(Entry {
     tag,

@@ -12,8 +12,11 @@
 //! [`WaiterLists`] is the producer-keyed instance every queue and the
 //! pipeline's parked stores share: the producer→consumer index that
 //! tag-broadcast wakeup searches, kept apart from the ready structures.
+//! The queues file an entry's [`DataOperands`] on it with one
+//! convention, [`WaiterLists::subscribe`]: node `2 * slot + k` per
+//! distinct producer, so an announcement visits each waiting entry once.
 
-use crate::tag::InstTag;
+use crate::tag::{DataOperands, InstTag};
 use crate::tagmap::TagMap;
 
 /// Null link/index sentinel.
@@ -109,9 +112,9 @@ pub fn remove(h: &mut ListHead, links: &mut [Link], id: u32) {
 
 /// Per-producer waiter lists: for each producer tag, the nodes waiting
 /// on it in subscription order. Nodes are numbered by the caller (the
-/// queues use `2 * slot + k` for slot `slot`'s operand `k`); a node is
-/// on at most one list at a time, and a producer whose list empties is
-/// forgotten.
+/// queues subscribe slot `slot`'s operands as `2 * slot + k`, see
+/// [`WaiterLists::subscribe`]); a node is on at most one list at a time,
+/// and a producer whose list empties is forgotten.
 #[derive(Debug, Clone, Default)]
 pub struct WaiterLists {
     heads: TagMap<ListHead>,
@@ -138,6 +141,34 @@ impl WaiterLists {
         let mut head = self.heads.get(producer.0).unwrap_or(ListHead::EMPTY);
         push_back(&mut head, &mut self.links, node);
         self.heads.insert(producer.0, head);
+    }
+
+    /// Puts slot `slot`'s operands on their producers' lists: node
+    /// `2 * slot + k` for operand `k`, skipping an operand 1 on operand
+    /// 0's producer, so each distinct producer lists the slot once and
+    /// [`DataOperands::announce`] sets the pair together. Nodes
+    /// `0..2 * (slot + 1)` must be usable.
+    pub fn subscribe(&mut self, slot: u32, ops: &DataOperands) {
+        for (producer, node) in Self::nodes(slot, ops) {
+            self.push(producer, node);
+        }
+    }
+
+    /// Takes slot `slot`'s operands off the lists [`WaiterLists::subscribe`]
+    /// put them on; `ops` must name the same producers.
+    pub fn unsubscribe(&mut self, slot: u32, ops: &DataOperands) {
+        for (producer, node) in Self::nodes(slot, ops) {
+            self.remove(producer, node);
+        }
+    }
+
+    /// The `(producer, node)` subscriptions of slot `slot`'s operands.
+    fn nodes(slot: u32, ops: &DataOperands) -> impl Iterator<Item = (InstTag, u32)> + '_ {
+        let first = ops.0[0].map(|o| o.producer);
+        (0..2u32).filter_map(move |k| {
+            let producer = ops.0[k as usize]?.producer;
+            (k == 0 || Some(producer) != first).then_some((producer, 2 * slot + k))
+        })
     }
 
     /// Unlinks `node` from `producer`'s list, which must hold it; a
@@ -172,7 +203,9 @@ impl WaiterLists {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chainiq_devtest::{prop_assert_eq, prop_check};
+    use crate::tag::{DataOperand, SrcOperand};
+    use chainiq_devtest::{prop_assert, prop_assert_eq, prop_check, Gen};
+    use chainiq_isa::ArchReg;
     use std::collections::BTreeMap;
 
     fn collect(h: ListHead, links: &[Link]) -> Vec<u32> {
@@ -283,6 +316,89 @@ mod tests {
                         cur = w.next(n);
                     }
                     prop_assert_eq!(walk, model.get(&p).cloned().unwrap_or_default(), "producer {p}");
+                }
+            }
+        }
+
+        /// The data-operand record and its subscriptions against a plain
+        /// model: random dispatches into recycled slots (operands drawn
+        /// from three producers, so same-producer pairs are common, with
+        /// and without a known ready time), announcements walked through
+        /// the waiter lists, and removals. Every build keeps exactly the
+        /// sources with a producer; every walk visits each waiting slot
+        /// once, in subscription order, and sets all of its operands on
+        /// that producer; `ready_from` is the latest ready cycle, or
+        /// `None` while any operand waits.
+        fn data_operands_match_plain_model(g, cases = 64) {
+            let slots = g.usize(1..12);
+            let mut w = WaiterLists::default();
+            w.grow(2 * slots);
+            let mut live: Vec<Option<DataOperands>> = vec![None; slots];
+            // Per slot, each present operand as `(producer, ready_at)`.
+            let mut model: Vec<Vec<(u64, Option<u64>)>> = vec![Vec::new(); slots];
+            // Per producer, the slots subscribed to it, in order.
+            let mut subs: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+            for _ in 0..200 {
+                let slot = g.usize(0..slots);
+                let pick = g.usize(0..3);
+                if let Some(ops) = live[slot].filter(|_| pick == 0) {
+                    w.unsubscribe(slot as u32, &ops);
+                    live[slot] = None;
+                    model[slot].clear();
+                    for list in subs.values_mut() {
+                        list.retain(|&s| s != slot as u32);
+                    }
+                } else if live[slot].is_none() {
+                    let src = |g: &mut Gen| {
+                        g.option(|g| SrcOperand {
+                            reg: ArchReg::int(1),
+                            producer: g.option(|g| InstTag(g.u64(0..3))),
+                            known_ready_at: g.option(|g| g.u64(0..20)),
+                        })
+                    };
+                    let srcs = [src(g), src(g)];
+                    let ops = DataOperands::from_srcs(&srcs);
+                    for (k, s) in srcs.iter().enumerate() {
+                        let want = s.and_then(|s| {
+                            Some(DataOperand { producer: s.producer?, ready_at: s.known_ready_at })
+                        });
+                        prop_assert_eq!(ops.0[k], want, "operand {k} of {srcs:?}");
+                    }
+                    w.subscribe(slot as u32, &ops);
+                    live[slot] = Some(ops);
+                    model[slot] = ops.0.iter().flatten().map(|o| (o.producer.0, o.ready_at)).collect();
+                    let mut seen = Vec::new();
+                    for &(p, _) in &model[slot] {
+                        if !seen.contains(&p) {
+                            seen.push(p);
+                            subs.entry(p).or_default().push(slot as u32);
+                        }
+                    }
+                } else {
+                    let (p, at) = (g.u64(0..3), g.u64(0..20));
+                    let mut walk = Vec::new();
+                    let mut cur = w.first(InstTag(p));
+                    while let Some(node) = cur {
+                        let s = node / 2;
+                        walk.push(s);
+                        let ops = live[s as usize].as_mut().expect("walked slot is live");
+                        prop_assert!(ops.announce(InstTag(p), at), "slot {s} waits on #{p}");
+                        cur = w.next(node);
+                    }
+                    prop_assert_eq!(walk, subs.get(&p).cloned().unwrap_or_default(), "walk of #{p}");
+                    for ops in &mut model {
+                        for o in ops.iter_mut().filter(|o| o.0 == p) {
+                            o.1 = Some(at);
+                        }
+                    }
+                }
+                for (s, ops) in live.iter().enumerate() {
+                    let Some(ops) = ops else { continue };
+                    let want = model[s].iter().try_fold(0, |at: u64, o| Some(at.max(o.1?)));
+                    prop_assert_eq!(ops.ready_from(), want, "slot {s}");
+                    let got: Vec<_> =
+                        ops.0.iter().flatten().map(|o| (o.producer.0, o.ready_at)).collect();
+                    prop_assert_eq!(&got, &model[s], "slot {s}");
                 }
             }
         }

@@ -1,5 +1,15 @@
-//! Instruction identities and the dispatch-time information handed to an
-//! issue queue.
+//! Instruction identities, the dispatch-time information handed to an
+//! issue queue, and the data-operand record every queue wakes on.
+//!
+//! [`DataOperands`] is the one copy of conventional tag-broadcast wakeup
+//! state: built from [`DispatchInfo::srcs`], set by a producer's
+//! announcement, and read as the cycle every operand is ready. The
+//! queues file it on their producers' [`WaiterLists`] through
+//! [`WaiterLists::subscribe`], so an announcement reaches only the
+//! entries waiting for it.
+//!
+//! [`WaiterLists`]: crate::WaiterLists
+//! [`WaiterLists::subscribe`]: crate::WaiterLists::subscribe
 
 use chainiq_isa::{ArchReg, Cycle, OpClass};
 
@@ -36,6 +46,60 @@ impl SrcOperand {
     #[must_use]
     pub fn ready(reg: ArchReg) -> Self {
         SrcOperand { reg, producer: None, known_ready_at: Some(0) }
+    }
+}
+
+/// One source operand's data readiness: the in-flight producer it waits
+/// on and, once known, the cycle that producer's value is ready.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DataOperand {
+    /// The producing in-flight instruction.
+    pub producer: InstTag,
+    /// The announced ready cycle, or `None` while the producer is
+    /// unannounced.
+    pub ready_at: Option<Cycle>,
+}
+
+/// An instruction's data operands, indexed like [`DispatchInfo::srcs`]:
+/// operand `k` is `Some` exactly when source `k` names an in-flight
+/// producer. This drives *issue* in every queue design; the segmented
+/// queue's chain signals drive only promotion.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DataOperands(pub [Option<DataOperand>; 2]);
+
+impl DataOperands {
+    /// The operands of `srcs` that wait on an in-flight producer, each
+    /// with the ready time known at dispatch, if any.
+    #[must_use]
+    pub fn from_srcs(srcs: &[Option<SrcOperand>; 2]) -> Self {
+        DataOperands(srcs.map(|s| {
+            let s = s?;
+            Some(DataOperand { producer: s.producer?, ready_at: s.known_ready_at })
+        }))
+    }
+
+    /// The latest ready cycle over every operand (0 with none), or
+    /// `None` while any producer is unannounced.
+    #[must_use]
+    pub fn ready_from(&self) -> Option<Cycle> {
+        let mut at = 0;
+        for o in self.0.iter().flatten() {
+            at = at.max(o.ready_at?);
+        }
+        Some(at)
+    }
+
+    /// Records that `producer`'s value is ready at `at` on every operand
+    /// waiting for it; reports whether any operand did.
+    pub fn announce(&mut self, producer: InstTag, at: Cycle) -> bool {
+        let mut hit = false;
+        for o in self.0.iter_mut().flatten() {
+            if o.producer == producer {
+                o.ready_at = Some(at);
+                hit = true;
+            }
+        }
+        hit
     }
 }
 
@@ -148,6 +212,10 @@ impl std::error::Error for DispatchStall {}
 chainiq_ckpt::pack_fields!(InstTag { 0 });
 
 chainiq_ckpt::pack_fields!(SrcOperand { reg, producer, known_ready_at });
+
+chainiq_ckpt::pack_fields!(DataOperand { producer, ready_at });
+
+chainiq_ckpt::pack_fields!(DataOperands { 0 });
 
 chainiq_ckpt::pack_enum!(OperandPick, "operand pick" { Left = 0, Right = 1 });
 

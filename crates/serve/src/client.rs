@@ -37,9 +37,6 @@ pub struct GridReply {
     /// Result images, in submission order — byte-identical for a given
     /// spec whatever the arrival order, worker count, or hit/miss path.
     pub images: Vec<Vec<u8>>,
-    /// The progress stream, in arrival order: `(index, note)` with
-    /// notes `hit`/`joined`/`queued`/`done`.
-    pub notes: Vec<(u64, String)>,
 }
 
 impl GridReply {
@@ -98,11 +95,9 @@ impl Client {
     pub fn submit(&mut self, specs: &[RunSpec]) -> Result<Submission, ServeError> {
         self.send(&ClientMsg::Submit(specs.to_vec()))?;
         let mut images: Vec<Option<Vec<u8>>> = vec![None; specs.len()];
-        let mut notes = Vec::new();
         loop {
             match self.recv()? {
                 ServerMsg::Busy { queued, cap } => return Ok(Submission::Busy { queued, cap }),
-                ServerMsg::Progress { index, note } => notes.push((index, note)),
                 ServerMsg::Result { index, image } => {
                     let slot = images.get_mut(index as usize).ok_or_else(|| {
                         ServeError::Proto(format!("result index {index} out of range"))
@@ -123,7 +118,7 @@ impl Client {
                             img.ok_or_else(|| ServeError::Proto(format!("no result for job {i}")))
                         })
                         .collect::<Result<Vec<_>, _>>()?;
-                    return Ok(Submission::Done(GridReply { images, notes }));
+                    return Ok(Submission::Done(GridReply { images }));
                 }
                 ServerMsg::Error(m) => return Err(ServeError::Remote(m)),
                 other => {

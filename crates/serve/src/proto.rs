@@ -42,7 +42,7 @@ pub const MAGIC: [u8; 8] = *b"CHAINIQS";
 
 /// Protocol version; bump on any change to framing, messages, or the
 /// spec/result encodings.
-pub const PROTO_VERSION: u16 = 1;
+pub const PROTO_VERSION: u16 = 2;
 
 /// Hard ceiling on one frame's payload, so a corrupt or hostile length
 /// prefix cannot ask the peer to allocate without bound.
@@ -427,13 +427,6 @@ pub enum ServerMsg {
         /// The configured queue depth.
         cap: u64,
     },
-    /// One progress note for the job at `index` of the current grid.
-    Progress {
-        /// Submission index within the grid.
-        index: u64,
-        /// Machine-stable note: `hit`, `joined`, `queued`, or `done`.
-        note: String,
-    },
     /// The result image for the job at `index`. Sent in submission
     /// order after every job of the grid resolved.
     Result {
@@ -476,11 +469,6 @@ impl ServerMsg {
                 w.put_u64(*queued);
                 w.put_u64(*cap);
             }
-            ServerMsg::Progress { index, note } => {
-                w.put_u8(2);
-                w.put_u64(*index);
-                w.put_str(note);
-            }
             ServerMsg::Result { index, image } => {
                 w.put_u8(3);
                 w.put_u64(*index);
@@ -514,10 +502,6 @@ impl ServerMsg {
             1 => {
                 ServerMsg::Busy { queued: r.take_u64("busy queued")?, cap: r.take_u64("busy cap")? }
             }
-            2 => ServerMsg::Progress {
-                index: r.take_u64("progress index")?,
-                note: r.take_str("progress note")?,
-            },
             3 => {
                 let index = r.take_u64("result index")?;
                 let len = r.take_len("result image length")?;
@@ -812,7 +796,6 @@ mod tests {
         let msgs = vec![
             ServerMsg::HelloAck { version: PROTO_VERSION },
             ServerMsg::Busy { queued: 3, cap: 2 },
-            ServerMsg::Progress { index: 1, note: "hit".to_string() },
             ServerMsg::Result { index: 0, image: vec![1, 2, 3] },
             ServerMsg::GridDone { total: 4 },
             ServerMsg::Stats(ServeStats { submitted: 9, hits: 5, ..ServeStats::default() }),
@@ -831,6 +814,10 @@ mod tests {
         assert!(matches!(ClientMsg::decode(&hello), Err(ServeError::Proto(_))));
         assert!(matches!(ClientMsg::decode(&[99]), Err(ServeError::Proto(_))));
         assert!(matches!(ServerMsg::decode(&[99]), Err(ServeError::Proto(_))));
+        // Tag 2 carried version 1's progress notes; it is retired, not reused.
+        assert!(
+            matches!(ServerMsg::decode(&[2]), Err(ServeError::Proto(m)) if m == "unknown server tag 2")
+        );
         let mut trailing = ClientMsg::Stats.encode();
         trailing.push(0);
         assert!(matches!(ClientMsg::decode(&trailing), Err(ServeError::Proto(_))));

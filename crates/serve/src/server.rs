@@ -303,9 +303,8 @@ fn handle_conn(stream: &TcpStream, shared: &Arc<Shared>) -> Result<(), ServeErro
     }
 }
 
-/// Resolves one grid: progress notes up front, streamed `done` notes as
-/// misses complete, then the result images strictly in submission
-/// order, then `GridDone`.
+/// Resolves one grid: waits for every miss, then sends the result images
+/// strictly in submission order, then `GridDone`.
 fn handle_submit(
     specs: &[RunSpec],
     shared: &Arc<Shared>,
@@ -314,7 +313,6 @@ fn handle_submit(
     let keys: Vec<u64> = specs.iter().map(spec_key).collect();
     let (tx, rx) = mpsc::channel::<(u64, Arc<Vec<u8>>)>();
     let mut images: Vec<Option<Arc<Vec<u8>>>> = vec![None; specs.len()];
-    let mut notes: Vec<&'static str> = Vec::with_capacity(specs.len());
 
     {
         let mut core = shared.lock();
@@ -353,24 +351,17 @@ fn handle_submit(
             if let Some(image) = cached.get(&key) {
                 core.stats.hits += 1;
                 images[i] = Some(Arc::clone(image));
-                notes.push("hit");
             } else if let Some(job) = core.jobs.get_mut(&key) {
                 job.waiters.push((tx.clone(), i as u64));
                 core.stats.joined += 1;
-                notes.push("joined");
             } else {
                 core.jobs.insert(key, Job { spec: *spec, waiters: vec![(tx.clone(), i as u64)] });
                 core.pending.push_back(key);
-                notes.push("queued");
             }
         }
     }
     shared.work.notify_all();
     drop(tx); // rx must drain exactly the registered waiters
-
-    for (i, note) in notes.iter().enumerate() {
-        send(writer, &ServerMsg::Progress { index: i as u64, note: (*note).to_string() })?;
-    }
 
     let outstanding = images.iter().filter(|i| i.is_none()).count();
     for _ in 0..outstanding {
@@ -379,7 +370,6 @@ fn handle_submit(
             send(writer, &ServerMsg::Error(msg.clone()))?;
             return Err(ServeError::Proto(msg));
         };
-        send(writer, &ServerMsg::Progress { index, note: "done".to_string() })?;
         if let Some(slot) = images.get_mut(index as usize) {
             *slot = Some(image);
         }

@@ -223,7 +223,7 @@ fn cached_harness_matches_cold_for_every_kind() {
         (IqKind::Ideal(64), 0x9796_6df7_339e_c245_u64),
         (IqKind::Segmented(SegmentedIqConfig::paper(64, Some(64))), 0x99fb_1a73_bda2_7389),
         (IqKind::Prescheduled(PrescheduleConfig::paper(8)), 0xfbfe_58f9_62a3_01e1),
-        (IqKind::Distance(DistanceConfig::paper_sized(8)), 0xe88b_69d3_1b5e_753b),
+        (IqKind::Distance(DistanceConfig::paper_sized(8)), 0x698c_1c70_0f4b_3bd8),
     ];
     for (i, (kind, image_fp)) in kinds.into_iter().enumerate() {
         let plan = CkptPlan { dir: dir.join(i.to_string()), warmup: 800 };

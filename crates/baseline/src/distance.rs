@@ -235,7 +235,7 @@ impl IssueQueue for DistanceIq {
             if !fus.try_issue(now, self.entries[idx].op) {
                 continue;
             }
-            let e = self.entries.swap_remove(idx);
+            let e = self.entries.remove(idx);
             if let Some(s) = e.scheduled_at {
                 if let Some(c) = self.row_counts.get_mut(&s) {
                     *c = c.saturating_sub(1);

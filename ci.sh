@@ -37,6 +37,13 @@ cargo build --release --offline --workspace
 echo "== cargo test -q --offline"
 cargo test -q --offline --workspace
 
+echo "== seeded baseline-queue properties at depth (300 cases each)"
+# The restore-equals-continuous properties (each also demands that the
+# uninterrupted run issues its whole program) and the ideal and distance
+# queues' lockstep properties against their scan references. Rare
+# ordering defects need many cases to show.
+CHAINIQ_PROP_CASES=300 cargo test --release --offline -p chainiq-baseline
+
 echo "== cargo clippy --offline --all-targets (-D warnings)"
 # clippy.toml and [workspace.lints] carry the determinism, unsafe and
 # panic rules (DESIGN.md §8); every exempt site is an #[expect], so a

@@ -2,25 +2,24 @@
 
 use chainiq_core::{
     DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst,
-    QuietCycle, TagMap, WaiterLists, Wheel,
+    QuietCycle,
 };
-use chainiq_isa::{Cycle, OpClass};
+use chainiq_isa::Cycle;
 
-#[derive(Debug, Clone)]
-struct Entry {
-    tag: InstTag,
-    op: OpClass,
-    ops: DataOperands,
-    entered_at: Cycle,
-}
+use crate::store::{Place, Store};
 
-impl Entry {
-    /// The first cycle this entry may be selected, or `None` while a
-    /// producer is unannounced.
-    fn selectable_at(&self) -> Option<Cycle> {
-        Some(self.ops.ready_from()?.max(self.entered_at + 1))
+/// The cycle an entry was dispatched in.
+#[derive(Debug, Clone, Copy)]
+struct Entered(Cycle);
+
+/// Selectable once every operand is ready, never in its dispatch cycle.
+impl Place for Entered {
+    fn issue_at(&self, ops: &DataOperands) -> Option<Cycle> {
+        Some(ops.ready_from()?.max(self.0 + 1))
     }
 }
+
+type Entry = crate::store::Entry<Entered>;
 
 /// An idealized, single-cycle, monolithic instruction queue: full
 /// associative wakeup over every slot, oldest-first select, no
@@ -31,41 +30,14 @@ impl Entry {
 /// comparison in Figure 2/3 is IPC-only, with the clock advantage of the
 /// segmented design argued separately.
 ///
-/// The simulation is indexed so that no path rescans the window: entries
-/// live in a recycled slab addressed through a [`TagMap`], a producer's
-/// announcement walks only its consumers' intrusive waiter lists, and
-/// each entry whose operands are all announced is in exactly one place —
-/// on a calendar [`Wheel`] at the cycle it becomes selectable, or, once
-/// that cycle has been drained, in the tag-ordered `ready` set that
-/// selection walks.
+/// The simulation is indexed so that no path rescans the window: the
+/// shared entry store wakes only an announcing producer's consumers and
+/// files each entry at the cycle it becomes selectable.
 #[derive(Debug, Clone)]
 pub struct IdealIq {
     capacity: usize,
-    /// Entry slab; slots are recycled LIFO and hold stale data while
-    /// free.
-    slots: Vec<Entry>,
-    free_slots: Vec<u32>,
-    /// Tag → slab slot for every queued instruction.
-    by_tag: TagMap<u32>,
-    /// Queued slots in the order the `baseline.ideal` image lists them:
-    /// dispatch appends, issue `swap_remove`s.
-    order: Vec<u32>,
-    /// Each slot's index in `order` (slab-parallel).
-    order_pos: Vec<u32>,
-    /// The operands waiting on each producer's announcement, subscribed
-    /// per slot by [`WaiterLists::subscribe`].
-    waiters: WaiterLists,
-    /// Entries that become selectable after `drained_to`, keyed by that
-    /// cycle. A re-announcement that moves the cycle cancels the old
-    /// record, so every record is live and `next_due` is exact.
-    selectable: Wheel<InstTag>,
-    /// Entries selectable by `drained_to`, in ascending tag (age) order.
-    ready: Vec<InstTag>,
-    /// The cycle `selectable` was last drained to.
-    drained_to: Cycle,
+    store: Store<Entered>,
     stats: IqStats,
-    /// Scratch for the records one drain delivers (not serialized).
-    drain_scratch: Vec<InstTag>,
 }
 
 impl IdealIq {
@@ -77,116 +49,9 @@ impl IdealIq {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
-        IdealIq {
-            capacity,
-            slots: Vec::with_capacity(capacity),
-            free_slots: Vec::new(),
-            by_tag: TagMap::new(),
-            order: Vec::with_capacity(capacity),
-            order_pos: Vec::with_capacity(capacity),
-            waiters: WaiterLists::default(),
-            // Most entries become selectable within a few cycles of an
-            // event; a memory miss lands a revolution or two out.
-            selectable: Wheel::new(256),
-            ready: Vec::with_capacity(capacity),
-            drained_to: 0,
-            stats: IqStats::default(),
-            drain_scratch: Vec::new(),
-        }
-    }
-
-    /// Queues `entry` at the end of `order`, in a free slab slot, on its
-    /// producers' waiter lists, and on the wheel or in `ready` once all
-    /// its operands are announced.
-    fn insert(&mut self, entry: Entry) {
-        let (tag, ops, at) = (entry.tag, entry.ops, entry.selectable_at());
-        let slot = if let Some(s) = self.free_slots.pop() {
-            self.slots[s as usize] = entry;
-            s
-        } else {
-            self.slots.push(entry);
-            self.order_pos.push(0);
-            self.waiters.grow(2 * self.slots.len());
-            (self.slots.len() - 1) as u32
-        };
-        self.order_pos[slot as usize] = self.order.len() as u32;
-        self.order.push(slot);
-        self.by_tag.insert(tag.0, slot);
-        self.waiters.subscribe(slot, &ops);
-        if let Some(at) = at {
-            self.place(tag, at);
-        }
-    }
-
-    /// Files `tag`, selectable from `at`, in the ready set or on the wheel.
-    fn place(&mut self, tag: InstTag, at: Cycle) {
-        if at <= self.drained_to {
-            if let Err(pos) = self.ready.binary_search(&tag) {
-                self.ready.insert(pos, tag);
-            }
-        } else {
-            self.selectable.schedule(at, tag);
-        }
-    }
-
-    /// Moves `tag` from where selectability `old` filed it to where `new`
-    /// files it.
-    fn refile(&mut self, tag: InstTag, old: Option<Cycle>, new: Option<Cycle>) {
-        let Some(new) = new else { return };
-        match old {
-            Some(o) if o == new => return,
-            Some(o) if o <= self.drained_to => {
-                if new <= self.drained_to {
-                    return;
-                }
-                if let Ok(pos) = self.ready.binary_search(&tag) {
-                    self.ready.remove(pos);
-                }
-            }
-            Some(o) => {
-                let found = self.selectable.cancel(o, tag);
-                debug_assert!(found, "a pending entry has its wheel record");
-            }
-            None => {}
-        }
-        self.place(tag, new);
-    }
-
-    /// Moves every entry that became selectable by `now` into the ready
-    /// set.
-    fn drain(&mut self, now: Cycle) {
-        if now <= self.drained_to {
-            return;
-        }
-        let mut due = std::mem::take(&mut self.drain_scratch);
-        self.selectable.drain_into(now, &mut due);
-        self.drained_to = now;
-        for &tag in &due {
-            debug_assert!(
-                self.by_tag
-                    .get(tag.0)
-                    .and_then(|s| self.slots[s as usize].selectable_at())
-                    .is_some_and(|at| at <= now),
-                "wheel records are exact"
-            );
-            self.place(tag, now);
-        }
-        due.clear();
-        self.drain_scratch = due;
-    }
-
-    /// Removes the entry in `slot` from the slab, `order` and its
-    /// producers' waiter lists; the caller drops it from `ready`.
-    fn remove_slot(&mut self, slot: u32) {
-        let e = &self.slots[slot as usize];
-        self.by_tag.remove(e.tag.0);
-        self.waiters.unsubscribe(slot, &e.ops);
-        let pos = self.order_pos[slot as usize] as usize;
-        self.order.swap_remove(pos);
-        if let Some(&moved) = self.order.get(pos) {
-            self.order_pos[moved as usize] = pos as u32;
-        }
-        self.free_slots.push(slot);
+        // Most entries become selectable within a few cycles of an event;
+        // a memory miss lands a revolution or two of 256 buckets out.
+        IdealIq { capacity, store: Store::new(capacity, 256), stats: IqStats::default() }
     }
 }
 
@@ -196,82 +61,37 @@ impl IssueQueue for IdealIq {
     }
 
     fn occupancy(&self) -> usize {
-        self.order.len()
+        self.store.len()
     }
 
     fn tick(&mut self, _now: Cycle, _execution_idle: bool) {
         self.stats.cycles += 1;
-        self.stats.occupancy_accum += self.order.len() as u64;
+        self.stats.occupancy_accum += self.store.len() as u64;
     }
 
     fn dispatch(&mut self, now: Cycle, info: DispatchInfo) -> Result<(), DispatchStall> {
-        if self.order.len() >= self.capacity {
+        if self.store.len() >= self.capacity {
             self.stats.stalls_full += 1;
             return Err(DispatchStall::QueueFull);
         }
         let ops = DataOperands::from_srcs(&info.srcs);
-        self.insert(Entry { tag: info.tag, op: info.op, ops, entered_at: now });
+        self.store.insert(Entry { tag: info.tag, op: info.op, ops, place: Entered(now) });
         self.stats.dispatched += 1;
         Ok(())
     }
 
-    fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
-        let mut issued = Vec::new();
-        self.select_issue_into(now, fus, &mut issued);
-        issued
-    }
-
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
-        self.drain(now);
         let before = out.len();
-        for i in 0..self.ready.len() {
-            if fus.slots_left() == 0 {
-                break;
-            }
-            let tag = self.ready[i];
-            let Some(slot) = self.by_tag.get(tag.0) else { continue };
-            let op = self.slots[slot as usize].op;
-            if !fus.try_issue(now, op) {
-                continue;
-            }
-            self.remove_slot(slot);
-            out.push(IssuedInst { tag, op });
-        }
-        // The issued tags are a subsequence of `ready`.
-        let issued = &out[before..];
-        if !issued.is_empty() {
-            let mut k = 0;
-            self.ready.retain(|&t| {
-                let hit = issued.get(k).is_some_and(|i| i.tag == t);
-                k += usize::from(hit);
-                !hit
-            });
-        }
-        self.stats.issued += issued.len() as u64;
+        self.store.select(now, fus, out, |_| {});
+        self.stats.issued += (out.len() - before) as u64;
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
-        let mut cur = self.waiters.first(producer);
-        while let Some(node) = cur {
-            let e = &mut self.slots[(node / 2) as usize];
-            let old = e.selectable_at();
-            let hit = e.ops.announce(producer, ready_at);
-            debug_assert!(hit, "waiter node on the wrong producer list");
-            let (tag, new) = (e.tag, e.selectable_at());
-            self.refile(tag, old, new);
-            cur = self.waiters.next(node);
-        }
+        self.store.announce(producer, ready_at, |_, _| {});
     }
 
     fn flush(&mut self) {
-        self.slots.clear();
-        self.free_slots.clear();
-        self.by_tag.clear();
-        self.order.clear();
-        self.order_pos.clear();
-        self.waiters.clear();
-        self.selectable.reset(self.drained_to);
-        self.ready.clear();
+        self.store.clear();
     }
 
     fn stats(&self) -> IqStats {
@@ -281,62 +101,44 @@ impl IssueQueue for IdealIq {
     /// The ideal queue acts only by issuing, so it sleeps until its first
     /// entry becomes selectable.
     fn next_event(&self, quiet: &QuietCycle) -> Cycle {
-        if !self.ready.is_empty() {
-            return quiet.now + 1;
-        }
-        self.selectable.next_due(Cycle::MAX).max(quiet.now + 1)
+        self.store.next_event(quiet)
     }
 
     fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
         self.stats.cycles += k;
-        self.stats.occupancy_accum += k * self.order.len() as u64;
+        self.stats.occupancy_accum += k * self.store.len() as u64;
         if quiet.refused.is_some() {
             self.stats.stalls_full += k;
         }
     }
 }
 
-chainiq_ckpt::pack_fields!(Entry { tag, op, ops, entered_at });
+chainiq_ckpt::pack_fields!(Entered { 0 });
 
 impl chainiq_ckpt::Snapshot for IdealIq {
     const COMPONENT: &'static str = "baseline.ideal";
-    const VERSION: u16 = 1;
+    const VERSION: u16 = 2;
 
-    /// The image lists the entries in `order` (the original `Vec`'s
-    /// order); every index is rebuilt from them on restore.
+    /// V2 lists the queued entries in tag order; every index is rebuilt
+    /// from them on restore.
     fn save(&self, w: &mut chainiq_ckpt::Writer) {
         use chainiq_ckpt::Pack;
         self.capacity.pack(w);
-        w.put_u64(self.order.len() as u64);
-        for &s in &self.order {
-            self.slots[s as usize].pack(w);
-        }
+        self.store.save(w);
         self.stats.pack(w);
     }
 
     fn restore(&mut self, r: &mut chainiq_ckpt::Reader<'_>) -> Result<(), chainiq_ckpt::CkptError> {
         use chainiq_ckpt::Pack;
-        let corrupt =
-            |context: &str| chainiq_ckpt::CkptError::Corrupt { context: context.to_string() };
         let capacity: usize = Pack::unpack(r)?;
         if capacity != self.capacity {
-            return Err(corrupt("ideal IQ capacity differs from the running queue"));
+            return Err(chainiq_ckpt::CkptError::Corrupt {
+                context: "ideal IQ capacity differs from the running queue".to_string(),
+            });
         }
         let entries: Vec<Entry> = Pack::unpack(r)?;
-        if entries.len() > capacity {
-            return Err(corrupt("ideal IQ occupancy exceeds its capacity"));
-        }
         let stats: IqStats = Pack::unpack(r)?;
-        // The image carries no clock, so the wheel restarts at cycle 0
-        // and the first drain catches every entry up.
-        self.drained_to = 0;
-        self.flush();
-        for e in entries {
-            if self.by_tag.get(e.tag.0).is_some() {
-                return Err(corrupt("ideal IQ repeats a tag"));
-            }
-            self.insert(e);
-        }
+        self.store.restore(&entries, capacity, "ideal")?;
         self.stats = stats;
         Ok(())
     }
@@ -347,7 +149,7 @@ impl chainiq_ckpt::Snapshot for IdealIq {
 /// the reference the indexed queue is checked against.
 #[cfg(test)]
 mod scan {
-    use super::Entry;
+    use super::{Entered, Entry};
     use chainiq_core::{
         DataOperand, DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats,
         IssueQueue, IssuedInst, QuietCycle,
@@ -359,7 +161,7 @@ mod scan {
     }
 
     fn selectable_at(e: &Entry) -> Option<Cycle> {
-        let mut at = e.entered_at + 1;
+        let mut at = e.place.0 + 1;
         for o in e.ops.0.iter().flatten() {
             at = at.max(o.ready_at?);
         }
@@ -407,7 +209,7 @@ mod scan {
                 }
             }
             let ops = DataOperands(ops);
-            self.entries.push(Entry { tag: info.tag, op: info.op, ops, entered_at: now });
+            self.entries.push(Entry { tag: info.tag, op: info.op, ops, place: Entered(now) });
             self.stats.dispatched += 1;
             Ok(())
         }
@@ -416,7 +218,7 @@ mod scan {
             let mut ready: Vec<InstTag> = self
                 .entries
                 .iter()
-                .filter(|e| e.entered_at < now && ready(e, now))
+                .filter(|e| e.place.0 < now && ready(e, now))
                 .map(|e| e.tag)
                 .collect();
             ready.sort_unstable();
@@ -471,12 +273,14 @@ mod scan {
 
     impl chainiq_ckpt::Snapshot for ScanIdealIq {
         const COMPONENT: &'static str = "baseline.ideal";
-        const VERSION: u16 = 1;
+        const VERSION: u16 = 2;
 
         fn save(&self, w: &mut chainiq_ckpt::Writer) {
             use chainiq_ckpt::Pack;
             self.capacity.pack(w);
-            self.entries.pack(w);
+            let mut entries = self.entries.clone();
+            entries.sort_by_key(|e| e.tag);
+            entries.pack(w);
             self.stats.pack(w);
         }
 
@@ -501,6 +305,7 @@ mod tests {
     use chainiq_core::SrcOperand;
     use chainiq_devtest::{prop_assert_eq, prop_check, Gen};
     use chainiq_isa::ArchReg;
+    use chainiq_isa::OpClass;
 
     fn image<Q: Snapshot>(q: &Q) -> Vec<u8> {
         let mut w = chainiq_ckpt::Writer::new();

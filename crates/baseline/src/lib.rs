@@ -16,8 +16,13 @@
 //!   adapt afterwards; unpredictable latencies (cache misses) clog the
 //!   issue buffer.
 //!
-//! Both implement [`chainiq_core::IssueQueue`], so the pipeline in
+//! All three implement [`chainiq_core::IssueQueue`], so the pipeline in
 //! `chainiq-cpu` runs them interchangeably with the segmented design.
+//! They keep their entries in one private store (`store.rs`), which
+//! wakes an announcing producer's consumers through waiter lists and
+//! selects each entry at the cycle its queue says it becomes issuable;
+//! the two array queues also share its scheduling-array `Rows`. Images
+//! list the queued entries in tag order.
 //!
 //! # Examples
 //!
@@ -42,6 +47,7 @@
 mod distance;
 mod ideal;
 mod preschedule;
+mod store;
 #[cfg(test)]
 mod testutil;
 

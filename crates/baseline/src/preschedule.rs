@@ -1,19 +1,18 @@
 //! Michaud & Seznec's prescheduling instruction queue (§2, §6.3).
 //!
-//! The v3 kernel rebuild mirrors the segmented queue's data layout:
-//! entries live in a recycled slab indexed by a [`TagMap`]; the
-//! scheduling array is a calendar [`Wheel`] of `(row, tag)` records plus
-//! a sorted backlog of *slipped* rows (due rows the issue buffer had no
-//! space for); per-producer wakeup subscriptions are [`WaiterLists`];
-//! and row occupancy is a [`TagMap`] keyed by row cycle.
-//! A cycle with nothing due costs one empty-bucket probe instead of an
-//! ordered-tree range scan, and no path here allocates or rebalances.
+//! Entries live in the shared [`Store`], which also selects from the
+//! issue buffer; the scheduling array is a calendar [`Wheel`] of `(row,
+//! tag)` records plus a sorted backlog of *slipped* rows (due rows the
+//! buffer had no space for), and row occupancy and placement are the
+//! [`Rows`] the distance queue shares. No path here allocates.
 
 use chainiq_core::{
     DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst,
-    QuietCycle, TagMap, WaiterLists, Wheel,
+    QuietCycle, Wheel,
 };
-use chainiq_isa::{ArchReg, Cycle, OpClass, NUM_ARCH_REGS};
+use chainiq_isa::{Cycle, NUM_ARCH_REGS};
+
+use crate::store::{insert_sorted, remove_sorted, Place, Rows, Store};
 
 /// Geometry of a [`PrescheduledIq`]; defaults follow the paper's §6.3
 /// configuration ("as suggested by the authors for best performance").
@@ -55,14 +54,9 @@ impl PrescheduleConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    /// Whether the slot holds a queued instruction (dead slots are on the
-    /// free list awaiting reuse).
-    live: bool,
-    tag: InstTag,
-    op: OpClass,
-    ops: DataOperands,
+/// Where the prescheduling queue holds an entry.
+#[derive(Debug, Clone, Copy)]
+struct Placement {
     /// Predicted issue cycle: the row of the scheduling array this entry
     /// occupies, in absolute time.
     scheduled_at: Cycle,
@@ -70,6 +64,16 @@ struct Entry {
     /// still in the array).
     entered_buffer_at: Cycle,
 }
+
+/// A buffered entry is selectable once its operands are ready, never in
+/// the cycle it entered the buffer; the array never issues.
+impl Place for Placement {
+    fn issue_at(&self, ops: &DataOperands) -> Option<Cycle> {
+        Some(ops.ready_from()?.max(self.entered_buffer_at.checked_add(1)?))
+    }
+}
+
+type Entry = crate::store::Entry<Placement>;
 
 /// The prescheduling queue: a two-dimensional scheduling array whose rows
 /// correspond to future issue cycles, feeding a small fully-associative
@@ -93,30 +97,18 @@ struct Entry {
 #[derive(Debug, Clone)]
 pub struct PrescheduledIq {
     config: PrescheduleConfig,
-    /// Entry slab: contiguous storage addressed by the slot numbers the
-    /// indexes carry. Slots are recycled LIFO.
-    slots: Vec<Entry>,
-    free_slots: Vec<u32>,
-    /// Tag → slab slot for every queued instruction.
-    by_tag: TagMap<u32>,
+    store: Store<Placement>,
     /// Issue-buffer residents in ascending tag (age) order.
     buffer: Vec<InstTag>,
-    /// The data operands waiting on each producer's wakeup
-    /// announcement, subscribed per slot by [`WaiterLists::subscribe`].
-    waiters: WaiterLists,
-    /// Array rows still in the future, as `(row, tag)` records keyed by
-    /// row cycle. Each record names an entry still waiting in the array
-    /// at that row: an entry leaves the array only through this drain,
-    /// and a flush resets the wheel with every other index.
+    /// `(row, tag)` records of the array entries whose row lies ahead of
+    /// the drain clock, keyed by row.
     due_wheel: Wheel<(Cycle, InstTag)>,
-    /// Due records the issue buffer could not absorb, sorted by
-    /// `(row, tag)` — the canonical admission order the old ordered-tree
-    /// prefix scan produced.
+    /// Due records the issue buffer could not absorb yet, sorted by
+    /// `(row, tag)`, the order they are admitted in.
     overdue: Vec<(Cycle, InstTag)>,
-    /// Occupancy of each still-populated row (`scheduled_at` → entries).
-    row_counts: TagMap<u32>,
-    /// Predicted absolute cycle each architectural register's value is
-    /// ready.
+    /// Occupancy of each row still holding array entries.
+    rows: Rows,
+    /// Predicted cycle each architectural register's value is ready.
     reg_ready: Vec<Cycle>,
     /// The most recent `tick` cycle (drain clock for the wheel).
     last_now: Cycle,
@@ -125,9 +117,8 @@ pub struct PrescheduledIq {
     shift_stalls: u64,
     /// Buffer entries sent back to the array by the recirculation rule.
     recirculations: u64,
-    /// Scratch buffers so the hot paths never allocate.
+    /// Scratch for the records one drain delivers.
     drain_scratch: Vec<(Cycle, InstTag)>,
-    scratch_tags: Vec<InstTag>,
 }
 
 impl PrescheduledIq {
@@ -136,30 +127,19 @@ impl PrescheduledIq {
     pub fn new(config: PrescheduleConfig) -> Self {
         PrescheduledIq {
             config,
-            slots: Vec::new(),
-            free_slots: Vec::new(),
-            by_tag: TagMap::new(),
+            store: Store::new(config.capacity(), 64),
             buffer: Vec::new(),
-            waiters: WaiterLists::default(),
-            // One revolution comfortably covers the schedule horizon, so
-            // in-horizon records never wait out a lap.
+            // One revolution covers the schedule horizon.
             due_wheel: Wheel::new(2 * config.num_lines),
             overdue: Vec::new(),
-            row_counts: TagMap::new(),
+            rows: Rows::new(config.num_lines, config.line_width, config.predicted_load_latency),
             reg_ready: vec![0; NUM_ARCH_REGS],
             last_now: 0,
             stats: IqStats::default(),
             shift_stalls: 0,
             recirculations: 0,
             drain_scratch: Vec::new(),
-            scratch_tags: Vec::new(),
         }
-    }
-
-    /// The configuration in force.
-    #[must_use]
-    pub fn config(&self) -> &PrescheduleConfig {
-        &self.config
     }
 
     /// Cycles a due row could not (fully) drain into the issue buffer.
@@ -174,51 +154,20 @@ impl PrescheduledIq {
         self.recirculations
     }
 
-    /// Instructions currently waiting in the issue buffer.
-    #[must_use]
-    pub fn buffer_len(&self) -> usize {
-        self.buffer.len()
-    }
-
-    /// The live entry holding `tag`, if resident.
-    fn entry(&self, tag: InstTag) -> Option<&Entry> {
-        self.by_tag.get(tag.0).map(|slot| &self.slots[slot as usize])
-    }
-
-    /// Stores `entry` in a free slab slot and returns the slot number,
-    /// growing the waiter nodes alongside the slab.
-    fn alloc_slot(&mut self, entry: Entry) -> u32 {
-        if let Some(s) = self.free_slots.pop() {
-            debug_assert!(!self.slots[s as usize].live);
-            self.slots[s as usize] = entry;
-            s
+    /// Files a stored `entry` in the issue buffer or, while it waits in
+    /// the array, at its row (which the caller has counted). Dispatch and
+    /// restore both file entries through here.
+    fn file(&mut self, entry: &Entry) {
+        if entry.place.entered_buffer_at == Cycle::MAX {
+            self.file_in_row(entry.place.scheduled_at, entry.tag);
         } else {
-            self.slots.push(entry);
-            self.waiters.grow(2 * self.slots.len());
-            (self.slots.len() - 1) as u32
-        }
-    }
-
-    /// Files the live entry in `slot` in every index: the tag map, its
-    /// producers' waiter lists, and the issue buffer or, while it waits
-    /// in the array, its row. Dispatch and restore both index entries
-    /// through here.
-    fn index_slot(&mut self, slot: u32) {
-        let e = &self.slots[slot as usize];
-        let (tag, ops, row) = (e.tag, e.ops, e.scheduled_at);
-        let buffered = e.entered_buffer_at != Cycle::MAX;
-        self.by_tag.insert(tag.0, slot);
-        self.waiters.subscribe(slot, &ops);
-        if buffered {
-            self.buffer_insert(tag);
-        } else {
-            self.file_in_row(row, tag);
+            insert_sorted(&mut self.buffer, entry.tag);
         }
     }
 
     /// Files array-resident `tag` at `row`: on the due wheel while the
     /// row lies ahead of the drain clock, else in the slipped backlog at
-    /// its `(row, tag)` place. Counts it in the row either way.
+    /// its `(row, tag)` place.
     fn file_in_row(&mut self, row: Cycle, tag: InstTag) {
         if row > self.last_now {
             self.due_wheel.schedule(row, (row, tag));
@@ -226,75 +175,14 @@ impl PrescheduledIq {
             let pos = self.overdue.partition_point(|&r| r < (row, tag));
             self.overdue.insert(pos, (row, tag));
         }
-        self.row_counts.insert(row, self.row_count(row) + 1);
-    }
-
-    /// Entries counted in `row`.
-    fn row_count(&self, row: Cycle) -> u32 {
-        self.row_counts.get(row).unwrap_or(0)
-    }
-
-    /// Inserts `tag` into the tag-ordered issue buffer.
-    fn buffer_insert(&mut self, tag: InstTag) {
-        if let Err(pos) = self.buffer.binary_search(&tag) {
-            self.buffer.insert(pos, tag);
-        } else {
-            debug_assert!(false, "tag is already buffered");
-        }
     }
 
     /// Moves an array entry (already removed from `overdue` by the
     /// caller) into the issue buffer, uncounting it from its row.
     fn admit(&mut self, now: Cycle, sched: Cycle, tag: InstTag) {
-        let Some(slot) = self.by_tag.get(tag.0) else {
-            debug_assert!(false, "due record names a non-resident tag");
-            return;
-        };
-        self.slots[slot as usize].entered_buffer_at = now;
-        self.buffer_insert(tag);
-        let count = self.row_count(sched);
-        debug_assert!(count > 0, "row count must track its entries");
-        if count <= 1 {
-            self.row_counts.remove(sched);
-        } else {
-            self.row_counts.insert(sched, count - 1);
-        }
-    }
-
-    /// Removes an issued entry from every index. Only buffered entries
-    /// issue; a squash clears every index wholesale in `flush`.
-    fn remove_entry(&mut self, tag: InstTag) {
-        let Some(slot) = self.by_tag.remove(tag.0) else { return };
-        let s = slot as usize;
-        debug_assert!(self.slots[s].live, "index points at a dead slot");
-        self.waiters.unsubscribe(slot, &self.slots[s].ops);
-        let e = &mut self.slots[s];
-        e.live = false;
-        debug_assert!(e.entered_buffer_at != Cycle::MAX, "only buffered entries are removed");
-        if let Ok(pos) = self.buffer.binary_search(&tag) {
-            self.buffer.remove(pos);
-        }
-        self.free_slots.push(slot);
-    }
-
-    fn predicted_ready(&self, now: Cycle, info: &DispatchInfo) -> Cycle {
-        let mut ready = now;
-        for s in info.srcs.iter().flatten() {
-            ready = ready.max(self.reg_ready[s.reg.index()]);
-        }
-        ready
-    }
-
-    fn produce_latency(&self, op: OpClass) -> u64 {
-        if op == OpClass::Load {
-            self.config.predicted_load_latency
-        } else {
-            u64::from(op.exec_latency())
-        }
-    }
-
-    fn set_reg_ready(&mut self, reg: ArchReg, at: Cycle) {
-        self.reg_ready[reg.index()] = at;
+        self.store.update(tag, |e| e.entered_buffer_at = now);
+        insert_sorted(&mut self.buffer, tag);
+        self.rows.remove(sched);
     }
 }
 
@@ -304,31 +192,22 @@ impl IssueQueue for PrescheduledIq {
     }
 
     fn occupancy(&self) -> usize {
-        self.by_tag.len()
+        self.store.len()
     }
 
     fn tick(&mut self, now: Cycle, _execution_idle: bool) {
         self.stats.cycles += 1;
-        self.stats.occupancy_accum += self.by_tag.len() as u64;
+        self.stats.occupancy_accum += self.store.len() as u64;
         self.last_now = now;
 
         // Merge newly due rows off the wheel into the slipped backlog at
-        // their `(row, tag)` admission order, the order the old ordered
-        // tree gave (recirculated records can arrive tag-out-of-order
-        // within a row).
+        // their `(row, tag)` admission order (recirculated records can
+        // arrive tag-out-of-order within a row).
         let mut drained = std::mem::take(&mut self.drain_scratch);
         drained.clear();
         self.due_wheel.drain_into(now, &mut drained);
         for &(sched, tag) in &drained {
-            debug_assert!(
-                self.by_tag.get(tag.0).is_some_and(|slot| {
-                    let e = &self.slots[slot as usize];
-                    e.entered_buffer_at == Cycle::MAX && e.scheduled_at == sched
-                }),
-                "due record names an entry not waiting in the array at its row"
-            );
-            let pos = self.overdue.partition_point(|&r| r < (sched, tag));
-            self.overdue.insert(pos, (sched, tag));
+            self.file_in_row(sched, tag);
         }
         self.drain_scratch = drained;
 
@@ -342,127 +221,79 @@ impl IssueQueue for PrescheduledIq {
             self.admit(now, sched, tag);
         }
         self.overdue.drain(..admitted);
-        if blocked {
-            self.shift_stalls += 1;
-            // Recirculation: if nothing in the buffer is ready and an
-            // older due instruction waits outside, swap it with the
-            // youngest unready buffer entry so the machine cannot wedge.
-            // A ready buffer entry rules it out, so look for one first.
-            if self.buffer.iter().any(|&t| {
-                self.entry(t).is_some_and(|e| e.ops.ready_from().is_some_and(|r| r <= now))
-            }) {
-                return;
-            }
-            let oldest_due =
-                self.overdue.iter().copied().enumerate().min_by_key(|&(_, (_, tag))| tag);
-            if let Some((due_idx, (due_sched, due_tag))) = oldest_due {
-                // Nothing buffered is ready, so the youngest unready entry
-                // is the youngest entry.
-                if let Some(&buf_tag) = self.buffer.last() {
-                    if due_tag < buf_tag {
-                        // Send the young unready entry back to the array,
-                        // rescheduled one cycle out, and admit the older
-                        // one.
-                        if let Ok(pos) = self.buffer.binary_search(&buf_tag) {
-                            self.buffer.remove(pos);
-                        }
-                        let Some(slot) = self.by_tag.get(buf_tag.0) else { return };
-                        let e = &mut self.slots[slot as usize];
-                        e.entered_buffer_at = Cycle::MAX;
-                        e.scheduled_at = now + 1;
-                        self.file_in_row(now + 1, buf_tag);
-                        self.overdue.remove(due_idx);
-                        self.admit(now, due_sched, due_tag);
-                        self.recirculations += 1;
-                    }
-                }
-            }
+        if !blocked {
+            return;
+        }
+        self.shift_stalls += 1;
+        // Recirculation: if nothing in the buffer is ready and an older
+        // due instruction waits outside, send the youngest (so unready)
+        // buffer entry back to the array one cycle out and admit the older
+        // one, so the machine cannot wedge. Look for a ready entry first.
+        let ready =
+            |t| self.store.get(t).and_then(|e| e.ops.ready_from()).is_some_and(|r| r <= now);
+        if self.buffer.iter().any(|&t| ready(t)) {
+            return;
+        }
+        let oldest_due = self.overdue.iter().copied().enumerate().min_by_key(|&(_, (_, tag))| tag);
+        let (Some((i, (row, due))), Some(&young)) = (oldest_due, self.buffer.last()) else {
+            return;
+        };
+        if due < young {
+            self.buffer.pop();
+            self.store.update(young, |e| {
+                e.entered_buffer_at = Cycle::MAX;
+                e.scheduled_at = now + 1;
+            });
+            self.rows.add(now + 1);
+            self.file_in_row(now + 1, young);
+            self.overdue.remove(i);
+            self.admit(now, row, due);
+            self.recirculations += 1;
         }
     }
 
     fn dispatch(&mut self, now: Cycle, info: DispatchInfo) -> Result<(), DispatchStall> {
-        if self.by_tag.len() >= self.config.capacity() {
+        if self.store.len() >= self.config.capacity() {
             self.stats.stalls_full += 1;
             return Err(DispatchStall::QueueFull);
         }
-        // Predicted issue cycle, clamped to the schedule horizon, spilled
-        // to the next row with space.
-        let ready = self.predicted_ready(now, &info);
-        let horizon = now + self.config.num_lines as u64;
-        let first = ready.clamp(now + 1, horizon);
-        let Some(row) =
-            (first..=horizon).find(|&c| self.row_count(c) < self.config.line_width as u32)
-        else {
+        // Predicted issue cycle, booked in the first row with space.
+        let regs = info.srcs.iter().flatten().map(|s| self.reg_ready[s.reg.index()]);
+        let Some(row) = self.rows.book(regs.fold(now, Cycle::max), now) else {
             self.stats.stalls_full += 1;
             return Err(DispatchStall::QueueFull);
         };
-
-        let slot = self.alloc_slot(Entry {
-            live: true,
-            tag: info.tag,
-            op: info.op,
-            ops: DataOperands::from_srcs(&info.srcs),
-            scheduled_at: row,
-            entered_buffer_at: Cycle::MAX,
-        });
-        self.index_slot(slot);
+        let ops = DataOperands::from_srcs(&info.srcs);
+        let place = Placement { scheduled_at: row, entered_buffer_at: Cycle::MAX };
+        let entry = Entry { tag: info.tag, op: info.op, ops, place };
+        self.store.insert(entry);
+        self.file(&entry);
         if let Some(dest) = info.dest {
             // Quasi-static: the placement row, not actual behaviour,
             // determines the predicted completion.
-            self.set_reg_ready(dest, row + self.produce_latency(info.op));
+            self.reg_ready[dest.index()] = row + self.rows.produce_latency(info.op);
         }
         self.stats.dispatched += 1;
         Ok(())
     }
 
-    fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
-        let mut issued = Vec::new();
-        self.select_issue_into(now, fus, &mut issued);
-        issued
-    }
-
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
-        let mut ready = std::mem::take(&mut self.scratch_tags);
-        ready.clear();
-        ready.extend(self.buffer.iter().copied().filter(|&t| {
-            self.entry(t).is_some_and(|e| {
-                e.entered_buffer_at < now && e.ops.ready_from().is_some_and(|r| r <= now)
-            })
-        }));
         let before = out.len();
-        for &tag in &ready {
-            if fus.slots_left() == 0 {
-                break;
-            }
-            let Some(op) = self.entry(tag).map(|e| e.op) else { continue };
-            if !fus.try_issue(now, op) {
-                continue;
-            }
-            self.remove_entry(tag);
-            out.push(IssuedInst { tag, op });
-        }
-        self.scratch_tags = ready;
+        let buffer = &mut self.buffer;
+        self.store.select(now, fus, out, |e| remove_sorted(buffer, e.tag));
         self.stats.issued += (out.len() - before) as u64;
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
-        let mut cur = self.waiters.first(producer);
-        while let Some(node) = cur {
-            let hit = self.slots[(node / 2) as usize].ops.announce(producer, ready_at);
-            debug_assert!(hit, "waiter node on the wrong producer list");
-            cur = self.waiters.next(node);
-        }
+        self.store.announce(producer, ready_at, |_, _| {});
     }
 
     fn flush(&mut self) {
-        self.slots.clear();
-        self.free_slots.clear();
-        self.by_tag.clear();
+        self.store.clear();
         self.buffer.clear();
-        self.waiters.clear();
         self.due_wheel.reset(self.last_now);
         self.overdue.clear();
-        self.row_counts.clear();
+        self.rows.clear();
         self.reg_ready.fill(0);
     }
 
@@ -477,18 +308,13 @@ impl IssueQueue for PrescheduledIq {
         // slides every cycle.
         let space = self.config.issue_buffer_size - self.buffer.len();
         if (!self.overdue.is_empty() && space > 0)
-            || (quiet.refused.is_some() && self.by_tag.len() < self.config.capacity())
+            || (quiet.refused.is_some() && self.store.len() < self.config.capacity())
         {
             return next;
         }
-        // Every buffered entry was admitted by `now`, so it is selectable
-        // exactly when its operands are ready.
-        let first_ready = self
-            .buffer
-            .iter()
-            .filter_map(|&t| self.entry(t).and_then(|e| e.ops.ready_from()))
-            .min()
-            .unwrap_or(Cycle::MAX);
+        // The store files each buffered entry at the cycle it becomes
+        // selectable.
+        let first_ready = self.store.next_event(quiet);
         if first_ready <= next {
             return next;
         }
@@ -503,7 +329,7 @@ impl IssueQueue for PrescheduledIq {
 
     fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
         self.stats.cycles += k;
-        self.stats.occupancy_accum += k * self.by_tag.len() as u64;
+        self.stats.occupancy_accum += k * self.store.len() as u64;
         self.last_now = quiet.now + k;
         // A due row still waiting has found the buffer full every cycle.
         if !self.overdue.is_empty() {
@@ -519,13 +345,7 @@ impl IssueQueue for PrescheduledIq {
 impl PrescheduledIq {
     /// The scheduling-array row (absolute cycle) `tag` was placed in.
     fn sched_row(&self, tag: InstTag) -> Cycle {
-        self.entry(tag).expect("tag is resident").scheduled_at
-    }
-
-    /// Queued instructions whose placement row is `row` (regardless of
-    /// whether they have since moved into the issue buffer).
-    fn row_population(&self, row: Cycle) -> usize {
-        self.slots.iter().filter(|e| e.live && e.scheduled_at == row).count()
+        self.store.get(tag).expect("tag is resident").place.scheduled_at
     }
 }
 
@@ -536,25 +356,19 @@ chainiq_ckpt::pack_fields!(PrescheduleConfig {
     predicted_load_latency
 });
 
-chainiq_ckpt::pack_fields!(Entry { live, tag, op, ops, scheduled_at, entered_buffer_at });
+chainiq_ckpt::pack_fields!(Placement { scheduled_at, entered_buffer_at });
 
 impl chainiq_ckpt::Snapshot for PrescheduledIq {
     const COMPONENT: &'static str = "baseline.preschedule";
-    const VERSION: u16 = 2;
+    const VERSION: u16 = 3;
 
-    /// V2 serializes *canonical* state only: the slab (whose entries
-    /// carry residence, row and operand readiness), the free-list order
-    /// (canonical: allocation pops it LIFO), the drain clock, the
-    /// register timing table and the counters. Every index — the tag
-    /// map, the buffer order, the waiter lists, the due wheel, the
-    /// slipped backlog and the row counters — is a pure function of that
-    /// state and is rebuilt on restore. Scratch buffers are transient
-    /// (cleared before every use) and are not serialized.
+    /// V3 lists the entries in tag order (each carries its residence, row
+    /// and operand readiness), the drain clock, the register timing table
+    /// and the counters; every index is rebuilt from them.
     fn save(&self, w: &mut chainiq_ckpt::Writer) {
         use chainiq_ckpt::Pack;
         self.config.pack(w);
-        self.slots.pack(w);
-        self.free_slots.pack(w);
+        self.store.save(w);
         self.last_now.pack(w);
         self.reg_ready.pack(w);
         self.stats.pack(w);
@@ -570,8 +384,7 @@ impl chainiq_ckpt::Snapshot for PrescheduledIq {
         if config != self.config {
             return Err(corrupt("prescheduled IQ config differs from the running queue"));
         }
-        let slots: Vec<Entry> = Pack::unpack(r)?;
-        let free_slots: Vec<u32> = Pack::unpack(r)?;
+        let entries: Vec<Entry> = Pack::unpack(r)?;
         let last_now: Cycle = Pack::unpack(r)?;
         let reg_ready: Vec<Cycle> = Pack::unpack(r)?;
         let stats: IqStats = Pack::unpack(r)?;
@@ -580,53 +393,39 @@ impl chainiq_ckpt::Snapshot for PrescheduledIq {
         if reg_ready.len() != NUM_ARCH_REGS {
             return Err(corrupt("prescheduled IQ register timing table has the wrong shape"));
         }
-        chainiq_ckpt::check_free_list(slots.iter().map(|e| e.live), &free_slots)?;
-        let horizon = last_now + config.num_lines as u64;
-        for e in slots.iter().filter(|e| e.live) {
-            if e.entered_buffer_at == Cycle::MAX {
+        let horizon = self.rows.horizon(last_now);
+        for e in &entries {
+            if e.place.entered_buffer_at == Cycle::MAX {
                 // Array-resident: recirculation reschedules at most one
                 // cycle out, dispatch at most a horizon out.
-                if e.scheduled_at > horizon {
+                if e.place.scheduled_at > horizon {
                     return Err(corrupt("prescheduled IQ row lies beyond the schedule horizon"));
                 }
-            } else if e.entered_buffer_at > last_now {
+            } else if e.place.entered_buffer_at > last_now {
                 return Err(corrupt("prescheduled IQ buffer admission lies in the future"));
             }
         }
+        let buffered = entries.iter().filter(|e| e.place.entered_buffer_at != Cycle::MAX).count();
+        if buffered > config.issue_buffer_size {
+            return Err(corrupt("prescheduled IQ issue buffer overflows its size"));
+        }
 
-        // Empty every index at the image's clock, install the canonical
-        // state, then index each live slot the way dispatch does. The
-        // buffer and the slipped backlog stay sorted as they fill; waiter
-        // and wheel-bucket orders are immaterial (announces are
-        // idempotent, and drained records merge into the backlog at their
-        // sorted place).
+        // Empty every index at the image's clock, then file each entry
+        // the way dispatch does.
         self.last_now = last_now;
         self.flush();
-        self.slots = slots;
-        self.free_slots = free_slots;
+        self.store.restore(&entries, config.capacity(), "prescheduled")?;
+        for e in &entries {
+            if e.place.entered_buffer_at == Cycle::MAX {
+                self.rows.add(e.place.scheduled_at);
+            }
+            self.file(e);
+        }
         self.reg_ready = reg_ready;
         self.stats = stats;
         self.shift_stalls = shift_stalls;
         self.recirculations = recirculations;
-        self.waiters.grow(2 * self.slots.len());
-        for slot in 0..self.slots.len() as u32 {
-            let e = &self.slots[slot as usize];
-            if !e.live {
-                continue;
-            }
-            if self.by_tag.get(e.tag.0).is_some() {
-                return Err(corrupt("prescheduled IQ slab repeats a tag"));
-            }
-            self.index_slot(slot);
-        }
-        if self.by_tag.len() > config.capacity() {
-            return Err(corrupt("prescheduled IQ occupancy exceeds its capacity"));
-        }
-        if self.buffer.len() > config.issue_buffer_size {
-            return Err(corrupt("prescheduled IQ issue buffer overflows its size"));
-        }
         self.drain_scratch.clear();
-        self.scratch_tags.clear();
         Ok(())
     }
 }
@@ -635,6 +434,8 @@ impl chainiq_ckpt::Snapshot for PrescheduledIq {
 mod tests {
     use super::*;
     use chainiq_core::SrcOperand;
+    use chainiq_isa::ArchReg;
+    use chainiq_isa::OpClass;
 
     fn ready_src(reg: u8) -> SrcOperand {
         SrcOperand::ready(ArchReg::int(reg))
@@ -663,7 +464,7 @@ mod tests {
             .unwrap();
         let mut fus = FuPool::table1();
         iq.tick(1, false);
-        assert_eq!(iq.buffer_len(), 1);
+        assert_eq!(iq.buffer.len(), 1);
         assert!(iq.select_issue(1, &mut fus).is_empty(), "entered the buffer this cycle");
         iq.tick(2, false);
         assert_eq!(iq.select_issue(2, &mut fus).len(), 1);
@@ -736,7 +537,7 @@ mod tests {
         }
         // The load issued (1); its dependents sit unready in the buffer.
         assert_eq!(drained, 1);
-        assert_eq!(iq.buffer_len(), 5, "unready dependents occupy buffer slots");
+        assert_eq!(iq.buffer.len(), 5, "unready dependents occupy buffer slots");
     }
 
     #[test]
@@ -750,7 +551,8 @@ mod tests {
             .unwrap();
         }
         let first_row = iq.sched_row(InstTag(0));
-        assert_eq!(iq.row_population(first_row + 1), 3, "12 fit the first row, 3 spill");
+        let spilled = (0..15).filter(|&t| iq.sched_row(InstTag(t)) == first_row + 1).count();
+        assert_eq!(spilled, 3, "12 fit the first row, 3 spill");
     }
 
     #[test]
@@ -797,11 +599,11 @@ mod tests {
             .unwrap();
         }
         iq.tick(1, false);
-        assert_eq!(iq.buffer_len(), 2);
+        assert_eq!(iq.buffer.len(), 2);
         let before = iq.shift_stalls();
         iq.tick(2, false);
         assert!(iq.shift_stalls() > before);
-        assert_eq!(iq.buffer_len(), 2);
+        assert_eq!(iq.buffer.len(), 2);
     }
 
     #[test]
@@ -884,10 +686,10 @@ mod tests {
         assert_eq!(backlog, vec![(2, 7), (3, 6), (3, 8)]);
         // Admission follows that order: 7 at cycle 4, 6 once 7 has issued.
         assert!(step(&mut iq, 4).is_empty());
-        assert_eq!(iq.entry(InstTag(7)).unwrap().entered_buffer_at, 4);
+        assert_eq!(iq.store.get(InstTag(7)).unwrap().place.entered_buffer_at, 4);
         assert_eq!(step(&mut iq, 5), vec![7]);
         step(&mut iq, 6);
-        assert_eq!(iq.entry(InstTag(6)).unwrap().entered_buffer_at, 6);
+        assert_eq!(iq.store.get(InstTag(6)).unwrap().place.entered_buffer_at, 6);
         assert_eq!(iq.overdue, vec![(3, InstTag(8))]);
     }
 

@@ -1,6 +1,9 @@
 //! Shared differential-test harness for the baseline queues, plus the
 //! restore-equals-continuous properties proving each queue's snapshot
-//! captures every observable bit of scheduling state.
+//! captures every observable bit of scheduling state. Each property also
+//! requires the uninterrupted run to issue its whole program: a restored
+//! queue is compared with the same queue, so a wakeup lost on the path
+//! dispatch and restore share would otherwise pass unseen.
 
 use chainiq_core::{DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, SrcOperand};
 use chainiq_devtest::Gen;
@@ -152,6 +155,7 @@ mod props {
                 drive(&mut cont, &program, limit, None, || IdealIq::new(capacity));
             let (sched_s, stats_s) =
                 drive(&mut snap, &program, limit, Some(ckpt_at), || IdealIq::new(capacity));
+            prop_assert_eq!(sched_c.len(), program.len(), "not every instruction issued");
             prop_assert_eq!(sched_c, sched_s, "issue schedules diverge after restore");
             prop_assert_eq!(stats_c, stats_s, "final statistics diverge after restore");
             prop_assert_eq!(cont.occupancy(), snap.occupancy());
@@ -175,6 +179,7 @@ mod props {
             let (sched_c, stats_c) = drive(&mut cont, &program, limit, None, || DistanceIq::new(cfg));
             let (sched_s, stats_s) =
                 drive(&mut snap, &program, limit, Some(ckpt_at), || DistanceIq::new(cfg));
+            prop_assert_eq!(sched_c.len(), program.len(), "not every instruction issued");
             prop_assert_eq!(sched_c, sched_s, "issue schedules diverge after restore");
             prop_assert_eq!(stats_c, stats_s, "final statistics diverge after restore");
             prop_assert_eq!(cont.wait_buffer_stalls(), snap.wait_buffer_stalls());
@@ -200,6 +205,7 @@ mod props {
                 drive(&mut cont, &program, limit, None, || PrescheduledIq::new(cfg));
             let (sched_s, stats_s) =
                 drive(&mut snap, &program, limit, Some(ckpt_at), || PrescheduledIq::new(cfg));
+            prop_assert_eq!(sched_c.len(), program.len(), "not every instruction issued");
             prop_assert_eq!(sched_c, sched_s, "issue schedules diverge after restore");
             prop_assert_eq!(stats_c, stats_s, "final statistics diverge after restore");
             prop_assert_eq!(cont.shift_stalls(), snap.shift_stalls());

@@ -38,9 +38,6 @@ impl<Q: IssueQueue> IssueQueue for Skips<Q> {
     fn dispatch(&mut self, now: u64, info: DispatchInfo) -> Result<(), DispatchStall> {
         self.inner.dispatch(now, info)
     }
-    fn select_issue(&mut self, now: u64, fus: &mut FuPool) -> Vec<IssuedInst> {
-        self.inner.select_issue(now, fus)
-    }
     fn select_issue_into(&mut self, now: u64, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         self.inner.select_issue_into(now, fus, out);
     }

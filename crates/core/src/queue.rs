@@ -116,13 +116,18 @@ pub trait IssueQueue {
     ///
     /// The pipeline calls [`IssueQueue::select_issue_into`]; this
     /// allocating form remains only because the benchmark package's
-    /// `Timed<Q>` wrapper implements it.
-    fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst>;
+    /// `Timed<Q>` wrapper implements it. Each of the two defaults calls
+    /// the other, so an implementation overrides at least one.
+    fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
+        let mut issued = Vec::new();
+        self.select_issue_into(now, fus, &mut issued);
+        issued
+    }
 
     /// [`select_issue`](IssueQueue::select_issue) into a caller-owned
-    /// buffer: the selected instructions are appended to `out`. The
-    /// default extends `out` from `select_issue`; every queue in the
-    /// workspace overrides it so an issuing cycle allocates nothing.
+    /// buffer: the selected instructions are appended to `out`. Every
+    /// queue in the workspace overrides it so an issuing cycle allocates
+    /// nothing.
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         out.extend(self.select_issue(now, fus));
     }

@@ -1433,12 +1433,6 @@ impl IssueQueue for SegmentedIq {
         Ok(())
     }
 
-    fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
-        let mut issued = Vec::new();
-        self.select_issue_into(now, fus, &mut issued);
-        issued
-    }
-
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         self.drain_ready(now);
         // With no data-ready entry in the issue buffer nothing can issue,

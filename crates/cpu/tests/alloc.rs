@@ -1,15 +1,15 @@
 //! Heap allocations of whole-pipeline runs, counted by the allocator.
 //!
-//! Every queue design the paper's figures use must reach a steady state
-//! that leaves the heap alone: after a warmup, the allocations made inside
-//! `IssueQueue` methods stay below one per 1,000 calls. That leaves room
-//! for amortised growth (event-wheel buckets, table doubling) and none for
-//! an allocation per call, which measures in the tens per 1,000. The
-//! whole machine around those queues (pipeline, LSQ, memory, front end
-//! and workload) must stay below 20 allocations per 1,000 committed
-//! instructions. The distance queue allocates as its `BTreeMap` row
-//! counts gain and lose rows; it is the standing proof that the counter
-//! sees allocations at all, and its machine rate is not bounded.
+//! Every queue design in the workspace — segmented, ideal, prescheduled
+//! and distance — must reach a steady state that leaves the heap alone:
+//! after a warmup, the allocations made inside `IssueQueue` methods stay
+//! below one per 1,000 calls. That leaves room for amortised growth
+//! (event-wheel buckets, table doubling) and none for an allocation per
+//! call, which measures in the tens per 1,000. The whole machine around
+//! each queue (pipeline, LSQ, memory, front end and workload) must stay
+//! below 20 allocations per 1,000 committed instructions. A test-local
+//! queue that allocates a fresh buffer on every selection is the standing
+//! proof that the counter sees allocations at all.
 //!
 //! Counts are kept per thread, so the `#[test]`s run in parallel without
 //! seeing each other's allocations. Run with `--nocapture` to print the
@@ -239,11 +239,50 @@ fn ideal_steady_state_does_not_allocate() {
 }
 
 #[test]
-fn distance_queue_allocations_are_counted() {
+fn distance_steady_state_does_not_allocate() {
     let dc = DistanceConfig::paper_sized(24);
     let config = SimConfig::default().rob_for_iq(dc.capacity()).with_extra_dispatch_cycle();
+    assert_steady("distance", config, || DistanceIq::new(dc));
+}
+
+/// The ideal queue, selecting into a fresh buffer on every call: the
+/// counter's positive control.
+struct Allocating(IdealIq);
+
+impl IssueQueue for Allocating {
+    fn capacity(&self) -> usize {
+        self.0.capacity()
+    }
+    fn occupancy(&self) -> usize {
+        self.0.occupancy()
+    }
+    fn tick(&mut self, now: Cycle, execution_idle: bool) {
+        self.0.tick(now, execution_idle);
+    }
+    fn dispatch(&mut self, now: Cycle, info: DispatchInfo) -> Result<(), DispatchStall> {
+        self.0.dispatch(now, info)
+    }
+    fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
+        let mut issued = Vec::with_capacity(fus.slots_left().max(1));
+        self.0.select_issue_into(now, fus, &mut issued);
+        issued
+    }
+    fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
+        self.0.announce_ready(producer, ready_at);
+    }
+    fn flush(&mut self) {
+        self.0.flush();
+    }
+    fn stats(&self) -> IqStats {
+        self.0.stats()
+    }
+}
+
+#[test]
+fn an_allocating_queue_is_counted() {
+    let config = SimConfig::default().rob_for_iq(512);
     for bench in BENCHES {
-        let (rate, _) = alloc_rates("distance", config, DistanceIq::new(dc), bench);
-        assert!(rate > 10.0, "distance {bench:?}: only {rate:.2} allocations per 1,000 calls");
+        let (rate, _) = alloc_rates("allocating", config, Allocating(IdealIq::new(512)), bench);
+        assert!(rate > 10.0, "allocating {bench:?}: only {rate:.2} allocations per 1,000 calls");
     }
 }

@@ -20,8 +20,8 @@ mod scan_iq;
 use chainiq_baseline::{DistanceConfig, DistanceIq, IdealIq, PrescheduleConfig, PrescheduledIq};
 use chainiq_ckpt::{restore_section, save_section, CkptError, Reader, Snapshot, Writer};
 use chainiq_core::{
-    DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, SegmentedIq,
-    SegmentedIqConfig, SrcOperand,
+    DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst, QuietCycle,
+    SegmentedIq, SegmentedIqConfig, SrcOperand,
 };
 use chainiq_cpu::{Pipeline, SimConfig, SimStats, SmtPipeline};
 use chainiq_devtest::{prop_assert_eq, prop_check, Gen};
@@ -403,60 +403,86 @@ fn one_thread_smt_matches_pipeline() {
     }
 }
 
-/// A queue the pipeline has to step every cycle: it forwards every method
-/// except the two horizon methods, whose defaults answer "next cycle".
-struct Stepwise<Q>(Q);
+/// A queue that forwards every method to `inner` and counts the cycles
+/// it is asked to skip. With `stepwise` set it answers "next cycle" to
+/// every horizon query, so the pipeline has to step every cycle.
+struct Horizons<Q> {
+    inner: Q,
+    stepwise: bool,
+    skipped: u64,
+}
 
-impl<Q: IssueQueue> IssueQueue for Stepwise<Q> {
-    fn capacity(&self) -> usize {
-        self.0.capacity()
+impl<Q> Horizons<Q> {
+    fn stepwise(inner: Q) -> Self {
+        Horizons { inner, stepwise: true, skipped: 0 }
     }
-    fn occupancy(&self) -> usize {
-        self.0.occupancy()
-    }
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-    fn tick(&mut self, now: Cycle, execution_idle: bool) {
-        self.0.tick(now, execution_idle);
-    }
-    fn dispatch(&mut self, now: Cycle, info: DispatchInfo) -> Result<(), DispatchStall> {
-        self.0.dispatch(now, info)
-    }
-    fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
-        self.0.select_issue(now, fus)
-    }
-    fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
-        self.0.select_issue_into(now, fus, out);
-    }
-    fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
-        self.0.announce_ready(producer, ready_at);
-    }
-    fn on_load_miss(&mut self, tag: InstTag) {
-        self.0.on_load_miss(tag);
-    }
-    fn on_load_fill(&mut self, tag: InstTag) {
-        self.0.on_load_fill(tag);
-    }
-    fn on_writeback(&mut self, tag: InstTag) {
-        self.0.on_writeback(tag);
-    }
-    fn flush(&mut self) {
-        self.0.flush();
-    }
-    fn stats(&self) -> IqStats {
-        self.0.stats()
+
+    fn skipping(inner: Q) -> Self {
+        Horizons { inner, stepwise: false, skipped: 0 }
     }
 }
 
-impl<Q: Snapshot> Snapshot for Stepwise<Q> {
+impl<Q: IssueQueue> IssueQueue for Horizons<Q> {
+    fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+    fn occupancy(&self) -> usize {
+        self.inner.occupancy()
+    }
+    fn is_empty(&self) -> bool {
+        self.inner.is_empty()
+    }
+    fn tick(&mut self, now: Cycle, execution_idle: bool) {
+        self.inner.tick(now, execution_idle);
+    }
+    fn dispatch(&mut self, now: Cycle, info: DispatchInfo) -> Result<(), DispatchStall> {
+        self.inner.dispatch(now, info)
+    }
+    fn select_issue(&mut self, now: Cycle, fus: &mut FuPool) -> Vec<IssuedInst> {
+        self.inner.select_issue(now, fus)
+    }
+    fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
+        self.inner.select_issue_into(now, fus, out);
+    }
+    fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
+        self.inner.announce_ready(producer, ready_at);
+    }
+    fn on_load_miss(&mut self, tag: InstTag) {
+        self.inner.on_load_miss(tag);
+    }
+    fn on_load_fill(&mut self, tag: InstTag) {
+        self.inner.on_load_fill(tag);
+    }
+    fn on_writeback(&mut self, tag: InstTag) {
+        self.inner.on_writeback(tag);
+    }
+    fn flush(&mut self) {
+        self.inner.flush();
+    }
+    fn stats(&self) -> IqStats {
+        self.inner.stats()
+    }
+    fn next_event(&self, quiet: &QuietCycle) -> Cycle {
+        if self.stepwise {
+            quiet.now + 1
+        } else {
+            self.inner.next_event(quiet)
+        }
+    }
+    fn skip_quiet(&mut self, quiet: &QuietCycle, k: u64) {
+        self.skipped += k;
+        self.inner.skip_quiet(quiet, k);
+    }
+}
+
+impl<Q: Snapshot> Snapshot for Horizons<Q> {
     const COMPONENT: &'static str = Q::COMPONENT;
     const VERSION: u16 = Q::VERSION;
     fn save(&self, w: &mut Writer) {
-        self.0.save(w);
+        self.inner.save(w);
     }
     fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), CkptError> {
-        self.0.restore(r)
+        self.inner.restore(r)
     }
 }
 
@@ -475,8 +501,9 @@ fn imaged_run<M: Snapshot>(
     (w.into_bytes(), format!("{stats:?}"))
 }
 
-/// Runs `bench` on the plain queue and on its [`Stepwise`] twin and
-/// demands identical images, machine statistics and `queue_stats`.
+/// Runs `bench` on the queue twice, fast-forwarding and stepping every
+/// cycle, and demands identical images, machine statistics and
+/// `queue_stats`, and that the fast-forwarding run skipped some cycles.
 fn check_fast_forward<Q: IssueQueue + Snapshot>(
     what: &str,
     config: SimConfig,
@@ -486,17 +513,20 @@ fn check_fast_forward<Q: IssueQueue + Snapshot>(
     queue_stats: impl Fn(&Q) -> String,
 ) {
     let workload = || SyntheticWorkload::from_profile(bench.profile(), 20_020_525);
-    let mut fast = Pipeline::new(config, make_iq(), workload());
-    let mut step = Pipeline::new(config, Stepwise(make_iq()), workload());
+    let mut fast = Pipeline::new(config, Horizons::skipping(make_iq()), workload());
+    let mut step = Pipeline::new(config, Horizons::stepwise(make_iq()), workload());
     let (fast_image, fast_stats) = imaged_run(&mut fast, |s, n| s.run(n), sample / 2, sample);
     let (step_image, step_stats) = imaged_run(&mut step, |s, n| s.run(n), sample / 2, sample);
     assert_eq!(fast_stats, step_stats, "{what}: machine statistics diverge");
     assert_eq!(
-        queue_stats(fast.iq()),
-        queue_stats(&step.iq().0),
+        queue_stats(&fast.iq().inner),
+        queue_stats(&step.iq().inner),
         "{what}: queue statistics diverge"
     );
     assert!(fast_image == step_image, "{what}: checkpoint images after warmup differ");
+    let skipped = fast.iq().skipped;
+    println!("{what}: {skipped} of {} cycles skipped", fast.iq().stats().cycles);
+    assert!(skipped > 0, "{what}: the run never fast-forwarded");
 }
 
 #[test]
@@ -578,11 +608,15 @@ fn fast_forward_matches_stepwise() {
         ]
     };
     let mut fast = SmtPipeline::new(config, SegmentedIq::new(qc), threads());
-    let mut step = SmtPipeline::new(config, Stepwise(SegmentedIq::new(qc)), threads());
+    let mut step = SmtPipeline::new(config, Horizons::stepwise(SegmentedIq::new(qc)), threads());
     let (fast_image, fast_stats) = imaged_run(&mut fast, |s, n| s.run(n), 2_000, 4_000);
     let (step_image, step_stats) = imaged_run(&mut step, |s, n| s.run(n), 2_000, 4_000);
     assert_eq!(fast_stats, step_stats, "smt: machine statistics diverge");
-    assert_eq!(segmented_stats(fast.iq()), segmented_stats(&step.iq().0), "smt: queue statistics");
+    assert_eq!(
+        segmented_stats(fast.iq()),
+        segmented_stats(&step.iq().inner),
+        "smt: queue statistics"
+    );
     assert!(fast_image == step_image, "smt: checkpoint images after warmup differ");
 
     // A memory-bound run cut by `max_cycles` long before its sample: the
@@ -592,7 +626,8 @@ fn fast_forward_matches_stepwise() {
     config.max_cycles = 3_333;
     let workload = || SyntheticWorkload::from_profile(Bench::Swim.profile(), 47);
     let fast = Pipeline::new(config, SegmentedIq::new(qc), workload()).run(1_000_000);
-    let step = Pipeline::new(config, Stepwise(SegmentedIq::new(qc)), workload()).run(1_000_000);
+    let step =
+        Pipeline::new(config, Horizons::stepwise(SegmentedIq::new(qc)), workload()).run(1_000_000);
     assert_eq!(fast.cycles, config.max_cycles, "the cut is at the limit");
     assert!(fast.committed < 1_000_000);
     assert_eq!((fast.cycles, fast.hung), (step.cycles, step.hung));

@@ -220,10 +220,10 @@ fn cached_harness_matches_cold_for_every_kind() {
         std::env::temp_dir().join(format!("chainiq-roundtrip-harness-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let kinds = [
-        (IqKind::Ideal(64), 0x9796_6df7_339e_c245_u64),
+        (IqKind::Ideal(64), 0xefea_ee87_47c8_23ac_u64),
         (IqKind::Segmented(SegmentedIqConfig::paper(64, Some(64))), 0x99fb_1a73_bda2_7389),
-        (IqKind::Prescheduled(PrescheduleConfig::paper(8)), 0xfbfe_58f9_62a3_01e1),
-        (IqKind::Distance(DistanceConfig::paper_sized(8)), 0x698c_1c70_0f4b_3bd8),
+        (IqKind::Prescheduled(PrescheduleConfig::paper(8)), 0xa4e3_812d_2af6_9004),
+        (IqKind::Distance(DistanceConfig::paper_sized(8)), 0x4d15_d562_7549_bad7),
     ];
     for (i, (kind, image_fp)) in kinds.into_iter().enumerate() {
         let plan = CkptPlan { dir: dir.join(i.to_string()), warmup: 800 };

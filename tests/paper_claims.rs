@@ -570,3 +570,126 @@ fn fig3_segmented_128_vs_any_prescheduling_is_partial() {
     let wins = fig.iter().filter(|b| b.presched.iter().all(|&p| b.comb128[at128] > p)).count();
     assert!((1..7).contains(&wins), "segmented-128 wins on {wins} of {}", fig.len());
 }
+
+// ---------------------------------------------------------------------------
+// rivals: §6.3's structural-similarity conjecture (EXPERIMENTS.md,
+// "Extensions beyond the paper's evaluation")
+// ---------------------------------------------------------------------------
+
+/// The two quasi-static rivals "agree within ~5%" when the higher IPC of
+/// the pair exceeds the lower by at most this many percent. Swim is the
+/// widest agreeing pair, at 1.011 vs 1.066 (5.4%).
+const RIVALS_AGREE: f64 = 6.0;
+
+/// The rivals "diverge" when the higher IPC exceeds the lower by at least
+/// this many percent.
+const RIVALS_DIVERGE: f64 = 20.0;
+
+/// The segmented queue is "within 3%" of the better rival when it trails
+/// that rival's IPC by at most this many percent.
+const RIVALS_CLOSE: f64 = 3.0;
+
+/// One benchmark row of `results/rivals.txt`: the IPC of each queue at
+/// about 320 slots.
+#[derive(Debug)]
+struct RivalsRow {
+    bench: String,
+    presched: f64,
+    distance: f64,
+    seg320: f64,
+}
+
+impl RivalsRow {
+    /// Percent by which the better quasi-static rival beats the other.
+    fn spread(&self) -> f64 {
+        100.0 * (self.presched.max(self.distance) / self.presched.min(self.distance) - 1.0)
+    }
+
+    /// Percent by which segmented-320 trails the better rival (negative
+    /// when it beats both).
+    fn seg_gap(&self) -> f64 {
+        100.0 * (1.0 - self.seg320 / self.presched.max(self.distance))
+    }
+}
+
+/// `results/rivals.txt`, one row per benchmark.
+fn load_rivals() -> Vec<RivalsRow> {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/rivals.txt");
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
+    parse_rivals(&text)
+}
+
+fn parse_rivals(text: &str) -> Vec<RivalsRow> {
+    let mut lines = text.lines().skip_while(|l| !l.starts_with("bench "));
+    let head: Vec<&str> = lines.next().expect("a header row").split_whitespace().collect();
+    assert_eq!(
+        head,
+        ["bench", "ideal-512", "presched-320", "distance-320", "segmented-320*", "seg-512-128ch"]
+    );
+    let rows: Vec<RivalsRow> = lines
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| {
+            let cells: Vec<&str> = l.split_whitespace().collect();
+            assert_eq!(cells.len(), head.len(), "row {l:?}");
+            let ipc = |i: usize| -> f64 { cells[i].parse().unwrap() };
+            RivalsRow {
+                bench: cells[0].to_string(),
+                presched: ipc(2),
+                distance: ipc(3),
+                seg320: ipc(4),
+            }
+        })
+        .collect();
+    let benches: Vec<&str> = rows.iter().map(|r| r.bench.as_str()).collect();
+    assert_eq!(benches, ["ammp", "applu", "equake", "gcc", "mgrid", "swim", "twolf", "vortex"]);
+    rows
+}
+
+/// The benchmarks whose row satisfies `keep`, in table order.
+fn rivals_where(keep: impl Fn(&RivalsRow) -> bool) -> Vec<String> {
+    load_rivals().into_iter().filter(|r| keep(r)).map(|r| r.bench).collect()
+}
+
+/// ✔ supported: prescheduled-320 and distance-320 agree within ~5% on
+/// exactly five of eight benchmarks.
+#[test]
+fn rivals_agree_on_exactly_five_benchmarks() {
+    let agree = rivals_where(|r| r.spread() <= RIVALS_AGREE);
+    assert_eq!(agree, ["ammp", "applu", "gcc", "mgrid", "swim"]);
+}
+
+/// The rivals diverge by 20% or more on equake, twolf and vortex, where
+/// the buffer's placement matters.
+#[test]
+fn rivals_diverge_on_equake_twolf_and_vortex() {
+    let diverge = rivals_where(|r| r.spread() >= RIVALS_DIVERGE);
+    assert_eq!(diverge, ["equake", "twolf", "vortex"]);
+}
+
+/// The size-matched segmented queue beats both quasi-static schemes
+/// outright on exactly ammp, gcc, swim and vortex.
+#[test]
+fn segmented_320_beats_both_rivals_on_four_benchmarks() {
+    let beats = rivals_where(|r| r.seg_gap() < 0.0);
+    assert_eq!(beats, ["ammp", "gcc", "swim", "vortex"]);
+}
+
+/// It sits within 3% of the better rival on applu, equake and twolf.
+#[test]
+fn segmented_320_is_within_3_percent_on_applu_equake_and_twolf() {
+    for row in load_rivals().iter().filter(|r| ["applu", "equake", "twolf"].contains(&&*r.bench)) {
+        assert!(row.seg_gap() <= RIVALS_CLOSE, "{row:?} trails by {:.1}%", row.seg_gap());
+    }
+}
+
+/// Loop-regular mgrid clearly rewards the static order: prescheduling is
+/// the better rival and segmented-320 trails it by more than 3%.
+#[test]
+fn mgrid_rewards_the_static_order() {
+    let rows = load_rivals();
+    let mgrid = rows.iter().find(|r| r.bench == "mgrid").unwrap();
+    assert!(mgrid.presched > mgrid.distance, "{mgrid:?}");
+    assert!(mgrid.seg_gap() > RIVALS_CLOSE, "{mgrid:?} trails by {:.1}%", mgrid.seg_gap());
+}

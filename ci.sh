@@ -37,12 +37,15 @@ cargo build --release --offline --workspace
 echo "== cargo test -q --offline"
 cargo test -q --offline --workspace
 
-echo "== seeded baseline-queue properties at depth (300 cases each)"
-# The restore-equals-continuous properties (each also demands that the
-# uninterrupted run issues its whole program) and the ideal and distance
-# queues' lockstep properties against their scan references. Rare
-# ordering defects need many cases to show.
-CHAINIQ_PROP_CASES=300 cargo test --release --offline -p chainiq-baseline
+echo "== seeded queue properties at depth (300 cases each)"
+# The restore-equals-continuous properties (each baseline one also
+# demands that the uninterrupted run issues its whole program), the
+# ideal and distance queues' lockstep properties against their scan
+# references, core's properties of the shared structures, and the
+# segmented queue's lockstep against its scan reference across a mid-run
+# restore. Rare ordering defects need many cases to show.
+CHAINIQ_PROP_CASES=300 cargo test --release --offline -p chainiq-baseline -p chainiq-core
+CHAINIQ_PROP_CASES=300 cargo test --release --offline -p chainiq-cpu --test differential
 
 echo "== cargo clippy --offline --all-targets (-D warnings)"
 # clippy.toml and [workspace.lints] carry the determinism, unsafe and

@@ -17,12 +17,12 @@
 //! [`Store`] and [`Rows`], so no path here scans the window.
 
 use chainiq_core::{
-    DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst,
-    QuietCycle,
+    insert_sorted, DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue,
+    IssuedInst, Place, QuietCycle, Store,
 };
 use chainiq_isa::{Cycle, OpClass, NUM_ARCH_REGS};
 
-use crate::store::{insert_sorted, Place, Rows, Store};
+use crate::rows::Rows;
 
 /// Geometry of a [`DistanceIq`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,7 +77,7 @@ impl Place for Booking {
     }
 }
 
-type Entry = crate::store::Entry<Booking>;
+type Entry = chainiq_core::Entry<Booking>;
 
 /// The distance-scheme queue: wait buffer → scheduling array → issue.
 #[derive(Debug, Clone)]
@@ -163,9 +163,10 @@ impl IssueQueue for DistanceIq {
         // cycle.
         let (store, rows) = (&mut self.store, &mut self.rows);
         self.bookable.retain(|&tag| {
-            let ready = store.get(tag).and_then(|e| e.ops.ready_from());
+            let Some(slot) = store.slot_of(tag) else { return true };
+            let ready = store.operands(slot).ready_from();
             let Some(row) = ready.and_then(|ready| rows.book(ready, now)) else { return true };
-            store.update(tag, |b| b.0 = Some(row));
+            store.update(slot, |b| b.0 = Some(row));
             false
         });
     }
@@ -219,20 +220,17 @@ impl IssueQueue for DistanceIq {
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         let before = out.len();
         let rows = &mut self.rows;
-        self.store.select(now, fus, out, |e| e.place.0.into_iter().for_each(|r| rows.remove(r)));
+        self.store.select(now, fus, out, |_, e| e.place.0.into_iter().for_each(|r| rows.remove(r)));
         self.stats.issued += (out.len() - before) as u64;
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
         let (unannounced, bookable) = (&mut self.unannounced, &mut self.bookable);
-        self.store.announce(producer, ready_at, |old, new| {
+        self.store.announce(producer, ready_at, |w| {
             // A waiting entry whose ready time became known can book.
-            if new.place.0.is_none()
-                && old.ops.ready_from().is_none()
-                && new.ops.ready_from().is_some()
-            {
+            if w.place.0.is_none() && w.was.is_none() && w.is.is_some() {
                 *unannounced -= 1;
-                insert_sorted(bookable, new.tag);
+                insert_sorted(bookable, w.tag);
             }
         });
     }

@@ -2,11 +2,9 @@
 
 use chainiq_core::{
     DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst,
-    QuietCycle,
+    Place, QuietCycle, Store,
 };
 use chainiq_isa::Cycle;
-
-use crate::store::{Place, Store};
 
 /// The cycle an entry was dispatched in.
 #[derive(Debug, Clone, Copy)]
@@ -19,7 +17,7 @@ impl Place for Entered {
     }
 }
 
-type Entry = crate::store::Entry<Entered>;
+type Entry = chainiq_core::Entry<Entered>;
 
 /// An idealized, single-cycle, monolithic instruction queue: full
 /// associative wakeup over every slot, oldest-first select, no
@@ -82,12 +80,12 @@ impl IssueQueue for IdealIq {
 
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         let before = out.len();
-        self.store.select(now, fus, out, |_| {});
+        self.store.select(now, fus, out, |_, _| {});
         self.stats.issued += (out.len() - before) as u64;
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
-        self.store.announce(producer, ready_at, |_, _| {});
+        self.store.announce(producer, ready_at, |_| {});
     }
 
     fn flush(&mut self) {

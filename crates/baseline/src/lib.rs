@@ -18,11 +18,12 @@
 //!
 //! All three implement [`chainiq_core::IssueQueue`], so the pipeline in
 //! `chainiq-cpu` runs them interchangeably with the segmented design.
-//! They keep their entries in one private store (`store.rs`), which
-//! wakes an announcing producer's consumers through waiter lists and
-//! selects each entry at the cycle its queue says it becomes issuable;
-//! the two array queues also share its scheduling-array `Rows`. Images
-//! list the queued entries in tag order.
+//! They keep their entries in [`chainiq_core::Store`], the entry store
+//! the segmented queue uses too, which wakes an announcing producer's
+//! consumers through waiter lists and selects each entry at the cycle
+//! its queue says it becomes issuable; the two array queues also share
+//! the scheduling-array `Rows` (`rows.rs`). Images list the queued
+//! entries in tag order.
 //!
 //! # Examples
 //!
@@ -47,7 +48,7 @@
 mod distance;
 mod ideal;
 mod preschedule;
-mod store;
+mod rows;
 #[cfg(test)]
 mod testutil;
 

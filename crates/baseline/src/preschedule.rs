@@ -7,12 +7,12 @@
 //! [`Rows`] the distance queue shares. No path here allocates.
 
 use chainiq_core::{
-    DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag, IqStats, IssueQueue, IssuedInst,
-    QuietCycle, Wheel,
+    insert_sorted, remove_sorted, DataOperands, DispatchInfo, DispatchStall, FuPool, InstTag,
+    IqStats, IssueQueue, IssuedInst, Place, QuietCycle, Store, Wheel,
 };
 use chainiq_isa::{Cycle, NUM_ARCH_REGS};
 
-use crate::store::{insert_sorted, remove_sorted, Place, Rows, Store};
+use crate::rows::Rows;
 
 /// Geometry of a [`PrescheduledIq`]; defaults follow the paper's §6.3
 /// configuration ("as suggested by the authors for best performance").
@@ -73,7 +73,7 @@ impl Place for Placement {
     }
 }
 
-type Entry = crate::store::Entry<Placement>;
+type Entry = chainiq_core::Entry<Placement>;
 
 /// The prescheduling queue: a two-dimensional scheduling array whose rows
 /// correspond to future issue cycles, feeding a small fully-associative
@@ -180,7 +180,9 @@ impl PrescheduledIq {
     /// Moves an array entry (already removed from `overdue` by the
     /// caller) into the issue buffer, uncounting it from its row.
     fn admit(&mut self, now: Cycle, sched: Cycle, tag: InstTag) {
-        self.store.update(tag, |e| e.entered_buffer_at = now);
+        if let Some(slot) = self.store.slot_of(tag) {
+            self.store.update(slot, |e| e.entered_buffer_at = now);
+        }
         insert_sorted(&mut self.buffer, tag);
         self.rows.remove(sched);
     }
@@ -240,10 +242,12 @@ impl IssueQueue for PrescheduledIq {
         };
         if due < young {
             self.buffer.pop();
-            self.store.update(young, |e| {
-                e.entered_buffer_at = Cycle::MAX;
-                e.scheduled_at = now + 1;
-            });
+            if let Some(slot) = self.store.slot_of(young) {
+                self.store.update(slot, |e| {
+                    e.entered_buffer_at = Cycle::MAX;
+                    e.scheduled_at = now + 1;
+                });
+            }
             self.rows.add(now + 1);
             self.file_in_row(now + 1, young);
             self.overdue.remove(i);
@@ -280,12 +284,12 @@ impl IssueQueue for PrescheduledIq {
     fn select_issue_into(&mut self, now: Cycle, fus: &mut FuPool, out: &mut Vec<IssuedInst>) {
         let before = out.len();
         let buffer = &mut self.buffer;
-        self.store.select(now, fus, out, |e| remove_sorted(buffer, e.tag));
+        self.store.select(now, fus, out, |_, e| remove_sorted(buffer, e.tag));
         self.stats.issued += (out.len() - before) as u64;
     }
 
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
-        self.store.announce(producer, ready_at, |_, _| {});
+        self.store.announce(producer, ready_at, |_| {});
     }
 
     fn flush(&mut self) {

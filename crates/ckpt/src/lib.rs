@@ -692,34 +692,6 @@ pub fn restore_sparse<T: Pack + Clone>(
     Ok(())
 }
 
-/// Checks a recycled slab's saved free list against its slots' liveness
-/// (`live`, in slot order): the list must name exactly the dead slots,
-/// each once. Its order is canonical (allocation pops it LIFO).
-///
-/// # Errors
-/// [`CkptError::Corrupt`] if the list names a live or missing slot,
-/// repeats one, or leaves a dead slot out.
-pub fn check_free_list(
-    live: impl ExactSizeIterator<Item = bool>,
-    free: &[u32],
-) -> Result<(), CkptError> {
-    let corrupt = |context: &str| CkptError::Corrupt { context: context.to_string() };
-    let live: Vec<bool> = live.collect();
-    let mut on_free = vec![false; live.len()];
-    for &s in free {
-        if live.get(s as usize).is_none_or(|&l| l) {
-            return Err(corrupt("free list points at a live slab slot"));
-        }
-        if std::mem::replace(&mut on_free[s as usize], true) {
-            return Err(corrupt("free list repeats a slab slot"));
-        }
-    }
-    if live.iter().zip(&on_free).any(|(&l, &f)| !l && !f) {
-        return Err(corrupt("dead slab slot missing from the free list"));
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Snapshot: component-level sections
 // ---------------------------------------------------------------------------

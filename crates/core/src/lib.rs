@@ -30,6 +30,10 @@
 //!   generic over the IQ design exactly as the paper's evaluation is.
 //! * [`FuPool`] — Table 1's function units (8 of each kind; divide and
 //!   square root unpipelined).
+//! * [`Store`] — the entry store all four queue designs keep their
+//!   entries in: a slab addressed by tag or slot, the waiter lists that
+//!   wake an announcing producer's consumers, and oldest-first selection
+//!   at the cycle each queue's [`Place`] says an entry becomes issuable.
 //!
 //! # Examples
 //!
@@ -81,6 +85,7 @@ mod regtable;
 mod segmented;
 mod slab_list;
 mod stats;
+mod store;
 mod tag;
 mod tagmap;
 mod wheel;
@@ -91,6 +96,7 @@ pub use queue::{IqStats, IssueQueue, IssuedInst, QuietCycle};
 pub use segmented::{SegmentedIq, SegmentedIqConfig};
 pub use slab_list::WaiterLists;
 pub use stats::SegmentedStats;
+pub use store::{insert_sorted, remove_sorted, Entry, Place, Store, Woken};
 pub use tag::{
     DataOperand, DataOperands, DispatchInfo, DispatchStall, InstTag, OperandPick, SrcOperand,
 };

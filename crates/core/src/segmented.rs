@@ -5,10 +5,14 @@
 //! The v3 kernel removes every per-cycle sweep and every ordered-tree
 //! operation from the cycle loop:
 //!
-//! - Entries live in a slab (`slots`); the per-segment age lists, the
-//!   per-(segment, wire) follower lists and the per-producer waiter
-//!   lists are *slab-intrusive* doubly-linked lists threaded through
-//!   `u32` prev/next arrays beside the slab — attach, detach and
+//! - Entries live in the shared entry [`Store`], which hands out their
+//!   slot numbers, wakes an announcing producer's consumers through its
+//!   waiter lists, and selects the issue buffer oldest first: an entry's
+//!   [`Seat`] is selectable once it sits in segment 0 with its operands
+//!   ready, never in the cycle it arrived there. The per-segment age
+//!   lists and the per-(segment, wire) follower lists are
+//!   *slab-intrusive* doubly-linked lists threaded through `u32`
+//!   prev/next arrays indexed by those slots — attach, detach and
 //!   promotion are O(1) splices ([`crate::slab_list`]).
 //! - Self-timed countdowns are *virtual*: an operand stores its
 //!   countdown base and the cycle it started ticking (`since`); the
@@ -22,9 +26,9 @@
 //!   segment's threshold is computed in closed form and scheduled on a
 //!   calendar queue ([`crate::wheel`]). A cycle with no crossings costs
 //!   one empty-bucket probe.
-//! - Future readiness records live on a second wheel instead of an
-//!   ordered set; matured records are revalidated against the live
-//!   entry exactly as before.
+//! - Future readiness records, which the per-segment ready counts
+//!   mature by, live on a second wheel instead of an ordered set;
+//!   matured records are revalidated against the live entry.
 //!
 //! Every read path is served from these indexes, and every write path
 //! keeps them coherent. The kernel has one mode: its reference is
@@ -35,7 +39,8 @@
 use chainiq_isa::{Cycle, OpClass};
 
 use crate::bitset::BitSet;
-use crate::slab_list::{self, Link, ListHead, WaiterLists, NIL};
+use crate::slab_list::{self, Link, ListHead, NIL};
+use crate::store::{Place, Store};
 use crate::wheel::Wheel;
 
 use crate::chain::{ChainRef, ChainTable, SignalKind, WireSignal};
@@ -232,38 +237,43 @@ impl SchedOperand {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Entry {
-    tag: InstTag,
-    op: OpClass,
-    /// Data readiness, which drives *issue* (the scheduling operands
-    /// drive *promotion*).
-    data_ops: DataOperands,
-    sched_ops: [Option<SchedOperand>; 2],
-    heads_chain: Option<ChainRef>,
+/// Where the segmented queue holds an entry: its segment and the
+/// promotion state that moves it down. Promotion reads nothing else, so
+/// the store keeps it in a column apart from the tag, op class and data
+/// operands.
+#[derive(Debug, Clone, Copy)]
+struct Seat {
+    /// Segment holding the entry (kept in sync with the `seg_list` lists;
+    /// 0 = issue buffer).
+    seg: usize,
     /// Cycle this entry last arrived in its segment; an entry cannot be
     /// selected for issue in the same cycle it entered segment 0.
     moved_at: Cycle,
-    /// Segment currently holding the entry (kept in sync with the
-    /// `segs` lists; 0 = issue buffer).
-    seg: usize,
-    /// `data_ops.ready_from()`, cached: it changes only under
-    /// `announce_ready`.
-    ready_cache: Option<Cycle>,
-    /// Slot holds a buffered instruction (false = free-listed).
-    live: bool,
+    /// The scheduling operands, which drive *promotion* (data readiness
+    /// drives *issue*).
+    sched_ops: [Option<SchedOperand>; 2],
+    heads_chain: Option<ChainRef>,
     /// This entry is included in its segment's `ready_count` (its
-    /// `ready_cache` has passed `last_now`).
+    /// operands were ready by `last_now`).
     counted: bool,
 }
 
-impl Entry {
+/// The issue buffer is a conventional queue: an entry there is
+/// selectable once its operands are ready, never in its arrival cycle.
+impl Place for Seat {
+    fn issue_at(&self, ops: &DataOperands) -> Option<Cycle> {
+        if self.seg != 0 {
+            return None;
+        }
+        Some(ops.ready_from()?.max(self.moved_at + 1))
+    }
+}
+
+type Entry = crate::store::Entry<Seat>;
+
+impl Seat {
     fn delay_at(&self, epoch: Cycle) -> i64 {
         self.sched_ops.iter().flatten().map(|op| op.delay_at(epoch)).max().unwrap_or(0)
-    }
-
-    fn data_ready(&self, now: Cycle) -> bool {
-        self.ready_cache.is_some_and(|c| c <= now)
     }
 
     /// Applies a signal to every operand subscribed to `chain`; reports
@@ -323,12 +333,13 @@ struct BufSig {
     kind: SignalKind,
 }
 
-/// Splices `slot` into a tag-ordered segment age list, scanning from the
-/// tail backward. Dispatch and promotion feed mostly-increasing tags, so
-/// the scan almost always stops at the tail. The probe reads the dense
-/// tag mirror, not the slab — a long scan stays inside a few cache
-/// lines instead of striding across full entries.
-fn seg_splice(h: &mut ListHead, links: &mut [Link], tags: &[InstTag], tag: InstTag, slot: u32) {
+/// Splices `slot`, whose tag is `tags[slot]`, into a tag-ordered segment
+/// age list, scanning from the tail backward. Dispatch and promotion feed mostly-increasing tags, so
+/// the scan almost always stops at the tail. The probe reads the store's
+/// dense tag column, not whole entries — a long scan stays inside a few
+/// cache lines.
+fn seg_splice(h: &mut ListHead, links: &mut [Link], tags: &[InstTag], slot: u32) {
+    let tag = tags[slot as usize];
     let mut after = h.tail;
     while after != NIL && tags[after as usize] > tag {
         after = links[after as usize].prev;
@@ -348,10 +359,10 @@ fn seg_splice_hinted(
     h: &mut ListHead,
     links: &mut [Link],
     tags: &[InstTag],
-    tag: InstTag,
     slot: u32,
     hint: &mut u32,
 ) {
+    let tag = tags[slot as usize];
     if *hint != NIL && tags[*hint as usize] < tag {
         let mut after = *hint;
         loop {
@@ -363,7 +374,7 @@ fn seg_splice_hinted(
         }
         slab_list::insert_after(h, links, after, slot);
     } else {
-        seg_splice(h, links, tags, tag, slot);
+        seg_splice(h, links, tags, slot);
     }
     *hint = slot;
 }
@@ -378,15 +389,10 @@ fn seg_splice_hinted(
 #[derive(Debug, Clone)]
 pub struct SegmentedIq {
     config: SegmentedIqConfig,
-    /// Entry slab: contiguous storage addressed by the slot numbers the
-    /// per-segment lists and indexes carry. Slots are recycled LIFO.
-    slots: Vec<Entry>,
-    /// Dense mirror of each slot's tag (meaningful for live slots only).
-    /// The age-list walks — splice probes and promotion picks — read
-    /// this instead of the wide slab entries, so a walk touches 8-byte
-    /// strides that stay cache-resident.
-    slot_tags: Vec<InstTag>,
-    free_slots: Vec<u32>,
+    /// Every entry, addressed by the slot numbers the per-segment lists
+    /// and indexes carry; it also wakes and selects them. The arrays
+    /// below indexed by slot grow with its slab.
+    store: Store<Seat>,
     /// Per-segment age-list heads, tag-ordered; index 0 is the issue
     /// buffer, higher indices are closer to dispatch. The links live in
     /// `seg_link`, one per slab slot.
@@ -415,16 +421,13 @@ pub struct SegmentedIq {
     /// through a node only on an exact generation match, so a stale
     /// subscriber of a recycled wire is skipped rather than double-hit.
     fol_chain: Vec<ChainRef>,
-    /// The buffered data operands waiting on each producer's wakeup
-    /// announcement, subscribed per slot by [`WaiterLists::subscribe`].
-    waiters: WaiterLists,
     /// Data-ready entries per segment, as of `last_now` (the entries with
     /// `counted` set).
     ready_count: Vec<u64>,
     /// Entries whose readiness lies in the future, on a calendar wheel
-    /// keyed by `ready_at`. Records can go stale (a later announce moved
-    /// the readiness); the drain revalidates against the live entry
-    /// instead of erasing eagerly.
+    /// keyed by the ready cycle. Records can go stale (a later announce
+    /// moved the readiness, or the entry issued); the drain revalidates
+    /// against the store instead of erasing eagerly.
     ready_wheel: Wheel<(InstTag, u32)>,
     /// Promotion-eligibility masks, one bitset over slab slots per
     /// segment: bit set ⟺ the resident's delay value is below the
@@ -472,11 +475,10 @@ pub struct SegmentedIq {
     /// Whether the previous cycle made any progress (issue or promotion).
     progress_last_cycle: bool,
     /// Scratch buffers so the per-cycle hot paths never allocate.
-    scratch_pairs: Vec<(InstTag, u32)>,
-    scratch_picks: Vec<(InstTag, u32)>,
+    scratch_issued: Vec<(u32, Seat)>,
+    scratch_picks: Vec<u32>,
     scratch_wake: Vec<(InstTag, u32)>,
     scratch_cross: Vec<u32>,
-    scratch_slots: Vec<u32>,
 }
 
 impl SegmentedIq {
@@ -490,9 +492,7 @@ impl SegmentedIq {
         assert!(config.num_segments > 0 && config.segment_size > 0 && config.promote_width > 0);
         SegmentedIq {
             config,
-            slots: Vec::with_capacity(config.capacity()),
-            slot_tags: Vec::with_capacity(config.capacity()),
-            free_slots: Vec::new(),
+            store: Store::new(config.capacity(), 64),
             seg_list: vec![ListHead::EMPTY; config.num_segments],
             seg_link: Vec::new(),
             seg_len: vec![0; config.num_segments],
@@ -500,7 +500,6 @@ impl SegmentedIq {
             fol_live: Vec::new(),
             fol_links: Vec::new(),
             fol_chain: Vec::new(),
-            waiters: WaiterLists::default(),
             ready_count: vec![0; config.num_segments],
             ready_wheel: Wheel::new(64),
             elig: vec![BitSet::new(); config.num_segments],
@@ -516,11 +515,10 @@ impl SegmentedIq {
             stats: SegmentedStats::default(),
             issued_this_cycle: false,
             progress_last_cycle: true,
-            scratch_pairs: Vec::new(),
+            scratch_issued: Vec::new(),
             scratch_picks: Vec::new(),
             scratch_wake: Vec::new(),
             scratch_cross: Vec::new(),
-            scratch_slots: Vec::new(),
         }
     }
 
@@ -546,23 +544,18 @@ impl SegmentedIq {
         self.seg_len[k]
     }
 
-    /// Finds the slab slot holding `tag`, if buffered (test and
-    /// visualization paths; the hot paths carry slots directly).
-    fn find_slot(&self, tag: InstTag) -> Option<u32> {
-        self.slots.iter().position(|e| e.live && e.tag == tag).map(|s| s as u32)
-    }
-
     /// The current delay value of the queued instruction `tag`, if it is
     /// still buffered (primarily for tests and visualization).
     #[must_use]
     pub fn delay_of(&self, tag: InstTag) -> Option<i64> {
-        self.find_slot(tag).map(|s| self.slots[s as usize].delay_at(self.countdown_epoch))
+        let slot = self.store.slot_of(tag)?;
+        Some(self.store.place(slot).delay_at(self.countdown_epoch))
     }
 
     /// The segment currently holding `tag`, if buffered.
     #[must_use]
     pub fn segment_of(&self, tag: InstTag) -> Option<usize> {
-        self.find_slot(tag).map(|s| self.slots[s as usize].seg)
+        self.store.slot_of(tag).map(|s| self.store.place(s).seg)
     }
 
     fn top(&self) -> usize {
@@ -573,48 +566,27 @@ impl SegmentedIq {
         self.config.segment_size - self.seg_len[k]
     }
 
-    /// Stores `entry` in a free slab slot and returns the slot number,
-    /// growing the parallel link/guard arrays alongside the slab.
-    fn alloc_slot(&mut self, entry: Entry) -> u32 {
-        let tag = entry.tag;
-        if let Some(s) = self.free_slots.pop() {
-            debug_assert!(!self.slots[s as usize].live);
-            self.slots[s as usize] = entry;
-            self.slot_tags[s as usize] = tag;
-            s
-        } else {
-            self.slots.push(entry);
-            self.slot_tags.push(tag);
-            let n = self.slots.len();
-            self.grow_slot_arrays(n);
-            (n - 1) as u32
-        }
-    }
-
-    /// Sizes the slab-parallel link, guard and mask storage for `n`
-    /// slots.
-    fn grow_slot_arrays(&mut self, n: usize) {
-        self.seg_link.resize(n, Link::default());
-        self.fol_links.resize(2 * n, Link::default());
-        self.fol_chain.resize(2 * n, ChainRef { id: 0, gen: 0 });
-        self.waiters.grow(2 * n);
-        self.recheck_at.resize(n, NO_RECHECK);
-        for b in &mut self.elig {
-            b.ensure(n);
-        }
-    }
-
-    /// Files the live entry in `slot` in every index: the ready wheel
-    /// while its readiness lies ahead, its producers' waiter lists, and
-    /// (through `attach`) its segment's lists, counters and eligibility.
-    /// Dispatch and restore both index entries through here.
+    /// Files the entry the store holds in `slot` in every index of the
+    /// queue: the ready wheel while its readiness lies ahead and (through
+    /// `attach`) its segment's lists, counters and eligibility. A slot
+    /// past the end of the slot-parallel arrays is a new slab slot, and
+    /// they grow to cover it. Dispatch and restore both index entries
+    /// through here.
     fn index_slot(&mut self, slot: u32) {
-        let e = &self.slots[slot as usize];
-        let (tag, data_ops) = (e.tag, e.data_ops);
-        if let Some(c) = e.ready_cache.filter(|&c| c > self.last_now) {
-            self.ready_wheel.schedule(c, (tag, slot));
+        let n = slot as usize + 1;
+        if n > self.recheck_at.len() {
+            self.seg_link.resize(n, Link::default());
+            self.fol_links.resize(2 * n, Link::default());
+            self.fol_chain.resize(2 * n, ChainRef { id: 0, gen: 0 });
+            self.recheck_at.resize(n, NO_RECHECK);
+            for b in &mut self.elig {
+                b.ensure(n);
+            }
         }
-        self.waiters.subscribe(slot, &data_ops);
+        let ready = self.store.operands(slot).ready_from();
+        if let Some(c) = ready.filter(|&c| c > self.last_now) {
+            self.ready_wheel.schedule(c, (self.store.tags()[slot as usize], slot));
+        }
         self.attach(slot);
     }
 
@@ -656,7 +628,7 @@ impl SegmentedIq {
     /// changed, neither the mask nor the wheel is touched — safe to call
     /// redundantly.
     fn recompute_elig(&mut self, slot: u32) {
-        let e = &self.slots[slot as usize];
+        let e = self.store.place(slot);
         let seg = e.seg;
         if seg == 0 {
             return; // the issue buffer has no promotion threshold
@@ -679,14 +651,13 @@ impl SegmentedIq {
         }
     }
 
-    /// Inserts `slot` (with `tag` and `seg` already set in its entry)
-    /// into the per-segment lists and eligibility mask, and counts it
-    /// ready if its entry is.
+    /// Inserts `slot` (with `seg` already set in its seat) into the
+    /// per-segment lists and eligibility mask, and counts it ready if its
+    /// seat is.
     fn attach(&mut self, slot: u32) {
-        let e = &self.slots[slot as usize];
-        let (tag, seg, counted) = (e.tag, e.seg, e.counted);
-        let ops = e.sched_ops;
-        seg_splice(&mut self.seg_list[seg], &mut self.seg_link, &self.slot_tags, tag, slot);
+        let e = self.store.place(slot);
+        let (seg, counted, ops) = (e.seg, e.counted, e.sched_ops);
+        seg_splice(&mut self.seg_list[seg], &mut self.seg_link, self.store.tags(), slot);
         self.seg_len[seg] += 1;
         for (k, chain) in Self::subscriptions(&ops) {
             self.follow(seg, 2 * slot + k as u32, chain);
@@ -726,14 +697,11 @@ impl SegmentedIq {
         }
     }
 
-    /// Removes `slot` from the per-segment lists and eligibility mask
-    /// (it stays in the slab, the ready wheel and the waiter lists —
-    /// callers either re-attach after moving it or finish with
-    /// `remove_fully`).
-    fn detach(&mut self, slot: u32) {
-        let e = &self.slots[slot as usize];
-        let (seg, counted) = (e.seg, e.counted);
-        let ops = e.sched_ops;
+    /// Removes `slot`, held at `seat`, from the per-segment lists and
+    /// eligibility mask. Deadlock recovery re-attaches it after moving
+    /// it; an issued entry has already left the store.
+    fn detach(&mut self, slot: u32, seat: Seat) {
+        let (seg, counted, ops) = (seat.seg, seat.counted, seat.sched_ops);
         slab_list::remove(&mut self.seg_list[seg], &mut self.seg_link, slot);
         self.seg_len[seg] -= 1;
         for (k, chain) in Self::subscriptions(&ops) {
@@ -753,22 +721,16 @@ impl SegmentedIq {
     /// promotion loop runs this tens of times per cycle under heavy
     /// chain traffic.
     fn move_down(&mut self, slot: u32, now: Cycle, splice_hint: &mut u32) {
-        let e = &mut self.slots[slot as usize];
-        let (tag, seg, counted) = (e.tag, e.seg, e.counted);
+        let (seg, counted, ops) = self.store.update(slot, |e| {
+            e.seg -= 1;
+            e.moved_at = now;
+            (e.seg + 1, e.counted, e.sched_ops)
+        });
         let dst = seg - 1;
-        e.seg = dst;
-        e.moved_at = now;
-        let ops = e.sched_ops;
         slab_list::remove(&mut self.seg_list[seg], &mut self.seg_link, slot);
         self.seg_len[seg] -= 1;
-        seg_splice_hinted(
-            &mut self.seg_list[dst],
-            &mut self.seg_link,
-            &self.slot_tags,
-            tag,
-            slot,
-            splice_hint,
-        );
+        let (list, tags) = (&mut self.seg_list[dst], self.store.tags());
+        seg_splice_hinted(list, &mut self.seg_link, tags, slot, splice_hint);
         self.seg_len[dst] += 1;
         for (k, chain) in Self::subscriptions(&ops) {
             let node = 2 * slot + k as u32;
@@ -784,66 +746,26 @@ impl SegmentedIq {
         self.recompute_elig(slot);
     }
 
-    /// Removes `slot` from the queue entirely (issue path), returning the
-    /// chain its instruction headed, if any. Stale ready-wheel records
-    /// are left behind; the drain revalidates liveness.
-    fn remove_fully(&mut self, slot: u32) -> Option<ChainRef> {
-        self.detach(slot);
-        let e = &mut self.slots[slot as usize];
-        e.live = false;
-        let (heads, data_ops) = (e.heads_chain, e.data_ops);
-        self.waiters.unsubscribe(slot, &data_ops);
-        self.free_slots.push(slot);
-        heads
-    }
-
-    /// Re-seats `slot` in the ready accounting after a data-operand
-    /// mutation.
-    fn refresh_ready(&mut self, slot: u32) {
-        let e = &mut self.slots[slot as usize];
-        let new = e.data_ops.ready_from();
-        if new == e.ready_cache {
-            return;
-        }
-        e.ready_cache = new;
-        let (tag, seg, was_counted) = (e.tag, e.seg, e.counted);
-        match new {
-            Some(c) if c <= self.last_now => {
-                if !was_counted {
-                    e.counted = true;
-                    self.ready_count[seg] += 1;
-                }
-            }
-            Some(c) => {
-                if was_counted {
-                    e.counted = false;
-                    self.ready_count[seg] -= 1;
-                }
-                self.ready_wheel.schedule(c, (tag, slot));
-            }
-            None => {
-                if was_counted {
-                    e.counted = false;
-                    self.ready_count[seg] -= 1;
-                }
-            }
-        }
-    }
-
     /// Advances the ready counters to `now`, revalidating each matured
-    /// record against the live entry (records outlive re-announces and
-    /// issued entries; only a live, still-uncounted, actually-ready
-    /// entry is counted — so the wheel's drain order is immaterial).
+    /// record against the store (records outlive re-announces and issued
+    /// entries; only a queued, still-uncounted, actually-ready entry is
+    /// counted — so the wheel's drain order is immaterial).
     fn drain_ready(&mut self, now: Cycle) {
         self.last_now = now;
         let mut matured = std::mem::take(&mut self.scratch_wake);
         matured.clear();
         self.ready_wheel.drain_into(now, &mut matured);
         for &(tag, slot) in &matured {
-            let e = &mut self.slots[slot as usize];
-            if e.live && e.tag == tag && !e.counted && e.ready_cache.is_some_and(|rc| rc <= now) {
-                e.counted = true;
-                self.ready_count[e.seg] += 1;
+            if self.store.tags()[slot as usize] != tag {
+                continue;
+            }
+            let ready = self.store.operands(slot).ready_from().is_some_and(|c| c <= now);
+            if ready && !self.store.place(slot).counted {
+                let seg = self.store.update(slot, |e| {
+                    e.counted = true;
+                    e.seg
+                });
+                self.ready_count[seg] += 1;
             }
         }
         self.scratch_wake = matured;
@@ -874,7 +796,7 @@ impl SegmentedIq {
             // twice through its two nodes.
             if self.fol_chain[cur as usize] == sig.chain {
                 let slot = cur >> 1;
-                if self.slots[slot as usize].apply_signal_at(sig.chain, sig.kind, epoch) {
+                if self.store.update(slot, |e| e.apply_signal_at(sig.chain, sig.kind, epoch)) {
                     self.recompute_elig(slot);
                 }
             }
@@ -972,7 +894,7 @@ impl SegmentedIq {
     /// pushdown applies — oldest ineligible entries. It reads the
     /// incrementally-maintained eligibility mask, whose bits are exactly
     /// `delay < threshold` at the current epoch, in age-list order.
-    fn choose_promotions_into(&self, seg: usize, budget: usize, picks: &mut Vec<(InstTag, u32)>) {
+    fn choose_promotions_into(&self, seg: usize, budget: usize, picks: &mut Vec<u32>) {
         if self.elig[seg].any() {
             // The eligible set routinely exceeds the budget (free space
             // in the destination, not eligibility, is the usual limit),
@@ -982,7 +904,7 @@ impl SegmentedIq {
             let mut cur = self.seg_list[seg].head;
             while cur != NIL && picks.len() < budget {
                 if self.elig[seg].get(cur) {
-                    picks.push((self.slot_tags[cur as usize], cur));
+                    picks.push(cur);
                 }
                 cur = self.seg_link[cur as usize].next;
             }
@@ -992,7 +914,7 @@ impl SegmentedIq {
             let mut cur = self.seg_list[seg].head;
             while cur != NIL && room > 0 {
                 if !self.elig[seg].get(cur) {
-                    picks.push((self.slot_tags[cur as usize], cur));
+                    picks.push(cur);
                     room -= 1;
                 }
                 cur = self.seg_link[cur as usize].next;
@@ -1025,14 +947,16 @@ impl SegmentedIq {
         // on the way past (exactly the `seg - 1` bucket). The application
         // is position-independent, so it happens before the move.
         let epoch = self.countdown_epoch;
-        let ops = self.slots[slot as usize].sched_ops;
-        if Self::filter_hits(&self.sig_filter[seg - 1], &ops) {
-            for i in 0..self.sig_bufs[seg - 1].len() {
-                let b = self.sig_bufs[seg - 1][i];
-                self.slots[slot as usize].apply_signal_at(b.chain, b.kind, epoch);
-            }
+        let seat = self.store.place(slot);
+        let heads_chain = seat.heads_chain;
+        if Self::filter_hits(&self.sig_filter[seg - 1], &seat.sched_ops) {
+            let bucket = &self.sig_bufs[seg - 1];
+            self.store.update(slot, |e| {
+                for b in bucket {
+                    e.apply_signal_at(b.chain, b.kind, epoch);
+                }
+            });
         }
-        let heads_chain = self.slots[slot as usize].heads_chain;
         self.move_down(slot, now, splice_hint);
         // The mover left `seg` before its pulse is asserted there, so it
         // cannot receive its own pulse (§3.3); the pulse is delivered to
@@ -1060,11 +984,11 @@ impl SegmentedIq {
             picks.clear();
             self.choose_promotions_into(seg, budget, &mut picks);
             let mut splice_hint = NIL;
-            for &(_, slot) in &picks {
+            for &slot in &picks {
                 // Re-read the live delay: an earlier pick's pulse this
                 // cycle may have changed it since the pick was made.
                 let is_pushdown =
-                    self.slots[slot as usize].delay_at(self.countdown_epoch) >= threshold;
+                    self.store.place(slot).delay_at(self.countdown_epoch) >= threshold;
                 self.promote_one(now, seg, slot, is_pushdown, &mut splice_hint);
                 promoted += 1;
             }
@@ -1085,7 +1009,7 @@ impl SegmentedIq {
             // The age list is tag-ordered, so the youngest is the tail.
             let slot = self.seg_list[0].tail;
             if slot != NIL {
-                self.detach(slot);
+                self.detach(slot, *self.store.place(slot));
                 recycled = Some(slot);
                 self.stats.recovery_recycles += 1;
             }
@@ -1101,7 +1025,7 @@ impl SegmentedIq {
             let mut pick = None;
             let mut cur = self.seg_list[seg].head;
             while cur != NIL {
-                if self.slots[cur as usize].delay_at(epoch) < threshold {
+                if self.store.place(cur).delay_at(epoch) < threshold {
                     pick = Some(cur);
                     break;
                 }
@@ -1122,7 +1046,7 @@ impl SegmentedIq {
             // The recycled entry keeps its `moved_at` and sees no
             // in-flight signals, exactly as the scan kernel moved it.
             let dest = (0..=top).rev().find(|&k| self.free(k) > 0).unwrap_or(top);
-            self.slots[slot as usize].seg = dest;
+            self.store.update(slot, |e| e.seg = dest);
             self.attach(slot);
         }
     }
@@ -1399,18 +1323,7 @@ impl IssueQueue for SegmentedIq {
             self.stats.segments_bypassed += (self.top() - target) as u64;
         }
 
-        let mut entry = Entry {
-            tag: info.tag,
-            op: info.op,
-            data_ops: DataOperands::from_srcs(&info.srcs),
-            sched_ops,
-            heads_chain,
-            moved_at: now,
-            seg: target,
-            ready_cache: None,
-            live: true,
-            counted: false,
-        };
+        let mut seat = Seat { seg: target, moved_at: now, sched_ops, heads_chain, counted: false };
         // The register table lags the wire pipeline: signals between the
         // landing segment and the top have been seen by neither the table
         // nor (ever again) this segment. Deliver them now so a bypassed
@@ -1419,16 +1332,16 @@ impl IssueQueue for SegmentedIq {
         // applied them).
         let epoch = self.countdown_epoch;
         for s in (target..self.top()).rev() {
-            if !Self::filter_hits(&self.sig_filter[s], &entry.sched_ops) {
+            if !Self::filter_hits(&self.sig_filter[s], &seat.sched_ops) {
                 continue;
             }
             for sig in &self.sig_bufs[s] {
-                entry.apply_signal_at(sig.chain, sig.kind, epoch);
+                seat.apply_signal_at(sig.chain, sig.kind, epoch);
             }
         }
-        entry.ready_cache = entry.data_ops.ready_from();
-        entry.counted = entry.ready_cache.is_some_and(|c| c <= self.last_now);
-        let slot = self.alloc_slot(entry);
+        let ops = DataOperands::from_srcs(&info.srcs);
+        seat.counted = ops.ready_from().is_some_and(|c| c <= self.last_now);
+        let slot = self.store.insert(Entry { tag: info.tag, op: info.op, ops, place: seat });
         self.index_slot(slot);
         Ok(())
     }
@@ -1440,33 +1353,23 @@ impl IssueQueue for SegmentedIq {
         if self.ready_count[0] == 0 {
             return;
         }
-        let mut ready = std::mem::take(&mut self.scratch_pairs);
-        ready.clear();
-        // Tag-order walk of the issue buffer's age list: oldest-first
-        // selection, as the scan reference sorts its candidates.
-        let mut cur = self.seg_list[0].head;
-        while cur != NIL {
-            let e = &self.slots[cur as usize];
-            if e.data_ready(now) && e.moved_at < now {
-                ready.push((e.tag, cur));
-            }
-            cur = self.seg_link[cur as usize].next;
-        }
+        // The store selects oldest first among the issue buffer's entries
+        // issuable by `now`, as the scan reference sorts its candidates.
         let before = out.len();
-        for &(tag, slot) in &ready {
-            let op = self.slots[slot as usize].op;
-            if fus.slots_left() == 0 {
-                break;
-            }
-            if !fus.try_issue(now, op) {
-                continue; // unit busy; try other op kinds
-            }
-            if let Some(chain) = self.remove_fully(slot) {
+        let mut issued = std::mem::take(&mut self.scratch_issued);
+        self.store.select(now, fus, out, |slot, e| issued.push((slot, e.place)));
+        // Every issued entry leaves its lists before the first pulse, so
+        // pulses reach only the entries that stay.
+        for &(slot, seat) in &issued {
+            self.detach(slot, seat);
+        }
+        for &(_, seat) in &issued {
+            if let Some(chain) = seat.heads_chain {
                 self.assert_signal(chain, SignalKind::Pulse, 0);
             }
-            out.push(IssuedInst { tag, op });
         }
-        self.scratch_pairs = ready;
+        issued.clear();
+        self.scratch_issued = issued;
         let issued = (out.len() - before) as u64;
         self.stats.iq.issued += issued;
         if issued > 0 {
@@ -1474,15 +1377,27 @@ impl IssueQueue for SegmentedIq {
         }
     }
 
+    /// Re-seats each woken entry in the ready accounting.
     fn announce_ready(&mut self, producer: InstTag, ready_at: Cycle) {
-        let mut cur = self.waiters.first(producer);
-        while let Some(node) = cur {
-            let slot = node >> 1;
-            if self.slots[slot as usize].data_ops.announce(producer, ready_at) {
-                self.refresh_ready(slot);
+        let (last_now, counts, wheel) =
+            (self.last_now, &mut self.ready_count, &mut self.ready_wheel);
+        self.store.announce(producer, ready_at, |w| {
+            if w.was == w.is {
+                return;
             }
-            cur = self.waiters.next(node);
-        }
+            let (e, ready) = (w.place, w.is.is_some_and(|c| c <= last_now));
+            if e.counted != ready {
+                e.counted = ready;
+                if ready {
+                    counts[e.seg] += 1;
+                } else {
+                    counts[e.seg] -= 1;
+                }
+            }
+            if let Some(c) = w.is.filter(|&c| c > last_now) {
+                wheel.schedule(c, (w.tag, w.slot));
+            }
+        });
     }
 
     fn on_load_miss(&mut self, tag: InstTag) {
@@ -1502,10 +1417,8 @@ impl IssueQueue for SegmentedIq {
     }
 
     fn flush(&mut self) {
-        self.slots.clear();
-        self.slot_tags.clear();
-        self.free_slots.clear();
-        // Drop the slab-parallel link storage with the slab itself.
+        self.store.clear();
+        // Drop the slot-parallel link storage with the slab itself.
         for h in &mut self.seg_list {
             *h = ListHead::EMPTY;
         }
@@ -1517,7 +1430,6 @@ impl IssueQueue for SegmentedIq {
         self.fol_live.clear();
         self.fol_links.clear();
         self.fol_chain.clear();
-        self.waiters.clear();
         self.ready_count.fill(0);
         self.ready_wheel.reset(self.last_now);
         self.crossings.reset(self.last_now);
@@ -1632,41 +1544,29 @@ chainiq_ckpt::pack_fields!(SchedOperand {
     since
 });
 
-chainiq_ckpt::pack_fields!(Entry {
-    tag,
-    op,
-    data_ops,
-    sched_ops,
-    heads_chain,
-    moved_at,
-    seg,
-    ready_cache,
-    live,
-    counted
-});
+chainiq_ckpt::pack_fields!(Seat { seg, moved_at, sched_ops, heads_chain, counted });
 
 impl chainiq_ckpt::Snapshot for SegmentedIq {
     const COMPONENT: &'static str = "core.segmented";
-    const VERSION: u16 = 2;
+    const VERSION: u16 = 3;
 
+    /// V3 serializes *canonical* state only: the entries in tag order
+    /// (each with its seat: segment, scheduling operands and ready-count
+    /// flag), the clocks and the wire/chain/register machinery. Every
+    /// index — slots, age, follower and waiter lists, eligibility masks,
+    /// the wheels, ready counts — is a pure function of that state and is
+    /// rebuilt on restore. Scratch buffers are transient and are not
+    /// serialized.
     fn save(&self, w: &mut chainiq_ckpt::Writer) {
         use chainiq_ckpt::Pack;
-        // V2 serializes *canonical* state only: the slab (whose entries
-        // carry segment, operands and readiness), the free-list order,
-        // the clocks and the wire/chain/register machinery. Every index —
-        // age lists, follower and waiter lists, eligibility masks, both
-        // wheels, ready counts — is a pure function of that state and is
-        // rebuilt on restore. Scratch buffers are transient and are not
-        // serialized.
         self.config.pack(w);
-        self.slots.pack(w);
-        self.free_slots.pack(w);
+        self.store.save(w);
         self.last_now.pack(w);
         self.countdown_epoch.pack(w);
         self.free_prev.pack(w);
         // The climb keeps each buffered signal's segment implicit (== its
-        // bucket index); serialization materializes it, emitting exactly
-        // the V2 `Vec<Vec<WireSignal>>` byte layout.
+        // bucket index); serialization materializes it as a
+        // `Vec<Vec<WireSignal>>`.
         self.sig_bufs.len().pack(w);
         for (s, buf) in self.sig_bufs.iter().enumerate() {
             buf.len().pack(w);
@@ -1691,8 +1591,7 @@ impl chainiq_ckpt::Snapshot for SegmentedIq {
         if config != self.config {
             return Err(corrupt("segmented IQ config differs from the running queue"));
         }
-        let slots: Vec<Entry> = Pack::unpack(r)?;
-        let free_slots: Vec<u32> = Pack::unpack(r)?;
+        let entries: Vec<Entry> = Pack::unpack(r)?;
         let last_now: Cycle = Pack::unpack(r)?;
         let countdown_epoch: Cycle = Pack::unpack(r)?;
         let free_prev: Vec<usize> = Pack::unpack(r)?;
@@ -1715,15 +1614,20 @@ impl chainiq_ckpt::Snapshot for SegmentedIq {
             // countdown clock has caught up with the drain clock.
             return Err(corrupt("countdown epoch disagrees with the queue clock"));
         }
-        for e in slots.iter().filter(|e| e.live) {
-            if e.seg >= n {
-                return Err(corrupt("slab entry names an out-of-range segment"));
-            }
-            if e.counted != e.ready_cache.is_some_and(|c| c <= last_now) {
-                return Err(corrupt("ready count flag disagrees with the readiness cache"));
+        Store::check_image(&entries, config.capacity(), "segmented")?;
+        let mut seg_len = vec![0; n];
+        for e in &entries {
+            let Some(len) = seg_len.get_mut(e.place.seg) else {
+                return Err(corrupt("entry names an out-of-range segment"));
+            };
+            *len += 1;
+            if e.place.counted != e.ops.ready_from().is_some_and(|c| c <= last_now) {
+                return Err(corrupt("ready count flag disagrees with the operands' readiness"));
             }
         }
-        chainiq_ckpt::check_free_list(slots.iter().map(|e| e.live), &free_slots)?;
+        if seg_len.iter().any(|&l| l > config.segment_size) {
+            return Err(corrupt("overfull segment in checkpoint"));
+        }
         // Buffered signals are canonical only up to the climb invariant:
         // a signal's visible segment is the bucket holding it.
         for (s, buf) in sig_bufs.iter().enumerate() {
@@ -1733,14 +1637,12 @@ impl chainiq_ckpt::Snapshot for SegmentedIq {
         }
 
         // Empty every index at the image's clock, install the canonical
-        // state, then index each live slot the way dispatch does. Slot
-        // order makes every list and wheel bucket the same on each
-        // restore; age lists come out tag-ordered either way.
+        // state, then index each entry the way dispatch does. The store
+        // puts entry `i` in slot `i`, so every list and wheel bucket is
+        // the same on each restore; age lists are tag-ordered either way.
         self.last_now = last_now;
         self.flush();
-        self.slots = slots;
-        self.slot_tags = self.slots.iter().map(|e| e.tag).collect();
-        self.free_slots = free_slots;
+        self.store.restore(&entries, config.capacity(), "segmented")?;
         self.countdown_epoch = countdown_epoch;
         self.free_prev = free_prev;
         for (s, buf) in sig_bufs.into_iter().enumerate() {
@@ -1753,21 +1655,9 @@ impl chainiq_ckpt::Snapshot for SegmentedIq {
         self.stats = stats;
         self.issued_this_cycle = issued_this_cycle;
         self.progress_last_cycle = progress_last_cycle;
-        let nslots = self.slots.len();
-        self.grow_slot_arrays(nslots);
-        for slot in 0..nslots as u32 {
-            if self.slots[slot as usize].live {
-                self.index_slot(slot);
-            }
+        for slot in 0..entries.len() as u32 {
+            self.index_slot(slot);
         }
-        if self.seg_len.iter().any(|&l| l > config.segment_size) {
-            return Err(corrupt("overfull segment in checkpoint"));
-        }
-        self.scratch_pairs.clear();
-        self.scratch_picks.clear();
-        self.scratch_wake.clear();
-        self.scratch_cross.clear();
-        self.scratch_slots.clear();
         Ok(())
     }
 }
@@ -1776,6 +1666,7 @@ impl chainiq_ckpt::Snapshot for SegmentedIq {
 mod tests {
     use super::*;
     use crate::tag::SrcOperand;
+    use chainiq_ckpt::{CkptError, Pack, Reader, Snapshot, Writer};
     use chainiq_isa::ArchReg;
 
     fn cfg3x8() -> SegmentedIqConfig {
@@ -2718,6 +2609,132 @@ mod tests {
             (3, 11, 3, 14, 14, 6, 6),
             "stats sampled by tick must match the scan-based implementation"
         );
+    }
+
+    /// The fields of a v3 image, in order, so a test can change one.
+    struct Image {
+        config: SegmentedIqConfig,
+        entries: Vec<Entry>,
+        last_now: Cycle,
+        countdown_epoch: Cycle,
+        free_prev: Vec<usize>,
+        sig_bufs: Vec<Vec<WireSignal>>,
+        chains: ChainTable,
+        regs: Vec<RegInfoTable>,
+        stats: SegmentedStats,
+        issued_this_cycle: bool,
+        progress_last_cycle: bool,
+    }
+
+    chainiq_ckpt::pack_fields!(Image {
+        config,
+        entries,
+        last_now,
+        countdown_epoch,
+        free_prev,
+        sig_bufs,
+        chains,
+        regs,
+        stats,
+        issued_this_cycle,
+        progress_last_cycle
+    });
+
+    /// Saves a queue holding a chain head, its dependent and a ready
+    /// instruction two cycles in, lets `edit` change the image, and
+    /// restores the result into a fresh queue.
+    fn restore_edited(edit: impl FnOnce(&mut Image)) -> Result<(), CkptError> {
+        let mut iq = SegmentedIq::new(cfg3x8());
+        let load =
+            DispatchInfo::load(InstTag(0), ArchReg::int(1), ready_src(ArchReg::int(9)), false);
+        iq.dispatch(0, load).unwrap();
+        let src = dep_src(ArchReg::int(1), InstTag(0));
+        iq.dispatch(0, DispatchInfo::compute(InstTag(1), OpClass::IntAlu, ArchReg::int(2), &[src]))
+            .unwrap();
+        iq.dispatch(0, DispatchInfo::compute(InstTag(2), OpClass::IntAlu, ArchReg::int(3), &[]))
+            .unwrap();
+        iq.tick(1, false);
+        iq.tick(2, false);
+        let mut w = Writer::new();
+        iq.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut image = Image::unpack(&mut Reader::new(&bytes)).unwrap();
+        edit(&mut image);
+        let mut w = Writer::new();
+        image.pack(&mut w);
+        SegmentedIq::new(cfg3x8()).restore(&mut Reader::new(&w.into_bytes()))
+    }
+
+    /// `image`'s first entry, renamed `tag` and moved to `seg`.
+    fn copy_of_first(image: &Image, tag: u64, seg: usize) -> Entry {
+        let e = image.entries[0];
+        Entry { tag: InstTag(tag), place: Seat { seg, ..e.place }, ..e }
+    }
+
+    fn assert_corrupt(restored: Result<(), CkptError>, what: &str) {
+        assert!(
+            matches!(&restored, Err(CkptError::Corrupt { context }) if context.contains(what)),
+            "{restored:?} does not report {what:?}"
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_repeated_or_out_of_order_tag() {
+        restore_edited(|_| {}).expect("the untouched image restores");
+        let what = "repeats a tag or lists tags out of order";
+        assert_corrupt(restore_edited(|i| i.entries[1].tag = i.entries[0].tag), what);
+        assert_corrupt(restore_edited(|i| i.entries.swap(0, 1)), what);
+    }
+
+    #[test]
+    fn restore_rejects_more_entries_than_the_capacity() {
+        let overfull = |i: &mut Image| {
+            i.entries = (0..25).map(|t| copy_of_first(i, 100 + t, t as usize % 3)).collect();
+        };
+        assert_corrupt(restore_edited(overfull), "occupancy exceeds its capacity");
+    }
+
+    #[test]
+    fn restore_rejects_a_segment_out_of_range() {
+        assert_corrupt(restore_edited(|i| i.entries[0].place.seg = 3), "out-of-range segment");
+    }
+
+    #[test]
+    fn restore_rejects_an_overfull_segment() {
+        let overfull = |i: &mut Image| {
+            i.entries = (0..9).map(|t| copy_of_first(i, 100 + t, 1)).collect();
+        };
+        assert_corrupt(restore_edited(overfull), "overfull segment");
+    }
+
+    #[test]
+    fn restore_rejects_a_counted_flag_that_disagrees_with_readiness() {
+        assert_corrupt(
+            restore_edited(|i| i.entries[0].place.counted = !i.entries[0].place.counted),
+            "ready count flag disagrees",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_signal_outside_its_climb_bucket() {
+        let stray = |i: &mut Image| {
+            let chain = ChainRef { id: 0, gen: 0 };
+            i.sig_bufs[0].push(WireSignal { chain, kind: SignalKind::Pulse, segment: 1 });
+        };
+        assert_corrupt(restore_edited(stray), "outside its climb bucket");
+    }
+
+    #[test]
+    fn restore_rejects_a_countdown_epoch_off_the_clock() {
+        assert_corrupt(
+            restore_edited(|i| i.countdown_epoch = i.last_now + 1),
+            "countdown epoch disagrees with the queue clock",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_an_image_without_a_register_table() {
+        assert_corrupt(restore_edited(|i| i.regs.clear()), "without a register table");
     }
 
     #[test]

@@ -170,19 +170,40 @@ fn drive<Q: IssueQueue>(
     schedule
 }
 
+/// Saves `iq` at the start of cycle `ckpt_at` and carries on in a fresh
+/// queue restored from the image, whose entries take fresh slots.
+fn restore_at(ckpt_at: Cycle) -> impl FnMut(&mut SegmentedIq, Cycle) {
+    move |iq, now| {
+        if now != ckpt_at {
+            return;
+        }
+        let mut w = Writer::new();
+        save_section(&mut w, &*iq);
+        let bytes = w.into_bytes();
+        let mut fresh = SegmentedIq::new(*iq.config());
+        let restored = restore_section(&mut Reader::new(&bytes), &mut fresh);
+        assert!(restored.is_ok(), "mid-run snapshot must restore: {restored:?}");
+        *iq = fresh;
+    }
+}
+
 prop_check! {
     /// The indexed kernel must reproduce the scan reference cycle for
     /// cycle: identical issue schedules, final statistics and occupancy,
     /// for any program, geometry and feature mix, with and without a
-    /// mid-run flush.
+    /// mid-run flush. The indexed side is also saved and restored into
+    /// a fresh queue at a seeded cycle while the program dispatches, so
+    /// its restore is checked against a kernel that shares none of its
+    /// code.
     fn indexed_kernel_matches_scan_reference(g, cases = 40) {
         let program = g.vec(1..400, rand_inst);
         let cfg = rand_cfg(g);
         let limit = 1500;
         let flush_at = if g.bool() { Some(limit / 2) } else { None };
+        let ckpt_at = g.u64(1..program.len() as u64 + 1);
         let mut fast = SegmentedIq::new(cfg);
         let mut scan = ScanSegmentedIq::new(cfg);
-        let sched_fast = drive(&mut fast, &program, limit, flush_at, |_, _| {});
+        let sched_fast = drive(&mut fast, &program, limit, flush_at, restore_at(ckpt_at));
         let sched_scan = drive(&mut scan, &program, limit, flush_at, |_, _| {});
         prop_assert_eq!(sched_fast, sched_scan, "issue schedules diverge");
         prop_assert_eq!(
@@ -201,22 +222,10 @@ prop_check! {
         let cfg = rand_cfg(g);
         let limit = 1200;
         let ckpt_at = g.usize(1..1200) as u64;
-        let restore_at_ckpt = |iq: &mut SegmentedIq, now: Cycle| {
-            if now != ckpt_at {
-                return;
-            }
-            let mut w = Writer::new();
-            save_section(&mut w, &*iq);
-            let bytes = w.into_bytes();
-            let mut fresh = SegmentedIq::new(cfg);
-            restore_section(&mut Reader::new(&bytes), &mut fresh)
-                .expect("mid-run snapshot must restore");
-            *iq = fresh;
-        };
         let mut cont = SegmentedIq::new(cfg);
         let mut snap = SegmentedIq::new(cfg);
         let sched_c = drive(&mut cont, &program, limit, None, |_, _| {});
-        let sched_s = drive(&mut snap, &program, limit, None, restore_at_ckpt);
+        let sched_s = drive(&mut snap, &program, limit, None, restore_at(ckpt_at));
         prop_assert_eq!(sched_c, sched_s, "issue schedules diverge after restore");
         prop_assert_eq!(
             format!("{:?}", cont.full_stats()),

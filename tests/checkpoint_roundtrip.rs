@@ -221,7 +221,7 @@ fn cached_harness_matches_cold_for_every_kind() {
     let _ = std::fs::remove_dir_all(&dir);
     let kinds = [
         (IqKind::Ideal(64), 0xefea_ee87_47c8_23ac_u64),
-        (IqKind::Segmented(SegmentedIqConfig::paper(64, Some(64))), 0x99fb_1a73_bda2_7389),
+        (IqKind::Segmented(SegmentedIqConfig::paper(64, Some(64))), 0x4725_14ec_3f4f_9bfe),
         (IqKind::Prescheduled(PrescheduleConfig::paper(8)), 0xa4e3_812d_2af6_9004),
         (IqKind::Distance(DistanceConfig::paper_sized(8)), 0x4d15_d562_7549_bad7),
     ];

@@ -16,6 +16,12 @@
 
 use std::path::PathBuf;
 
+/// The committed `results/` table `file`.
+fn results(file: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results").join(file);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()))
+}
+
 /// The paper's §6.2 average chain-count reductions, in percent.
 const PAPER_HMP_CUT: i64 = 33;
 const PAPER_LRP_CUT: i64 = 58;
@@ -42,10 +48,7 @@ struct Table2 {
 
 impl Table2 {
     fn load() -> Table2 {
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/table2.txt");
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
-        Table2::parse(&text)
+        Table2::parse(&results("table2.txt"))
     }
 
     fn parse(text: &str) -> Table2 {
@@ -184,10 +187,7 @@ struct Fig2 {
 
 impl Fig2 {
     fn load() -> Fig2 {
-        let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/fig2.txt");
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
-        Fig2::parse(&text)
+        Fig2::parse(&results("fig2.txt"))
     }
 
     fn parse(text: &str) -> Fig2 {
@@ -428,10 +428,7 @@ fn gain(curve: &[f64]) -> f64 {
 
 /// `results/fig3.txt`, one entry per `== bench ==` block.
 fn load_fig3() -> Vec<Fig3Bench> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/fig3.txt");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
-    parse_fig3(&text)
+    parse_fig3(&results("fig3.txt"))
 }
 
 fn parse_fig3(text: &str) -> Vec<Fig3Bench> {
@@ -614,10 +611,7 @@ impl RivalsRow {
 
 /// `results/rivals.txt`, one row per benchmark.
 fn load_rivals() -> Vec<RivalsRow> {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results/rivals.txt");
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("{} unreadable: {e}", path.display()));
-    parse_rivals(&text)
+    parse_rivals(&results("rivals.txt"))
 }
 
 fn parse_rivals(text: &str) -> Vec<RivalsRow> {
@@ -692,4 +686,112 @@ fn mgrid_rewards_the_static_order() {
     let mgrid = rows.iter().find(|r| r.bench == "mgrid").unwrap();
     assert!(mgrid.presched > mgrid.distance, "{mgrid:?}");
     assert!(mgrid.seg_gap() > RIVALS_CLOSE, "{mgrid:?} trails by {:.1}%", mgrid.seg_gap());
+}
+
+// ---------------------------------------------------------------------------
+// clock: IPC × scheduler-limited clock (EXPERIMENTS.md, "Extensions beyond
+// the paper's evaluation")
+// ---------------------------------------------------------------------------
+
+/// "Break-even" in clock-adjusted throughput: within this much of 1.00×.
+const CLOCK_BREAK_EVEN: f64 = 0.03;
+
+/// `results/clock.txt`'s seg-512/best-mono column, per benchmark in table
+/// order.
+fn load_clock() -> Vec<(String, f64)> {
+    let text = results("clock.txt");
+    let mut lines = text.lines().skip_while(|l| !l.starts_with("bench "));
+    let head: Vec<&str> = lines.next().expect("a header row").split_whitespace().collect();
+    assert_eq!(head.last(), Some(&"seg-512/best-mono"), "header {head:?}");
+    let rows: Vec<(String, f64)> = lines
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| {
+            let cells: Vec<&str> = l.split_whitespace().collect();
+            assert_eq!(cells.len(), 5, "row {l:?}");
+            (cells[0].to_string(), cells[4].strip_suffix('x').unwrap().parse().unwrap())
+        })
+        .collect();
+    let benches: Vec<&str> = rows.iter().map(|(b, _)| b.as_str()).collect();
+    assert_eq!(benches, ["swim", "mgrid", "equake", "applu", "vortex", "gcc"]);
+    rows
+}
+
+/// The benchmarks whose seg-512/best-mono ratio satisfies `keep`, in
+/// table order.
+fn clock_where(keep: impl Fn(f64) -> bool) -> Vec<String> {
+    load_clock().into_iter().filter(|&(_, ratio)| keep(ratio)).map(|(b, _)| b).collect()
+}
+
+/// ✔ In IPC × clock the segmented-512 queue beats the best monolithic
+/// queue on exactly 5/6 benchmarks: all but applu.
+#[test]
+fn clock_segmented_512_beats_the_best_monolithic_queue_on_five_of_six() {
+    assert_eq!(clock_where(|ratio| ratio > 1.0), ["swim", "mgrid", "equake", "vortex", "gcc"]);
+}
+
+/// applu and gcc are the break-even pair (0.98× and 1.01×); every other
+/// benchmark is a clear win.
+#[test]
+fn clock_applu_and_gcc_break_even() {
+    assert_eq!(clock_where(|ratio| (ratio - 1.0).abs() <= CLOCK_BREAK_EVEN), ["applu", "gcc"]);
+}
+
+// ---------------------------------------------------------------------------
+// smt: §7's SMT hypothesis (EXPERIMENTS.md, "Extensions beyond the paper's
+// evaluation")
+// ---------------------------------------------------------------------------
+
+/// One mix of `results/smt.txt`: segmented aggregate IPC and retention
+/// against the shared ideal queue, in percent.
+#[derive(Debug)]
+struct SmtRow {
+    mix: String,
+    seg: f64,
+    retention: i64,
+}
+
+/// `results/smt.txt`, one row per mix.
+fn load_smt() -> Vec<SmtRow> {
+    let text = results("smt.txt");
+    let mut lines = text.lines().skip_while(|l| !l.starts_with("mix "));
+    lines.next().expect("a header row");
+    let rows: Vec<SmtRow> = lines
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| {
+            // The mix name may hold a space ("gcc x2"); four columns follow.
+            let cells: Vec<&str> = l.split_whitespace().collect();
+            let [.., _ideal, seg, retention, _chains] = cells[..] else { panic!("row {l:?}") };
+            SmtRow {
+                mix: cells[..cells.len() - 4].join(" "),
+                seg: seg.parse().unwrap(),
+                retention: retention.strip_suffix('%').unwrap().parse().unwrap(),
+            }
+        })
+        .collect();
+    assert_eq!(rows.len(), 9, "{rows:?}");
+    rows
+}
+
+/// ✔ Retention against the shared ideal queue stays between 67% and 92%
+/// on every mix, both ends reached.
+#[test]
+fn smt_retention_stays_between_67_and_92_percent() {
+    let rows = load_smt();
+    let lo = rows.iter().map(|r| r.retention).min();
+    let hi = rows.iter().map(|r| r.retention).max();
+    assert_eq!((lo, hi), (Some(67), Some(92)), "{rows:?}");
+}
+
+/// ✔ Going from one thread to four raises segmented aggregate IPC: gcc
+/// 1.18→1.41 and ammp 0.50→0.71, to the two decimals written.
+#[test]
+fn smt_gcc_and_ammp_gain_from_one_to_four_threads() {
+    let rows = load_smt();
+    for (mix, written) in [("gcc x1", 1.18), ("gcc x4", 1.41), ("ammp x1", 0.50), ("ammp x4", 0.71)]
+    {
+        let row = rows.iter().find(|r| r.mix == mix).unwrap_or_else(|| panic!("no {mix} row"));
+        assert!((row.seg - written).abs() <= 0.005 + 1e-9, "{row:?} is not {written}");
+    }
 }
